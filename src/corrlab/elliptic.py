@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 
 from . import randfield
 from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d
+from .greens import cumulative_trapezoid, node_indices
 from .helmholtz import dirichlet_solve_fd
 from .iteration import neumann_solve
 from .randfield import CorrelatedTripleSpec
@@ -126,7 +126,7 @@ def harmonic_coords(problem: EllipticProblem1D, a_values: np.ndarray) -> Harmoni
     if not np.all(a > 0.0):
         raise ValueError("coefficient not uniformly elliptic")
     astar = a_star(problem)
-    z = cumulative_trapezoid(astar / a, problem.mesh.nodes, initial=0.0)
+    z = cumulative_trapezoid(astar / a, problem.mesh.nodes)
     return HarmonicCoords(z_eps=z, a_star=astar, delta_z=z - problem.mesh.nodes)
 
 
@@ -318,14 +318,6 @@ class CorrectorKernels:
         return s + self.jump_coeff[row], s
 
 
-def _probe_indices(mesh: Mesh1D, x_nodes) -> np.ndarray:
-    xs = np.asarray(x_nodes, dtype=float)
-    idx = np.rint(xs / mesh.h).astype(int)
-    if np.any(np.abs(mesh.nodes[idx] - xs) > 1e-9):
-        raise ValueError("probe points must be mesh nodes")
-    return idx
-
-
 def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKernels:
     """Materialize H_b, H_rho, H_q at probe rows (default: every mesh node).
 
@@ -336,7 +328,7 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKern
     mesh = problem.mesh
     if x_nodes is None:
         x_nodes = mesh.nodes
-    idx = _probe_indices(mesh, x_nodes)
+    idx = np.array(node_indices(mesh.h, x_nodes), dtype=int)
     xs = mesh.nodes[idx]
     t = mesh.nodes
     h = mesh.h
@@ -356,8 +348,8 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKern
         # B(x, t) = int_t^1 dG/dy(x,y) rho_bar f(y) dy, split at y = x
         g_lo = dy_lo * rf
         g_hi = dy_hi * rf
-        cum_lo = cumulative_trapezoid(g_lo, t, initial=0.0)
-        cum_hi = cumulative_trapezoid(g_hi, t, initial=0.0)
+        cum_lo = cumulative_trapezoid(g_lo, t)
+        cum_hi = cumulative_trapezoid(g_hi, t)
         tail_hi = cum_hi[-1] - cum_hi  # int_t^1 of the upper branch
         b_vals = np.where(
             np.arange(n) >= i,
@@ -426,7 +418,7 @@ def limit_law(problem: EllipticProblem1D, x_nodes=None) -> EllipticLimitLaw:
     corr = _correlation(cov)
     sd = np.sqrt(np.diag(cov))
     mesh = problem.mesh
-    idx = _probe_indices(mesh, kernels.x_nodes)
+    idx = np.array(node_indices(mesh.h, kernels.x_nodes), dtype=int)
     m = idx.size
     var = np.empty(m)
     hb = kernels.H_b

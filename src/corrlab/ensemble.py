@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -28,6 +28,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 CHUNK_SIZE = 32
 
 REGISTRY: dict = {}
+
+# asymptotic KS critical-value coefficients by significance level
+KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 
 
 def register_task(name: str, fn) -> None:
@@ -84,16 +87,8 @@ class FunctionalStats:
     stderr_variance: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ks_statistic": self.ks_statistic,
-            "stderr_mean": self.stderr_mean,
-            "stderr_variance": self.stderr_variance,
-        }
+        """Every statistic by name, in field order (the CSV row order)."""
+        return asdict(self)
 
 
 @dataclass
@@ -140,29 +135,6 @@ class EnsembleReport:
             "scaling_fits": {k: dict(sorted(v.items())) for k, v in sorted(self.scaling_fits.items())},
             "meta": dict(sorted(self.meta.items())),
         }
-
-    def to_csv(self) -> str:
-        lines = [
-            f"# task={self.spec.task}",
-            f"# experiment_seed={self.spec.experiment_seed}",
-            f"# n_real={self.spec.n_real}",
-            f"# epsilon_list={','.join(repr(e) for e in self.spec.epsilon_list)}",
-            f"# version={self.version}",
-            f"# status={self.status}",
-        ]
-        for key, val in sorted(self.meta.items()):
-            lines.append(f"# {key}={val}")
-        lines.append("epsilon,functional,statistic,value")
-        for k, eps in enumerate(self.spec.epsilon_list):
-            for name, st in sorted(self.stats[k].items()):
-                for stat_name, value in st.to_dict().items():
-                    lines.append(f"{eps!r},{name},{stat_name},{value!r}")
-            for cname, cval in sorted(self.counts[k].items()):
-                lines.append(f"{eps!r},{cname},count,{cval}")
-        for fit_name, fit in sorted(self.scaling_fits.items()):
-            for stat_name, value in sorted(fit.items()):
-                lines.append(f"fit,{fit_name},{stat_name},{value!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _run_chunk(fn, params: dict, epsilon: float, seeds):
@@ -254,26 +226,6 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
 # --- statistics toolkit ---
 
 
-def normality_stats(samples):
-    """(skewness, excess kurtosis, KS statistic vs fitted normal)."""
-    vals = [float(v) for v in samples]
-    if len(vals) < 100:
-        raise ValueError("need at least 100 samples")
-    n = len(vals)
-    mean = math.fsum(vals) / n
-    d = [v - mean for v in vals]
-    m2 = math.fsum(x * x for x in d) / n
-    if m2 <= 0.0:
-        raise ValueError("degenerate sample")
-    m3 = math.fsum(x * x * x for x in d) / n
-    m4 = math.fsum(x * x * x * x for x in d) / n
-    g1 = m3 / m2**1.5
-    g2 = m4 / (m2 * m2) - 3.0
-    skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)
-    kurt = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
-    return skew, kurt, ks_statistic(vals, mean, math.sqrt(m2))
-
-
 def ks_statistic(samples, mean: float, std: float) -> float:
     """One-sample KS distance between the samples and N(mean, std^2)."""
     if std <= 0.0:
@@ -289,7 +241,7 @@ def ks_statistic(samples, mean: float, std: float) -> float:
 
 def ks_critical(n: int, level: float) -> float:
     """Asymptotic KS critical value at the 5% or 1% level."""
-    coeff = {0.05: 1.358, 0.01: 1.628}.get(level)
+    coeff = KS_COEFF.get(level)
     if coeff is None:
         raise ValueError("level must be 0.05 or 0.01")
     return coeff / math.sqrt(n)

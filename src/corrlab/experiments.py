@@ -4,19 +4,28 @@ Each experiment kind maps one JSON config to ensemble runs and deterministic
 side computations, then grades the outcome against thresholds carried in the
 config itself. Threshold defaults equal the package acceptance values, so CI
 can drive the acceptance suite through `run_experiment` directly.
+
+A kind is one spec: its defaults, a table of field rules, an optional check
+of the rules that span fields, and a runner. Every leaf of the defaults is
+validated, by its table rule or else by the type of its default value, and
+the mesh each epsilon implies is checked too, so a config that passes
+validation does not fail in its realizations for a config reason.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import asymptotics, elliptic, ensemble, helmholtz, randfield, spectral
-from .greens import Mesh1D, Mesh2D
+from .greens import Mesh1D, Mesh2D, node_indices
 
 VERSION = "corrlab-0.1.0"
 
@@ -29,7 +38,7 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-# --- config validation helpers ---
+# --- config validation rules: rule(value, dotted path) raises ConfigError ---
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -42,108 +51,226 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
             else:
                 out[key] = uval
         else:
-            out[key] = dval
+            # kinds share default sub-objects; a config never aliases them
+            out[key] = copy.deepcopy(dval)
     for key in user:
         if key not in defaults:
             raise ConfigError(prefix + key, "unknown field")
     return out
 
 
-def _number(cfg, key, lo=None, hi=None, lo_open=False, hi_open=False):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
+def _get(cfg: dict, path: str):
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(cfg, dict):
+            raise ConfigError(".".join(parts[:i]), "must be an object")
+        cfg = cfg[part]
+    return cfg
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _as_float(val):
+    """A JSON number as a float (inf if too large), None for anything else."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf
+
+
+def _number(val, key, lo=None, hi=None, lo_open=False, hi_open=False):
+    val = _as_float(val)
+    if val is None:
         raise ConfigError(key, "must be a number")
-    val = float(val)
     if not math.isfinite(val):
         raise ConfigError(key, "must be finite")
     if lo is not None and (val < lo or (lo_open and val == lo)):
         raise ConfigError(key, f"must be {'>' if lo_open else '>='} {lo}")
     if hi is not None and (val > hi or (hi_open and val == hi)):
         raise ConfigError(key, f"must be {'<' if hi_open else '<='} {hi}")
-    return val
 
 
-def _integer(cfg, key, lo=None, hi=None):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
-    if isinstance(val, bool) or not isinstance(val, int):
+def _integer(val, key, lo=None, hi=None):
+    if not _is_int(val):
         raise ConfigError(key, "must be an integer")
     if lo is not None and val < lo:
         raise ConfigError(key, f"must be >= {lo}")
     if hi is not None and val > hi:
         raise ConfigError(key, f"must be <= {hi}")
-    return val
 
 
-def _eps_list(cfg, key):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
-    if not isinstance(val, list) or len(val) == 0:
-        raise ConfigError(key, "must be a nonempty list")
-    eps = []
-    for e in val:
-        if isinstance(e, bool) or not isinstance(e, (int, float)):
-            raise ConfigError(key, "entries must be numbers")
-        e = float(e)
-        if not (math.isfinite(e) and e > 0):
-            raise ConfigError(key, "epsilon values must be positive")
-        eps.append(e)
+def _boolean(val, key):
+    if not isinstance(val, bool):
+        raise ConfigError(key, "must be a boolean")
+
+
+def _numbers(val, key, nonempty: bool) -> list:
+    if not isinstance(val, list) or (nonempty and not val):
+        raise ConfigError(key, "must be a nonempty list" if nonempty else "must be a list")
+    xs = [_as_float(x) for x in val]
+    if any(x is None for x in xs):
+        raise ConfigError(key, "entries must be numbers")
+    return xs
+
+
+def _eps_list(val, key):
+    eps = _numbers(val, key, nonempty=True)
+    if not all(math.isfinite(e) and e > 0 for e in eps):
+        raise ConfigError(key, "epsilon values must be positive")
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ConfigError(key, "must be strictly decreasing")
-    return eps
 
 
-def _choice(cfg, key, options):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
+def _optional_eps_list(val, key):
+    if val:
+        _eps_list(val, key)
+
+
+def _choice(val, key, options):
     if val not in options:
         raise ConfigError(key, f"must be one of {sorted(options)}")
-    return val
 
 
-def _field_spec(cfg, key):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
+def _spec(val, key, cls):
     try:
-        return randfield.MAProcessSpec.from_json(val)
+        cls.from_json(val)
     except Exception as exc:
         raise ConfigError(key, str(exc)) from exc
 
 
-def _triple_spec(cfg, key):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
-    try:
-        return randfield.CorrelatedTripleSpec.from_json(val)
-    except Exception as exc:
-        raise ConfigError(key, str(exc)) from exc
+def _probe_list(val, key):
+    if not all(0.0 < x < 1.0 for x in _numbers(val, key, nonempty=False)):
+        raise ConfigError(key, "probe points must lie inside (0, 1)")
 
 
-def _probe_list(cfg, key):
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
-    if not isinstance(val, list):
-        raise ConfigError(key, "must be a list")
-    out = []
-    for x in val:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(key, "entries must be numbers")
-        x = float(x)
-        if not 0.0 < x < 1.0:
-            raise ConfigError(key, "probe points must lie inside (0, 1)")
-        out.append(x)
-    return out
+def _profile_list(val, key, options, nonempty=False):
+    if nonempty and not val:
+        raise ConfigError(key, "need at least one moment profile")
+    if not isinstance(val, list) or any(mk not in options for mk in val):
+        raise ConfigError(key, f"must use profiles from {sorted(options)}")
 
 
+def _list(val, key, message):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(key, message)
+
+
+def _dimensions(val, key):
+    _list(val, key, "must be a nonempty list")
+    if any(not _is_int(d) or not 1 <= d <= 6 for d in val):
+        raise ConfigError(key, "dimensions must be integers in 1..6")
+
+
+# a leaf without a table rule is checked by the type of its default value
+_BY_TYPE = {bool: _boolean, int: _integer, float: _number}
+
+_SEED = partial(_integer, lo=0)
+_N_REAL = partial(_integer, lo=2)
+_NONNEG = partial(_number, lo=0)
+_POSITIVE = partial(_number, lo=0, lo_open=True)
+_OPEN_UNIT = partial(_number, lo=0, hi=1, lo_open=True, hi_open=True)
+_MODE_COUNT = partial(_integer, lo=1)
+_KS_LEVEL = partial(_choice, options=tuple(ensemble.KS_COEFF))
+_FIELD_SPEC = partial(_spec, cls=randfield.MAProcessSpec)
 _PROFILES = ("one", "sine", "parabola")
+_PROFILES_2D = ("one", "sine")
+_PROFILE = partial(_choice, options=_PROFILES)
+_NODES_PER_EPS = partial(_integer, lo=2)
+_FOURIER_PAIR = "must be two distinct modes in 1..n_pairs"
+
+
+def _rules(defaults: dict, table: dict) -> dict:
+    """Rule per validated path: the table's rules in table order, then every
+    other leaf of `defaults` in order, checked by the type of its default.
+
+    A table path names a leaf or a whole spec object (`field`, `triple`).
+    """
+    rules = dict(table)
+
+    def walk(node, prefix):
+        for key, dval in node.items():
+            path = prefix + key
+            if path in rules:
+                continue
+            if isinstance(dval, dict):
+                walk(dval, path + ".")
+            else:
+                rules[path] = _BY_TYPE[type(dval)]
+
+    walk(defaults, "")
+    return rules
+
+
+def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
+    """Cell count with h = epsilon / nodes_per_eps (rounded up if not integral)."""
+    cells = nodes_per_eps / epsilon
+    n = int(round(cells))
+    if abs(cells - n) > 1e-9 * max(1.0, cells):
+        n = int(math.ceil(cells))
+    return n
+
+
+def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
+    """Mesh preconditions at every epsilon, from the node count alone.
+
+    The mesh needs 3 nodes, the config's probes must be nodes, and its
+    n_pairs eigenpairs must fit in the interior nodes.
+    """
+    for eps in _get(cfg, eps_key):
+        cells = _aligned_cells(eps, _get(cfg, npe_key))
+        if cells < 2:
+            raise ConfigError(eps_key, f"epsilon {eps!r} leaves fewer than 3 mesh nodes")
+        try:
+            node_indices(1.0 / cells, cfg.get("probes", ()))
+        except ValueError as exc:
+            raise ConfigError("probes", f"{exc} at epsilon {eps!r}") from None
+        if cfg.get("n_pairs", 0) > cells - 1:
+            interior = f"the {cells - 1} interior nodes at epsilon {eps!r}"
+            raise ConfigError("n_pairs", f"exceeds {interior}")
+
+
+def _check_elliptic(cfg: dict):
+    spec = randfield.CorrelatedTripleSpec.from_json(cfg["triple"])
+    if spec.component_bound(elliptic.CH_B) >= 1.0:
+        raise ConfigError("triple", "b-component bound must stay below 1")
+    if spec.component_bound(elliptic.CH_RHO) >= cfg["rho_bar"]:
+        raise ConfigError("triple", "drho-component bound must stay below rho_bar")
+    _check_mesh(cfg)
+
+
+def _check_spectral(cfg: dict):
+    n_pairs = cfg["n_pairs"]
+
+    def is_mode(n):
+        return _is_int(n) and 1 <= n <= n_pairs
+
+    if not all(map(is_mode, cfg["modes"])):
+        raise ConfigError("modes", f"mode indices must lie in 1..{n_pairs}")
+    fp = cfg["fourier_pair"]
+    if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
+        raise ConfigError("fourier_pair", _FOURIER_PAIR)
+    _check_mesh(cfg)
+
+
+def _check_heat(cfg: dict):
+    if cfg["mode"] > cfg["n_pairs"]:
+        raise ConfigError("mode", "must not exceed n_pairs")
+    _check_mesh(cfg)
+
+
+def _check_2d(cfg: dict):
+    if cfg["f"] not in _PROFILES_2D:
+        raise ConfigError("f", f"2D sources must be one of {sorted(_PROFILES_2D)}")
+    _check_mesh(cfg)
+
+
+def _check_periodic(cfg: dict):
+    _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
+    _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
 
 
 def source_profile(kind: str, x: np.ndarray) -> np.ndarray:
@@ -158,28 +285,16 @@ def source_profile(kind: str, x: np.ndarray) -> np.ndarray:
 
 
 def source_profile_2d(kind: str, mesh2d: Mesh2D) -> np.ndarray:
-    if kind == "one":
-        return np.ones((mesh2d.n_nodes, mesh2d.n_nodes))
-    if kind == "sine":
-        s = np.sin(np.pi * mesh2d.nodes)
-        return np.outer(s, s)
-    raise ValueError(f"unknown profile {kind!r}")
+    """Separable 2D node profile p(x) p(y) for the profiles in _PROFILES_2D."""
+    if kind not in _PROFILES_2D:
+        raise ValueError(f"unknown profile {kind!r}")
+    p = source_profile(kind, mesh2d.nodes)
+    return np.outer(p, p)
 
 
 def aligned_mesh(epsilon: float, nodes_per_eps: int) -> Mesh1D:
     """Mesh with h = epsilon / nodes_per_eps (rounded up if not integral)."""
-    cells = nodes_per_eps / epsilon
-    n = int(round(cells))
-    if abs(cells - n) > 1e-9 * max(1.0, cells):
-        n = int(math.ceil(cells))
-    return Mesh1D(n + 1)
-
-
-def _node_index(mesh: Mesh1D, x: float) -> int:
-    i = int(round(x / mesh.h))
-    if abs(mesh.nodes[i] - x) > 1e-9:
-        raise ValueError(f"probe {x!r} is not a mesh node")
-    return i
+    return Mesh1D(_aligned_cells(epsilon, nodes_per_eps) + 1)
 
 
 def _probe_name(x: float) -> str:
@@ -210,71 +325,28 @@ def field_stats_task(params: dict, epsilon: float, seed: int) -> dict:
     }
 
 
+def _helm_args(params: dict, epsilon: float) -> dict:
+    """Constructor arguments the 1D and 2D Helmholtz problems share."""
+    return {
+        "q0": params["q0"],
+        "field_spec": randfield.MAProcessSpec.from_json(params["field"]),
+        "epsilon": epsilon,
+        "alpha": params["alpha"],
+        "truncation_rho": params["truncation_rho"],
+    }
+
+
 def _helm_problem(params: dict, epsilon: float) -> helmholtz.HelmholtzProblem:
-    spec = randfield.MAProcessSpec.from_json(params["field"])
     mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
     f = source_profile(params["f"], mesh.nodes)
-    return helmholtz.HelmholtzProblem(
-        mesh,
-        params["a_star"],
-        params["q0"],
-        spec,
-        f,
-        epsilon,
-        alpha=params["alpha"],
-        truncation_rho=params["truncation_rho"],
-    )
+    args = _helm_args(params, epsilon)
+    return helmholtz.HelmholtzProblem(mesh, params["a_star"], f=f, **args)
 
 
-def helmholtz_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm_problem(params, epsilon)
-    sol = helmholtz.perturbed_solve(prob, seed, tol=params["tol"])
-    c = helmholtz.corrector(prob, sol)
-    mesh = prob.mesh
-    diff = sol.u_eps - sol.u0
-    out = {
-        "norm_sq": float(np.sum(mesh.quad_weights * diff * diff)),
-        "iterations": float(sol.iterations),
-        "count_truncated": float(sol.truncated),
-    }
-    for x in params["probes"]:
-        out[_probe_name(x)] = float(c[_node_index(mesh, x)])
-    if params["moments"]:
-        mset = helmholtz.MomentSet(
-            tuple(source_profile(mk, mesh.nodes) for mk in params["moments"])
-        )
-        for i, v in enumerate(helmholtz.moment_functionals(prob, mset, sol)):
-            out[f"moment_{i}"] = float(v)
-    return out
-
-
-def helmholtz_moments_2d_task(params: dict, epsilon: float, seed: int) -> dict:
-    spec = randfield.MAProcessSpec.from_json(params["field"])
-    cells = aligned_mesh(epsilon, params["nodes_per_eps"]).n_nodes - 1
-    mesh2 = Mesh2D(cells + 1)
+def _helm2d_problem(params: dict, epsilon: float) -> helmholtz.Helmholtz2DProblem:
+    mesh2 = Mesh2D(_aligned_cells(epsilon, params["nodes_per_eps"]) + 1)
     f = source_profile_2d(params["f"], mesh2)
-    prob = helmholtz.Helmholtz2DProblem(
-        mesh2,
-        params["q0"],
-        spec,
-        f,
-        epsilon,
-        alpha=params["alpha"],
-        truncation_rho=params["truncation_rho"],
-    )
-    sol = helmholtz.perturbed_solve_2d(prob, seed, tol=params["tol"])
-    diff = sol.u_eps - sol.u0
-    out = {
-        "norm_sq": mesh2.inner(diff, diff),
-        "iterations": float(sol.iterations),
-        "count_truncated": float(sol.truncated),
-    }
-    mset = helmholtz.MomentSet(
-        tuple(source_profile_2d(mk, mesh2) for mk in params["moments"])
-    )
-    for i, v in enumerate(helmholtz.moment_functionals_2d(prob, mset, sol)):
-        out[f"moment_{i}"] = float(v)
-    return out
+    return helmholtz.Helmholtz2DProblem(mesh2, f=f, **_helm_args(params, epsilon))
 
 
 def _elliptic_problem(params: dict, epsilon: float) -> elliptic.EllipticProblem1D:
@@ -293,20 +365,52 @@ def _elliptic_problem(params: dict, epsilon: float) -> elliptic.EllipticProblem1
     )
 
 
-def elliptic_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _elliptic_problem(params, epsilon)
-    sol = elliptic.solve_transformed(prob, seed, tol=params["tol"])
-    c = elliptic.corrector(prob, sol)
-    mesh = prob.mesh
+def _moment_set(prob, profiles) -> helmholtz.MomentSet:
+    """Named moment test functions on the nodes of a 1D or 2D problem."""
+    if prob.dimension == 1:
+        fns = (source_profile(mk, prob.mesh.nodes) for mk in profiles)
+    else:
+        fns = (source_profile_2d(mk, prob.mesh) for mk in profiles)
+    return helmholtz.MomentSet(tuple(fns))
+
+
+def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
+    """Squared-norm, solver, probe and moment functionals of one fixed-point solve."""
     diff = sol.u_eps - sol.u0
     out = {
-        "norm_sq": float(np.sum(mesh.quad_weights * diff * diff)),
+        "norm_sq": mesh.inner(diff, diff),
         "iterations": float(sol.iterations),
         "count_truncated": float(sol.truncated),
     }
-    for x in params["probes"]:
-        out[_probe_name(x)] = float(c[_node_index(mesh, x)])
+    for x, i in zip(probes, node_indices(mesh.h, probes)):
+        out[_probe_name(x)] = float(corrector[i])
+    for i, v in enumerate(moments):
+        out[f"moment_{i}"] = float(v)
     return out
+
+
+def helmholtz_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
+    prob = _helm_problem(params, epsilon)
+    sol = helmholtz.perturbed_solve(prob, seed, tol=params["tol"])
+    moments = ()
+    if params["moments"]:
+        mset = _moment_set(prob, params["moments"])
+        moments = helmholtz.moment_functionals(prob, mset, sol)
+    c = helmholtz.corrector(prob, sol)
+    return _solve_record(prob.mesh, sol, c, params["probes"], moments)
+
+
+def helmholtz_moments_2d_task(params: dict, epsilon: float, seed: int) -> dict:
+    prob = _helm2d_problem(params, epsilon)
+    sol = helmholtz.perturbed_solve_2d(prob, seed, tol=params["tol"])
+    mset = _moment_set(prob, params["moments"])
+    return _solve_record(prob.mesh, sol, moments=helmholtz.moment_functionals_2d(prob, mset, sol))
+
+
+def elliptic_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
+    prob = _elliptic_problem(params, epsilon)
+    sol = elliptic.solve_transformed(prob, seed, tol=params["tol"])
+    return _solve_record(prob.mesh, sol, elliptic.corrector(prob, sol), params["probes"])
 
 
 def spectral_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
@@ -342,6 +446,18 @@ ensemble.register_task("helmholtz-moments-2d", helmholtz_moments_2d_task)
 ensemble.register_task("elliptic-corrector", elliptic_corrector_task)
 ensemble.register_task("spectral-corrector", spectral_corrector_task)
 ensemble.register_task("heat-corrector", heat_corrector_task)
+
+# config keys the runner owns; every other key of a config is a task param
+_RUNNER_KEYS = ("kind", "seed", "n_real", "epsilon_list", "thresholds", "normality_checks")
+
+
+def _run_ensemble(config: dict, workers: int) -> ensemble.EnsembleReport:
+    """Run the realization task named by config["kind"] over its epsilon_list."""
+    params = {k: v for k, v in config.items() if k not in _RUNNER_KEYS}
+    es = ensemble.EnsembleSpec(
+        config["seed"], config["n_real"], config["epsilon_list"], config["kind"], params
+    )
+    return ensemble.run(es, workers=workers, version=VERSION)
 
 
 # --- result container ---
@@ -463,51 +579,60 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-# --- grading helpers ---
+# --- grading helpers: each appends rows, checks and tables to a result ---
+
+
+def _within(name: str, label: str, value, target, tol) -> Check:
+    err = abs(value - target)
+    return Check(
+        name,
+        err <= tol,
+        f"{label}={value:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
+    )
 
 
 def _mean_check(name: str, st, target: float, factor: float) -> Check:
-    tol = factor * st.stderr_mean
-    err = abs(st.mean - target)
-    return Check(
-        name,
-        err <= tol,
-        f"mean={st.mean:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
-    )
+    return _within(name, "mean", st.mean, target, factor * st.stderr_mean)
 
 
 def _var_check(name: str, st, target: float, factor: float) -> Check:
-    tol = factor * st.stderr_variance
-    err = abs(st.variance - target)
-    return Check(
-        name,
-        err <= tol,
-        f"var={st.variance:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
-    )
+    return _within(name, "var", st.variance, target, factor * st.stderr_variance)
 
 
-def _cov_check(name, xs, ys, target: float, factor: float) -> Check:
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+def _grade_cov(res, samples: dict, a: str, b: str, name: str, target: float):
+    """Covariance check of functionals a and b, when more than 3 were sampled."""
+    xs, ys = samples.get(a, []), samples.get(b, [])
+    if len(xs) <= 3:
+        return
+    x, y = np.asarray(xs), np.asarray(ys)
     n = x.size
     mx, my = float(np.mean(x)), float(np.mean(y))
     cov = float(np.sum((x - mx) * (y - my)) / (n - 1))
     vx = float(np.sum((x - mx) ** 2) / (n - 1))
     vy = float(np.sum((y - my) ** 2) / (n - 1))
     se = math.sqrt(max(vx * vy + cov * cov, 0.0) / max(n - 1, 1))
-    err = abs(cov - target)
-    tol = factor * se
+    tol = res.config["thresholds"]["stderr_factor"] * se
+    res.checks.append(_within(name, "cov", cov, target, tol))
+
+
+def _slope_in(name: str, slope: float, lo, hi) -> Check:
+    return Check(name, lo <= slope <= hi, f"slope={slope:.4f} bounds=[{lo},{hi}]")
+
+
+def _slope_near(name: str, slope: float, target, tol) -> Check:
     return Check(
-        name,
-        err <= tol,
-        f"cov={cov:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
+        name, abs(slope - target) <= tol, f"slope={slope:.4f} target={target} tol={tol}"
     )
 
 
-def _normality_checks(prefix: str, st, n: int, th: dict) -> list:
+def _slope_min(name: str, slope: float, lo) -> Check:
+    return Check(name, slope >= lo, f"slope={slope:.4f} min={lo}")
+
+
+def _normality_checks(prefix: str, st, th: dict) -> list:
     if st.variance <= 0:
         return [Check(f"{prefix}_normality", True, "degenerate sample, skipped")]
-    crit = ensemble.ks_critical(n, th["ks_level"])
+    crit = ensemble.ks_critical(st.n, th["ks_level"])
     return [
         Check(
             f"{prefix}_skew",
@@ -556,11 +681,60 @@ def _norm_slope(rep, functional: str = "norm_sq"):
     return fit
 
 
+def _grade_variance(res, eps, st, name, target, label, key, mean=False):
+    """Analytic-variance row of functional `name` and, if it was sampled, a
+    `{label}_var[{key}]` check, plus a zero-mean check when `mean` is set."""
+    sf = res.config["thresholds"]["stderr_factor"]
+    res.rows.append((repr(eps), name, "analytic_variance", float(target)))
+    if name in st:
+        res.checks.append(_var_check(f"{label}_var[{key}]", st[name], target, sf))
+        if mean:
+            res.checks.append(_mean_check(f"{label}_mean[{key}]", st[name], 0.0, sf))
+
+
+def _grade_probes(res, rep, k: int, law):
+    eps = rep.spec.epsilon_list[k]
+    for x in res.config["probes"]:
+        target, key = law.variance_at(x), f"{x!r},{eps!r}"
+        _grade_variance(res, eps, rep.stats[k], _probe_name(x), target, "corr", key, mean=True)
+
+
+def _grade_moments(res, rep, k: int, cov):
+    """Moment variance, mean and covariance checks at epsilon k, then normality."""
+    eps = rep.spec.epsilon_list[k]
+    st = rep.stats[k]
+    for i in range(len(cov)):
+        key = f"{i},{eps!r}"
+        _grade_variance(res, eps, st, f"moment_{i}", cov[i, i], "moment", key, mean=True)
+    for i, j in itertools.combinations(range(len(cov)), 2):
+        name = f"moment_cov[{i}{j},{eps!r}]"
+        _grade_cov(res, rep.samples[k], f"moment_{i}", f"moment_{j}", name, cov[i, j])
+    if res.config["normality_checks"] and "moment_0" in st:
+        th = res.config["thresholds"]
+        res.checks.extend(_normality_checks(f"moment_0[{eps!r}]", st["moment_0"], th))
+
+
+def _grade_norm_slope(res, rep):
+    th = res.config["thresholds"]
+    fit = _norm_slope(rep)
+    if fit is not None:
+        res.tables["norm_sq_fit"] = fit.to_dict()
+        res.checks.append(_slope_in("norm_sq_slope", fit.slope, th["slope_lo"], th["slope_hi"]))
+    return fit
+
+
+def _grade_truncation(res, rep):
+    frac_max = res.config["thresholds"]["trunc_frac_max"]
+    res.checks.extend(_count_fraction_check("truncation", rep, "count_truncated", frac_max))
+
+
+def _ensemble_result(config: dict, workers: int):
+    """Run the kind's ensemble; an ungraded result holding it, and the report."""
+    rep = _run_ensemble(config, workers)
+    return ExperimentResult(config["kind"], config, {"main": rep}, {}, [], []), rep
+
+
 # --- experiment kinds ---
-
-
-def _subset(config: dict, keys) -> dict:
-    return {k: config[k] for k in keys}
 
 
 _DEF_FIELD = {"weights": [0.5, 0.5], "marginal": "rademacher", "amplitude": 1.0}
@@ -569,53 +743,37 @@ FIELD_STATS_DEFAULTS = {
     "seed": 20260817,
     "n_real": 400,
     "epsilon_list": [0.1],
-    "field": dict(_DEF_FIELD),
+    "field": _DEF_FIELD,
     "probe": 0.3,
     "thresholds": {"stderr_factor": 4.0},
 }
 
 
-def _validate_field_stats(cfg):
-    _integer(cfg, "seed", lo=0)
-    _integer(cfg, "n_real", lo=2)
-    _eps_list(cfg, "epsilon_list")
-    _field_spec(cfg, "field")
-    _number(cfg, "probe")
-    _number(cfg, "thresholds.stderr_factor", lo=0, lo_open=True)
-
-
 def _run_field_stats(config, workers):
+    res, rep = _ensemble_result(config, workers)
     spec = randfield.MAProcessSpec.from_json(config["field"])
-    es = ensemble.EnsembleSpec(
-        config["seed"],
-        config["n_real"],
-        config["epsilon_list"],
-        "field-stats",
-        _subset(config, ("field", "probe")),
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
     sf = config["thresholds"]["stderr_factor"]
     s2 = randfield.sigma2(spec)
     r0 = randfield.correlation(spec, 0.0)
-    rows, checks = [], []
-    for k, eps in enumerate(es.epsilon_list):
+    for k, eps in enumerate(rep.spec.epsilon_list):
         st = rep.stats[k]
-        rows.append((repr(eps), "sigma2_sample", "analytic", float(s2)))
-        rows.append((repr(eps), "point_square", "analytic", float(r0)))
-        rows.append((repr(eps), "point_value", "analytic", 0.0))
-        checks.append(_mean_check(f"sigma2[{eps!r}]", st["sigma2_sample"], s2, sf))
-        checks.append(_mean_check(f"point_var[{eps!r}]", st["point_square"], r0, sf))
-        checks.append(_mean_check(f"mean_zero[{eps!r}]", st["point_value"], 0.0, sf))
-    checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
-    tables = {"sigma2_analytic": s2, "lag0_covariance_analytic": r0}
-    return ExperimentResult("field-stats", config, {"main": rep}, tables, rows, checks)
+        res.rows.append((repr(eps), "sigma2_sample", "analytic", float(s2)))
+        res.rows.append((repr(eps), "point_square", "analytic", float(r0)))
+        res.rows.append((repr(eps), "point_value", "analytic", 0.0))
+        res.checks.append(_mean_check(f"sigma2[{eps!r}]", st["sigma2_sample"], s2, sf))
+        res.checks.append(_mean_check(f"point_var[{eps!r}]", st["point_square"], r0, sf))
+        res.checks.append(_mean_check(f"mean_zero[{eps!r}]", st["point_value"], 0.0, sf))
+    res.checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
+    res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
+    return res
 
 
-HELM_DEFAULTS = {
+# fields every Helmholtz-family kind shares (the 2D kind drops a_star)
+_HELM_BASE = {
     "seed": 20260817,
     "n_real": 200,
     "epsilon_list": [0.02, 0.01],
-    "field": dict(_DEF_FIELD),
+    "field": _DEF_FIELD,
     "a_star": 1.0,
     "q0": 0.0,
     "f": "one",
@@ -623,6 +781,12 @@ HELM_DEFAULTS = {
     "truncation_rho": 0.5,
     "nodes_per_eps": 8,
     "tol": 1e-10,
+}
+
+_NORMALITY = {"skew_max": 0.15, "kurt_max": 0.3, "ks_level": 0.01}
+
+HELM_DEFAULTS = {
+    **_HELM_BASE,
     "probes": [0.25, 0.5, 0.75],
     "moments": ["one"],
     "normality_checks": False,
@@ -631,236 +795,58 @@ HELM_DEFAULTS = {
         "slope_lo": 0.85,
         "slope_hi": 1.15,
         "exponent_tol": 0.1,
-        "skew_max": 0.15,
-        "kurt_max": 0.3,
-        "ks_level": 0.01,
+        **_NORMALITY,
         "trunc_frac_max": 0.01,
     },
 }
-
-
-def _validate_helm_common(cfg):
-    _integer(cfg, "seed", lo=0)
-    _integer(cfg, "n_real", lo=2)
-    _eps_list(cfg, "epsilon_list")
-    _field_spec(cfg, "field")
-    _number(cfg, "q0", lo=0)
-    _choice(cfg, "f", _PROFILES)
-    _number(cfg, "alpha", lo=0, hi=0.25, hi_open=True)
-    _number(cfg, "truncation_rho", lo=0, hi=1, lo_open=True, hi_open=True)
-    _integer(cfg, "nodes_per_eps", lo=2)
-    _number(cfg, "tol", lo=0, lo_open=True)
-    _number(cfg, "thresholds.stderr_factor", lo=0, lo_open=True)
-
-
-def _validate_helmholtz_corrector(cfg):
-    _validate_helm_common(cfg)
-    _number(cfg, "a_star", lo=0, lo_open=True)
-    _probe_list(cfg, "probes")
-    for mk in cfg["moments"]:
-        if mk not in _PROFILES:
-            raise ConfigError("moments", f"must use profiles from {sorted(_PROFILES)}")
-    if not isinstance(cfg["normality_checks"], bool):
-        raise ConfigError("normality_checks", "must be a boolean")
 
 
 def _run_helmholtz_corrector(config, workers):
-    params = _subset(
-        config,
-        (
-            "field",
-            "a_star",
-            "q0",
-            "f",
-            "alpha",
-            "truncation_rho",
-            "nodes_per_eps",
-            "tol",
-            "probes",
-            "moments",
-        ),
-    )
-    es = ensemble.EnsembleSpec(
-        config["seed"], config["n_real"], config["epsilon_list"],
-        "helmholtz-corrector", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
-    th = config["thresholds"]
-    sf = th["stderr_factor"]
-    rows, checks, tables = [], [], {}
-    for k, eps in enumerate(es.epsilon_list):
-        prob = _helm_problem(params, eps)
-        st = rep.stats[k]
+    res, rep = _ensemble_result(config, workers)
+    for k, eps in enumerate(rep.spec.epsilon_list):
+        prob = _helm_problem(config, eps)
         if config["probes"]:
-            law = helmholtz.corrector_law_1d(prob, x_nodes=config["probes"])
-            for x in config["probes"]:
-                name = _probe_name(x)
-                target = law.variance_at(x)
-                rows.append((repr(eps), name, "analytic_variance", float(target)))
-                if name in st:
-                    checks.append(
-                        _var_check(f"corr_var[{x!r},{eps!r}]", st[name], target, sf)
-                    )
-                    checks.append(
-                        _mean_check(f"corr_mean[{x!r},{eps!r}]", st[name], 0.0, sf)
-                    )
+            _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, x_nodes=config["probes"]))
         if config["moments"]:
-            mset = helmholtz.MomentSet(
-                tuple(source_profile(mk, prob.mesh.nodes) for mk in config["moments"])
-            )
-            cov = helmholtz.moment_covariance(prob, mset)
-            n_m = len(config["moments"])
-            for i in range(n_m):
-                name = f"moment_{i}"
-                rows.append((repr(eps), name, "analytic_variance", float(cov[i, i])))
-                if name in st:
-                    checks.append(
-                        _var_check(f"moment_var[{i},{eps!r}]", st[name], cov[i, i], sf)
-                    )
-                    checks.append(
-                        _mean_check(f"moment_mean[{i},{eps!r}]", st[name], 0.0, sf)
-                    )
-            for i in range(n_m):
-                for j in range(i + 1, n_m):
-                    xi = rep.samples[k].get(f"moment_{i}", [])
-                    xj = rep.samples[k].get(f"moment_{j}", [])
-                    if len(xi) > 3:
-                        checks.append(
-                            _cov_check(
-                                f"moment_cov[{i}{j},{eps!r}]", xi, xj, cov[i, j], sf
-                            )
-                        )
-            if config["normality_checks"] and "moment_0" in st:
-                checks.extend(
-                    _normality_checks(
-                        f"moment_0[{eps!r}]", st["moment_0"], st["moment_0"].n, th
-                    )
-                )
-    fit = _norm_slope(rep)
+            mset = _moment_set(prob, config["moments"])
+            _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, mset))
+    fit = _grade_norm_slope(res, rep)
     if fit is not None:
-        tables["norm_sq_fit"] = fit.to_dict()
-        checks.append(
-            Check(
-                "norm_sq_slope",
-                th["slope_lo"] <= fit.slope <= th["slope_hi"],
-                f"slope={fit.slope:.4f} bounds=[{th['slope_lo']},{th['slope_hi']}]",
-            )
-        )
-        # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half that
-        target = prob.dimension * (0.5 - config["alpha"])
-        checks.append(
+        # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half
+        # that, with d = 1
+        target = 0.5 - config["alpha"]
+        tol = config["thresholds"]["exponent_tol"]
+        res.checks.append(
             Check(
                 "corrector_exponent",
-                abs(0.5 * fit.slope - target) <= th["exponent_tol"],
-                f"exponent={0.5 * fit.slope:.4f} target={target:.4f} "
-                f"tol={th['exponent_tol']}",
+                abs(0.5 * fit.slope - target) <= tol,
+                f"exponent={0.5 * fit.slope:.4f} target={target:.4f} tol={tol}",
             )
         )
-    checks.extend(
-        _count_fraction_check("truncation", rep, "count_truncated", th["trunc_frac_max"])
-    )
-    return ExperimentResult(
-        "helmholtz-corrector", config, {"main": rep}, tables, rows, checks
-    )
+    _grade_truncation(res, rep)
+    return res
 
 
 HELM2D_DEFAULTS = {
-    "seed": 20260817,
+    **{k: v for k, v in _HELM_BASE.items() if k != "a_star"},
     "n_real": 128,
     "epsilon_list": [0.0625],
-    "field": dict(_DEF_FIELD),
-    "q0": 0.0,
-    "f": "one",
-    "alpha": 0.0,
-    "truncation_rho": 0.5,
-    "nodes_per_eps": 8,
-    "tol": 1e-10,
     "moments": ["one", "sine"],
     "normality_checks": False,
-    "thresholds": {
-        "stderr_factor": 4.0,
-        "skew_max": 0.15,
-        "kurt_max": 0.3,
-        "ks_level": 0.01,
-        "trunc_frac_max": 0.01,
-    },
+    "thresholds": {"stderr_factor": 4.0, **_NORMALITY, "trunc_frac_max": 0.01},
 }
 
 
-def _validate_helmholtz_moments_2d(cfg):
-    _validate_helm_common(cfg)
-    if not cfg["moments"]:
-        raise ConfigError("moments", "need at least one moment profile")
-    for mk in cfg["moments"]:
-        if mk not in ("one", "sine"):
-            raise ConfigError("moments", "must use profiles from ['one', 'sine']")
-    if not isinstance(cfg["normality_checks"], bool):
-        raise ConfigError("normality_checks", "must be a boolean")
-
-
 def _run_helmholtz_moments_2d(config, workers):
-    params = _subset(
-        config,
-        ("field", "q0", "f", "alpha", "truncation_rho", "nodes_per_eps", "tol", "moments"),
-    )
-    es = ensemble.EnsembleSpec(
-        config["seed"], config["n_real"], config["epsilon_list"],
-        "helmholtz-moments-2d", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
-    th = config["thresholds"]
-    sf = th["stderr_factor"]
-    rows, checks, tables = [], [], {}
+    res, rep = _ensemble_result(config, workers)
     spec = randfield.MAProcessSpec.from_json(config["field"])
-    tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
-    for k, eps in enumerate(es.epsilon_list):
-        cells = aligned_mesh(eps, config["nodes_per_eps"]).n_nodes - 1
-        mesh2 = Mesh2D(cells + 1)
-        prob = helmholtz.Helmholtz2DProblem(
-            mesh2,
-            config["q0"],
-            spec,
-            source_profile_2d(config["f"], mesh2),
-            eps,
-            alpha=config["alpha"],
-            truncation_rho=config["truncation_rho"],
-        )
-        mset = helmholtz.MomentSet(
-            tuple(source_profile_2d(mk, mesh2) for mk in config["moments"])
-        )
-        cov = helmholtz.moment_covariance_2d(prob, mset)
-        st = rep.stats[k]
-        n_m = len(config["moments"])
-        for i in range(n_m):
-            name = f"moment_{i}"
-            rows.append((repr(eps), name, "analytic_variance", float(cov[i, i])))
-            if name in st:
-                checks.append(
-                    _var_check(f"moment_var[{i},{eps!r}]", st[name], cov[i, i], sf)
-                )
-                checks.append(
-                    _mean_check(f"moment_mean[{i},{eps!r}]", st[name], 0.0, sf)
-                )
-        for i in range(n_m):
-            for j in range(i + 1, n_m):
-                xi = rep.samples[k].get(f"moment_{i}", [])
-                xj = rep.samples[k].get(f"moment_{j}", [])
-                if len(xi) > 3:
-                    checks.append(
-                        _cov_check(f"moment_cov[{i}{j},{eps!r}]", xi, xj, cov[i, j], sf)
-                    )
-        if config["normality_checks"] and "moment_0" in st:
-            checks.extend(
-                _normality_checks(
-                    f"moment_0[{eps!r}]", st["moment_0"], st["moment_0"].n, th
-                )
-            )
-    checks.extend(
-        _count_fraction_check("truncation", rep, "count_truncated", th["trunc_frac_max"])
-    )
-    return ExperimentResult(
-        "helmholtz-moments-2d", config, {"main": rep}, tables, rows, checks
-    )
+    res.tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
+    for k, eps in enumerate(rep.spec.epsilon_list):
+        prob = _helm2d_problem(config, eps)
+        mset = _moment_set(prob, config["moments"])
+        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(prob, mset))
+    _grade_truncation(res, rep)
+    return res
 
 
 _DEF_TRIPLE = {
@@ -879,7 +865,7 @@ ELLIPTIC_DEFAULTS = {
     "seed": 20260817,
     "n_real": 200,
     "epsilon_list": [0.02],
-    "triple": json.loads(json.dumps(_DEF_TRIPLE)),
+    "triple": _DEF_TRIPLE,
     "a_base": 1.0,
     "q0": 1.0,
     "rho_bar": 1.0,
@@ -897,234 +883,81 @@ ELLIPTIC_DEFAULTS = {
 }
 
 
-def _validate_elliptic_corrector(cfg):
-    _integer(cfg, "seed", lo=0)
-    _integer(cfg, "n_real", lo=2)
-    _eps_list(cfg, "epsilon_list")
-    spec = _triple_spec(cfg, "triple")
-    _number(cfg, "a_base", lo=0, lo_open=True)
-    _number(cfg, "q0", lo=0)
-    _number(cfg, "rho_bar", lo=0, lo_open=True)
-    _choice(cfg, "f", _PROFILES)
-    _number(cfg, "truncation_rho", lo=0, hi=1, lo_open=True, hi_open=True)
-    _integer(cfg, "nodes_per_eps", lo=2)
-    _number(cfg, "tol", lo=0, lo_open=True)
-    _probe_list(cfg, "probes")
-    _number(cfg, "thresholds.stderr_factor", lo=0, lo_open=True)
-    if spec.component_bound(elliptic.CH_B) >= 1.0:
-        raise ConfigError("triple", "b-component bound must stay below 1")
-    if spec.component_bound(elliptic.CH_RHO) >= cfg["rho_bar"]:
-        raise ConfigError("triple", "drho-component bound must stay below rho_bar")
-
-
 def _run_elliptic_corrector(config, workers):
-    params = _subset(
-        config,
-        (
-            "triple",
-            "a_base",
-            "q0",
-            "rho_bar",
-            "f",
-            "truncation_rho",
-            "nodes_per_eps",
-            "tol",
-            "probes",
-        ),
-    )
-    es = ensemble.EnsembleSpec(
-        config["seed"], config["n_real"], config["epsilon_list"],
-        "elliptic-corrector", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
-    th = config["thresholds"]
-    sf = th["stderr_factor"]
-    rows, checks, tables = [], [], {}
-    for k, eps in enumerate(es.epsilon_list):
-        prob = _elliptic_problem(params, eps)
-        st = rep.stats[k]
+    res, rep = _ensemble_result(config, workers)
+    for k, eps in enumerate(rep.spec.epsilon_list):
         if config["probes"]:
-            law = elliptic.limit_law(prob, x_nodes=config["probes"])
+            law = elliptic.limit_law(_elliptic_problem(config, eps), x_nodes=config["probes"])
             if k == 0:
-                tables["rho_jk"] = law.rho_jk.tolist()
-                tables["sigma_b"] = law.sigma_b.tolist()
-                tables["sigma_rho"] = law.sigma_rho.tolist()
-                tables["sigma_q"] = law.sigma_q.tolist()
-            for x in config["probes"]:
-                name = _probe_name(x)
-                target = law.variance_at(x)
-                rows.append((repr(eps), name, "analytic_variance", float(target)))
-                if name in st:
-                    checks.append(
-                        _var_check(f"corr_var[{x!r},{eps!r}]", st[name], target, sf)
-                    )
-                    checks.append(
-                        _mean_check(f"corr_mean[{x!r},{eps!r}]", st[name], 0.0, sf)
-                    )
-    fit = _norm_slope(rep)
-    if fit is not None:
-        tables["norm_sq_fit"] = fit.to_dict()
-        checks.append(
-            Check(
-                "norm_sq_slope",
-                th["slope_lo"] <= fit.slope <= th["slope_hi"],
-                f"slope={fit.slope:.4f} bounds=[{th['slope_lo']},{th['slope_hi']}]",
-            )
-        )
-    checks.extend(
-        _count_fraction_check("truncation", rep, "count_truncated", th["trunc_frac_max"])
-    )
-    return ExperimentResult(
-        "elliptic-corrector", config, {"main": rep}, tables, rows, checks
-    )
+                res.tables["rho_jk"] = law.rho_jk.tolist()
+                res.tables["sigma_b"] = law.sigma_b.tolist()
+                res.tables["sigma_rho"] = law.sigma_rho.tolist()
+                res.tables["sigma_q"] = law.sigma_q.tolist()
+            _grade_probes(res, rep, k, law)
+    _grade_norm_slope(res, rep)
+    _grade_truncation(res, rep)
+    return res
 
 
 SPECTRAL_DEFAULTS = {
-    "seed": 20260817,
-    "n_real": 200,
-    "epsilon_list": [0.02, 0.01],
-    "field": dict(_DEF_FIELD),
-    "a_star": 1.0,
-    "q0": 0.0,
-    "f": "one",
-    "alpha": 0.0,
-    "truncation_rho": 0.5,
-    "nodes_per_eps": 8,
-    "tol": 1e-10,
+    **_HELM_BASE,
     "n_pairs": 8,
     "modes": [1, 2],
     "fourier_pair": [1, 2],
     "normality_checks": False,
     "thresholds": {
         "stderr_factor": 4.0,
-        "skew_max": 0.15,
-        "kurt_max": 0.3,
-        "ks_level": 0.01,
+        **_NORMALITY,
         "defect_slope_min": 0.8,
         "flag_frac_max": 0.01,
     },
 }
 
 
-def _validate_spectral_corrector(cfg):
-    _validate_helm_common(cfg)
-    _number(cfg, "a_star", lo=0, lo_open=True)
-    _integer(cfg, "n_pairs", lo=1)
-    if not isinstance(cfg["modes"], list) or not cfg["modes"]:
-        raise ConfigError("modes", "must be a nonempty list of mode indices")
-    for n in cfg["modes"]:
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= cfg["n_pairs"]:
-            raise ConfigError("modes", f"mode indices must lie in 1..{cfg['n_pairs']}")
-    fp = cfg["fourier_pair"]
-    if (
-        not isinstance(fp, list)
-        or len(fp) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in fp)
-        or fp[0] == fp[1]
-        or any(not 1 <= v <= cfg["n_pairs"] for v in fp)
-    ):
-        raise ConfigError("fourier_pair", "must be two distinct modes in 1..n_pairs")
-    if not isinstance(cfg["normality_checks"], bool):
-        raise ConfigError("normality_checks", "must be a boolean")
-
-
 def _run_spectral_corrector(config, workers):
-    params = _subset(
-        config,
-        (
-            "field",
-            "a_star",
-            "q0",
-            "f",
-            "alpha",
-            "truncation_rho",
-            "nodes_per_eps",
-            "tol",
-            "n_pairs",
-            "modes",
-            "fourier_pair",
-        ),
-    )
-    es = ensemble.EnsembleSpec(
-        config["seed"], config["n_real"], config["epsilon_list"],
-        "spectral-corrector", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
+    res, rep = _ensemble_result(config, workers)
     th = config["thresholds"]
-    sf = th["stderr_factor"]
-    spec = randfield.MAProcessSpec.from_json(config["field"])
-    s2 = randfield.sigma2(spec)
-    mesh = aligned_mesh(es.epsilon_list[-1], config["nodes_per_eps"])
-    k_last = len(es.epsilon_list) - 1
-    eps_last = es.epsilon_list[-1]
+    s2 = randfield.sigma2(randfield.MAProcessSpec.from_json(config["field"]))
+    eps_last = rep.spec.epsilon_list[-1]
+    mesh = aligned_mesh(eps_last, config["nodes_per_eps"])
+    k_last = len(rep.spec.epsilon_list) - 1
     st = rep.stats[k_last]
-    rows, checks, tables = [], [], {}
+    a_star, q0 = config["a_star"], config["q0"]
     for n in config["modes"]:
         target = spectral.inverse_corrector_covariance(mesh, s2, n, n)
-        rows.append((repr(eps_last), f"inv_eig_{n}", "analytic_variance", float(target)))
-        if f"inv_eig_{n}" in st:
-            checks.append(
-                _var_check(f"inv_eig_var[{n}]", st[f"inv_eig_{n}"], target, sf)
-            )
-        target = spectral.eigenvalue_corrector_covariance(
-            mesh, config["a_star"], config["q0"], s2, n, n
-        )
-        rows.append((repr(eps_last), f"eig_{n}", "analytic_variance", float(target)))
-        if f"eig_{n}" in st:
-            checks.append(_var_check(f"eig_var[{n}]", st[f"eig_{n}"], target, sf))
+        _grade_variance(res, eps_last, st, f"inv_eig_{n}", target, "inv_eig", n)
+        target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, n)
+        _grade_variance(res, eps_last, st, f"eig_{n}", target, "eig", n)
     if len(config["modes"]) >= 2:
         n, m = config["modes"][0], config["modes"][1]
-        target = spectral.eigenvalue_corrector_covariance(
-            mesh, config["a_star"], config["q0"], s2, n, m
+        target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, m)
+        _grade_cov(res, rep.samples[k_last], f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
+        res.rows.append(
+            (repr(eps_last), f"eig_{n}_{m}", "analytic_covariance", float(target))
         )
-        xi = rep.samples[k_last].get(f"eig_{n}", [])
-        xj = rep.samples[k_last].get(f"eig_{m}", [])
-        if len(xi) > 3:
-            checks.append(_cov_check(f"eig_cov[{n}{m}]", xi, xj, target, sf))
-        rows.append((repr(eps_last), f"eig_{n}_{m}", "analytic_covariance", float(target)))
     n, m = config["fourier_pair"]
-    target = spectral.fourier_corrector_variance(
-        mesh, config["a_star"], config["q0"], s2, n, m
-    )
-    name = f"fourier_{n}_{m}"
-    rows.append((repr(eps_last), name, "analytic_variance", float(target)))
-    if name in st:
-        checks.append(_var_check(f"fourier_var[{n}{m}]", st[name], target, sf))
+    target = spectral.fourier_corrector_variance(mesh, a_star, q0, s2, n, m)
+    _grade_variance(res, eps_last, st, f"fourier_{n}_{m}", target, "fourier", f"{n}{m}")
     if config["normality_checks"]:
         key = f"inv_eig_{config['modes'][0]}"
         if key in st:
-            checks.extend(_normality_checks(key, st[key], st[key].n, th))
+            res.checks.extend(_normality_checks(key, st[key], th))
     for n in config["modes"]:
         fit = _norm_slope(rep, functional=f"defect_{n}")
         if fit is not None:
-            tables[f"defect_{n}_fit"] = fit.to_dict()
-            checks.append(
-                Check(
-                    f"defect_slope[{n}]",
-                    fit.slope >= th["defect_slope_min"],
-                    f"slope={fit.slope:.4f} min={th['defect_slope_min']}",
-                )
+            res.tables[f"defect_{n}_fit"] = fit.to_dict()
+            res.checks.append(
+                _slope_min(f"defect_slope[{n}]", fit.slope, th["defect_slope_min"])
             )
-    checks.extend(
+    res.checks.extend(
         _count_fraction_check("match_flags", rep, "count_flagged", th["flag_frac_max"])
     )
-    return ExperimentResult(
-        "spectral-corrector", config, {"main": rep}, tables, rows, checks
-    )
+    return res
 
 
 HEAT_DEFAULTS = {
-    "seed": 20260817,
-    "n_real": 200,
+    **_HELM_BASE,
     "epsilon_list": [0.02, 0.01, 0.005],
-    "field": dict(_DEF_FIELD),
-    "a_star": 1.0,
-    "q0": 0.0,
-    "f": "one",
-    "alpha": 0.0,
-    "truncation_rho": 0.5,
-    "nodes_per_eps": 8,
-    "tol": 1e-10,
     "n_pairs": 8,
     "mode": 1,
     "time": 1.0,
@@ -1134,67 +967,25 @@ HEAT_DEFAULTS = {
 }
 
 
-def _validate_heat_corrector(cfg):
-    _validate_helm_common(cfg)
-    _number(cfg, "a_star", lo=0, lo_open=True)
-    _integer(cfg, "n_pairs", lo=1)
-    mode = _integer(cfg, "mode", lo=1)
-    if mode > cfg["n_pairs"]:
-        raise ConfigError("mode", "must not exceed n_pairs")
-    _number(cfg, "time", lo=0)
-    _number(cfg, "epsilon_const", lo=0, lo_open=True)
-    _choice(cfg, "v0", _PROFILES)
-
-
 def _run_heat_corrector(config, workers):
-    params = _subset(
-        config,
-        (
-            "field",
-            "a_star",
-            "q0",
-            "f",
-            "alpha",
-            "truncation_rho",
-            "nodes_per_eps",
-            "tol",
-            "n_pairs",
-            "mode",
-            "time",
-            "epsilon_const",
-            "v0",
-        ),
-    )
-    es = ensemble.EnsembleSpec(
-        config["seed"], config["n_real"], config["epsilon_list"],
-        "heat-corrector", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
-    th = config["thresholds"]
-    rows, checks, tables = [], [], {}
+    res, rep = _ensemble_result(config, workers)
     fit = _norm_slope(rep, functional="heat_gap")
     if fit is not None:
-        tables["heat_gap_fit"] = fit.to_dict()
-        checks.append(
-            Check(
-                "gap_slope",
-                fit.slope >= th["gap_slope_min"],
-                f"slope={fit.slope:.4f} min={th['gap_slope_min']}",
-            )
+        res.tables["heat_gap_fit"] = fit.to_dict()
+        res.checks.append(
+            _slope_min("gap_slope", fit.slope, config["thresholds"]["gap_slope_min"])
         )
     else:
-        checks.append(
+        res.checks.append(
             Check("gap_slope", True, "skipped: needs 3 epsilon values and positive gaps")
         )
     # context scale: gap means are read against the direct corrector spread
-    for k, eps in enumerate(es.epsilon_list):
+    for k, eps in enumerate(rep.spec.epsilon_list):
         st = rep.stats[k]
         if "heat_direct" in st:
             scale = math.sqrt(max(st["heat_direct"].variance, 0.0))
-            rows.append((repr(eps), "heat_gap", "rms_direct", float(scale)))
-    return ExperimentResult(
-        "heat-corrector", config, {"main": rep}, tables, rows, checks
-    )
+            res.rows.append((repr(eps), "heat_gap", "rms_direct", float(scale)))
+    return res
 
 
 SCALING_DEFAULTS = {
@@ -1214,23 +1005,9 @@ SCALING_DEFAULTS = {
 }
 
 
-def _validate_scaling_study(cfg):
-    dims = cfg["dimensions"]
-    if not isinstance(dims, list) or not dims:
-        raise ConfigError("dimensions", "must be a nonempty list")
-    for d in dims:
-        if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= 6:
-            raise ConfigError("dimensions", "dimensions must be integers in 1..6")
-    _number(cfg, "alpha", lo=0, lo_open=True)
-    _number(cfg, "s_max", lo=0, lo_open=True)
-    _eps_list(cfg, "epsilon_list")
-    if cfg["epsilon_list_d4"]:
-        _eps_list(cfg, "epsilon_list_d4")
-
-
 def _run_scaling_study(config, workers):
     th = config["thresholds"]
-    rows, checks, tables = [], [], {}
+    res = ExperimentResult("scaling-study", config, {}, {}, [], [])
     for d in config["dimensions"]:
         setup = asymptotics.RadialSetup(
             dimension=d, alpha=config["alpha"], s_max=config["s_max"]
@@ -1240,44 +1017,33 @@ def _run_scaling_study(config, workers):
             eps = config["epsilon_list_d4"]
         curve = asymptotics.scaling_study(setup, eps)
         for e, v in curve.pairs:
-            rows.append((repr(e), f"variance_d{d}", "value", float(v)))
-        tables[f"fit_d{d}"] = curve.fit_plain.to_dict()
-        tables[f"fit_log_d{d}"] = curve.fit_log.to_dict()
+            res.rows.append((repr(e), f"variance_d{d}", "value", float(v)))
+        res.tables[f"fit_d{d}"] = curve.fit_plain.to_dict()
+        res.tables[f"fit_log_d{d}"] = curve.fit_log.to_dict()
+        slope = curve.fit_plain.slope
         if d == 4:
             ratio = curve.fit_plain.max_residual / max(
                 curve.fit_log.max_residual, 1e-300
             )
-            checks.append(
+            res.checks.append(
                 Check(
                     "d4_log_refinement",
                     ratio >= th["d4_residual_factor"],
                     f"residual ratio {ratio:.2f}, min {th['d4_residual_factor']}",
                 )
             )
-            checks.append(
-                Check(
-                    "d4_plain_slope",
-                    th["d4_slope_lo"] <= curve.fit_plain.slope <= th["d4_slope_hi"],
-                    f"slope={curve.fit_plain.slope:.4f} "
-                    f"bounds=[{th['d4_slope_lo']},{th['d4_slope_hi']}]",
-                )
+            res.checks.append(
+                _slope_in("d4_plain_slope", slope, th["d4_slope_lo"], th["d4_slope_hi"])
             )
         else:
             target = float(min(d, 4))
-            checks.append(
-                Check(
-                    f"slope_d{d}",
-                    abs(curve.fit_plain.slope - target) <= th["exponent_tol"],
-                    f"slope={curve.fit_plain.slope:.4f} target={target} "
-                    f"tol={th['exponent_tol']}",
-                )
-            )
+            res.checks.append(_slope_near(f"slope_d{d}", slope, target, th["exponent_tol"]))
         if d >= 5:
             quartic = asymptotics.quartic_tail_integral(setup)
-            tables[f"quartic_tail_d{d}"] = quartic
+            res.tables[f"quartic_tail_d{d}"] = quartic
             if d == 5:
                 rel = abs(quartic - th["quartic_constant"]) / th["quartic_constant"]
-                checks.append(
+                res.checks.append(
                     Check(
                         "d5_quartic_constant",
                         rel <= th["quartic_rel_tol"],
@@ -1285,7 +1051,7 @@ def _run_scaling_study(config, workers):
                         f"rel_err={rel:.4g}",
                     )
                 )
-    return ExperimentResult("scaling-study", config, {}, tables, rows, checks)
+    return res
 
 
 PERIODIC_DEFAULTS = {
@@ -1297,7 +1063,7 @@ PERIODIC_DEFAULTS = {
     "nodes_per_eps_periodic": 64,
     "cell_nodes": 2049,
     "random": {
-        "field": dict(_DEF_FIELD),
+        "field": _DEF_FIELD,
         "epsilon_list": [0.02, 0.01, 0.005, 0.0025],
         "n_real": 200,
         "nodes_per_eps": 8,
@@ -1314,36 +1080,32 @@ PERIODIC_DEFAULTS = {
 }
 
 
-def _validate_periodic_compare(cfg):
-    _integer(cfg, "seed", lo=0)
-    _number(cfg, "a_star", lo=0, lo_open=True)
-    _number(cfg, "q0", lo=0)
-    _choice(cfg, "f", _PROFILES)
-    _eps_list(cfg, "periodic_epsilon_list")
-    _integer(cfg, "nodes_per_eps_periodic", lo=8)
-    _integer(cfg, "cell_nodes", lo=16)
-    _field_spec(cfg, "random.field")
-    _eps_list(cfg, "random.epsilon_list")
-    _integer(cfg, "random.n_real", lo=2)
-    _integer(cfg, "random.nodes_per_eps", lo=2)
-    _number(cfg, "random.tol", lo=0, lo_open=True)
-    _number(
-        cfg, "random.truncation_rho", lo=0, hi=1, lo_open=True, hi_open=True
-    )
-
-
 def _run_periodic_compare(config, workers):
     th = config["thresholds"]
-    rows, checks, tables = [], [], {}
+    # random-potential contrast: a helmholtz-corrector ensemble with no
+    # probes or moments
+    contrast = {
+        **config["random"],
+        "kind": "helmholtz-corrector",
+        "seed": config["seed"],
+        "a_star": config["a_star"],
+        "q0": config["q0"],
+        "f": config["f"],
+        "alpha": 0.0,
+        "probes": [],
+        "moments": [],
+    }
+    rep = _run_ensemble(contrast, workers)
+    res = ExperimentResult("periodic-compare", config, {"random": rep}, {}, [], [])
     # single-mode cell corrector amplitude
     cell = Mesh1D(config["cell_nodes"])
     u2 = helmholtz.periodic_cell_corrector_1d(cell, np.cos(2.0 * np.pi * cell.nodes))
     amp = float(np.max(np.abs(u2)))
     target_amp = 1.0 / (4.0 * np.pi**2)
     rel = abs(amp - target_amp) / target_amp
-    rows.append(("cell", "cell_corrector", "max_abs", amp))
-    rows.append(("cell", "cell_corrector", "analytic", float(target_amp)))
-    checks.append(
+    res.rows.append(("cell", "cell_corrector", "max_abs", amp))
+    res.rows.append(("cell", "cell_corrector", "analytic", float(target_amp)))
+    res.checks.append(
         Check(
             "cell_amplitude",
             rel <= th["amplitude_rel_tol"],
@@ -1362,52 +1124,22 @@ def _run_periodic_compare(config, workers):
         u0 = helmholtz.dirichlet_solve_fd(mesh, config["a_star"], config["q0"], f)
         sup = float(np.max(np.abs(u_eps - u0)))
         sup_pairs.append((eps, sup))
-        rows.append((repr(eps), "periodic_sup", "value", sup))
+        res.rows.append((repr(eps), "periodic_sup", "value", sup))
     fit = ensemble.loglog_slope(sup_pairs)
-    tables["periodic_fit"] = fit.to_dict()
-    checks.append(
-        Check(
-            "periodic_slope",
-            abs(fit.slope - th["periodic_slope"]) <= th["periodic_slope_tol"],
-            f"slope={fit.slope:.4f} target={th['periodic_slope']} "
-            f"tol={th['periodic_slope_tol']}",
-        )
+    res.tables["periodic_fit"] = fit.to_dict()
+    res.checks.append(
+        _slope_near("periodic_slope", fit.slope, th["periodic_slope"], th["periodic_slope_tol"])
     )
-    # random-potential contrast through the standard corrector ensemble
-    rc = config["random"]
-    params = {
-        "field": rc["field"],
-        "a_star": config["a_star"],
-        "q0": config["q0"],
-        "f": config["f"],
-        "alpha": 0.0,
-        "truncation_rho": rc["truncation_rho"],
-        "nodes_per_eps": rc["nodes_per_eps"],
-        "tol": rc["tol"],
-        "probes": [],
-        "moments": [],
-    }
-    es = ensemble.EnsembleSpec(
-        config["seed"], rc["n_real"], rc["epsilon_list"],
-        "helmholtz-corrector", params,
-    )
-    rep = ensemble.run(es, workers=workers, version=VERSION)
     fit2 = _norm_slope(rep)
     if fit2 is not None:
-        tables["random_norm_sq_fit"] = fit2.to_dict()
+        res.tables["random_norm_sq_fit"] = fit2.to_dict()
         # ||u_eps - u0|| slope is half the slope of the squared-norm mean
-        half = 0.5 * fit2.slope
-        checks.append(
-            Check(
-                "random_slope",
-                th["random_slope_lo"] <= half <= th["random_slope_hi"],
-                f"slope={half:.4f} bounds=[{th['random_slope_lo']},"
-                f"{th['random_slope_hi']}]",
+        res.checks.append(
+            _slope_in(
+                "random_slope", 0.5 * fit2.slope, th["random_slope_lo"], th["random_slope_hi"]
             )
         )
-    return ExperimentResult(
-        "periodic-compare", config, {"random": rep}, tables, rows, checks
-    )
+    return res
 
 
 # --- registry ---
@@ -1418,9 +1150,31 @@ class ExperimentKind:
     name: str
     description: str
     defaults: dict
-    validator: object
     runner: object
+    # dotted path -> rule(value, path), in validation order; a path names a
+    # leaf of `defaults` or a whole spec object.  Construction adds a rule
+    # by default type for every leaf the table leaves out.
+    fields: dict
+    # rules that span fields, run after every field rule passed
+    cross: object = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "fields", _rules(self.defaults, self.fields))
+
+
+_ENSEMBLE_RULES = {"seed": _SEED, "n_real": _N_REAL, "epsilon_list": _eps_list}
+
+_HELM_RULES = {
+    **_ENSEMBLE_RULES,
+    "field": _FIELD_SPEC,
+    "q0": _NONNEG,
+    "f": _PROFILE,
+    "alpha": partial(_number, lo=0, hi=0.25, hi_open=True),
+    "truncation_rho": _OPEN_UNIT,
+    "nodes_per_eps": _NODES_PER_EPS,
+    "tol": _POSITIVE,
+    "thresholds.stderr_factor": _POSITIVE,
+}
 
 KINDS = {
     k.name: k
@@ -1429,57 +1183,126 @@ KINDS = {
             "field-stats",
             "Moving-average field statistics against closed-form covariances.",
             FIELD_STATS_DEFAULTS,
-            _validate_field_stats,
             _run_field_stats,
+            {
+                **_ENSEMBLE_RULES,
+                "field": _FIELD_SPEC,
+                "probe": _number,
+                "thresholds.stderr_factor": _POSITIVE,
+            },
         ),
         ExperimentKind(
             "helmholtz-corrector",
             "1D Helmholtz corrector ensemble: scaling, pointwise law, moments.",
             HELM_DEFAULTS,
-            _validate_helmholtz_corrector,
             _run_helmholtz_corrector,
+            {
+                **_HELM_RULES,
+                "a_star": _POSITIVE,
+                "probes": _probe_list,
+                "moments": partial(_profile_list, options=_PROFILES),
+                "thresholds.ks_level": _KS_LEVEL,
+            },
+            _check_mesh,
         ),
         ExperimentKind(
             "helmholtz-moments-2d",
             "2D Helmholtz moment functionals against the limit covariance.",
             HELM2D_DEFAULTS,
-            _validate_helmholtz_moments_2d,
             _run_helmholtz_moments_2d,
+            {
+                **_HELM_RULES,
+                "moments": partial(_profile_list, options=_PROFILES_2D, nonempty=True),
+                "thresholds.ks_level": _KS_LEVEL,
+            },
+            _check_2d,
         ),
         ExperimentKind(
             "elliptic-corrector",
             "1D divergence-form corrector ensemble against the three-driver law.",
             ELLIPTIC_DEFAULTS,
-            _validate_elliptic_corrector,
             _run_elliptic_corrector,
+            {
+                **_ENSEMBLE_RULES,
+                "triple": partial(_spec, cls=randfield.CorrelatedTripleSpec),
+                "a_base": _POSITIVE,
+                "q0": _NONNEG,
+                "rho_bar": _POSITIVE,
+                "f": _PROFILE,
+                "truncation_rho": _OPEN_UNIT,
+                "nodes_per_eps": _NODES_PER_EPS,
+                "tol": _POSITIVE,
+                "probes": _probe_list,
+                "thresholds.stderr_factor": _POSITIVE,
+            },
+            _check_elliptic,
         ),
         ExperimentKind(
             "spectral-corrector",
             "Eigenvalue and eigenvector corrector ensembles for the 1D operator.",
             SPECTRAL_DEFAULTS,
-            _validate_spectral_corrector,
             _run_spectral_corrector,
+            {
+                **_HELM_RULES,
+                "a_star": _POSITIVE,
+                "n_pairs": _MODE_COUNT,
+                "modes": partial(_list, message="must be a nonempty list of mode indices"),
+                "fourier_pair": partial(_list, message=_FOURIER_PAIR),
+                "thresholds.ks_level": _KS_LEVEL,
+            },
+            _check_spectral,
         ),
         ExperimentKind(
             "heat-corrector",
             "Heat semigroup corrector: direct difference vs two-term surrogate.",
             HEAT_DEFAULTS,
-            _validate_heat_corrector,
             _run_heat_corrector,
+            {
+                **_HELM_RULES,
+                "a_star": _POSITIVE,
+                "n_pairs": _MODE_COUNT,
+                "mode": _MODE_COUNT,
+                "time": _NONNEG,
+                "epsilon_const": _POSITIVE,
+                "v0": _PROFILE,
+            },
+            _check_heat,
         ),
         ExperimentKind(
             "scaling-study",
             "Deterministic variance-vs-epsilon exponents across dimensions 1..6.",
             SCALING_DEFAULTS,
-            _validate_scaling_study,
             _run_scaling_study,
+            {
+                "dimensions": _dimensions,
+                "alpha": _POSITIVE,
+                "s_max": _POSITIVE,
+                "epsilon_list": _eps_list,
+                "epsilon_list_d4": _optional_eps_list,
+                "thresholds.quartic_constant": _POSITIVE,
+            },
         ),
         ExperimentKind(
             "periodic-compare",
             "Periodic single-mode corrector vs the random-field scaling contrast.",
             PERIODIC_DEFAULTS,
-            _validate_periodic_compare,
             _run_periodic_compare,
+            {
+                "seed": _SEED,
+                "a_star": _POSITIVE,
+                "q0": _NONNEG,
+                "f": _PROFILE,
+                "periodic_epsilon_list": _eps_list,
+                "nodes_per_eps_periodic": partial(_integer, lo=8),
+                "cell_nodes": partial(_integer, lo=16),
+                "random.field": _FIELD_SPEC,
+                "random.epsilon_list": _eps_list,
+                "random.n_real": _N_REAL,
+                "random.nodes_per_eps": _NODES_PER_EPS,
+                "random.tol": _POSITIVE,
+                "random.truncation_rho": _OPEN_UNIT,
+            },
+            _check_periodic,
         ),
     )
 }
@@ -1496,11 +1319,14 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(
             "kind", f"unknown experiment kind {kind!r}; see the list command"
         )
+    spec = KINDS[kind]
     body = {k: v for k, v in raw.items() if k != "kind"}
-    merged = _merge(KINDS[kind].defaults, body)
     full = {"kind": kind}
-    full.update(merged)
-    KINDS[kind].validator(full)
+    full.update(_merge(spec.defaults, body))
+    for path, rule in spec.fields.items():
+        rule(_get(full, path), path)
+    if spec.cross is not None:
+        spec.cross(full)
     return full
 
 

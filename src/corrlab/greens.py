@@ -66,6 +66,25 @@ class Mesh2D:
         return math.sqrt(max(self.inner(u, u), 0.0))
 
 
+def node_indices(h: float, xs) -> list:
+    """Index of the node at each x of a uniform mesh from 0 with spacing h.
+
+    Raises ValueError when an x lies more than 1e-9 from every node.
+    """
+    out = []
+    for x in xs:
+        i = round(x / h)
+        if abs(i * h - x) > 1e-9:
+            raise ValueError(f"probe {x!r} is not a mesh node")
+        out.append(i)
+    return out
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the nodes x, starting from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass(frozen=True)
 class GreenKernel1D:
     """Green's function of -a* u'' + q0 u on (0, L), Dirichlet ends."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 
 from . import randfield
@@ -23,6 +22,7 @@ from .greens import (
     Mesh1D,
     Mesh2D,
     apply_green_2d,
+    cumulative_trapezoid,
     discrete_green_operator,
     fd_matrix_banded,
 )
@@ -259,10 +259,10 @@ def periodic_cell_corrector_1d(mesh: Mesh1D, q_values: np.ndarray) -> np.ndarray
         raise ValueError("q must be periodic (equal end values)")
     w = mesh.quad_weights
     g = float(np.sum(w * q)) / mesh.length - q  # <q> - q, mean zero
-    big_i = cumulative_trapezoid(g, mesh.nodes, initial=0.0)
+    big_i = cumulative_trapezoid(g, mesh.nodes)
     slope0 = float(np.sum(w * big_i)) / mesh.length
     du = slope0 - big_i
-    u2 = cumulative_trapezoid(du, mesh.nodes, initial=0.0)
+    u2 = cumulative_trapezoid(du, mesh.nodes)
     u2 -= float(np.sum(w * u2)) / mesh.length
     return u2
 

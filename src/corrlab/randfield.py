@@ -103,6 +103,8 @@ class MAProcessSpec:
             raise ValueError("weights must be nonempty")
         if not all(math.isfinite(v) for v in w):
             raise ValueError("weights must be finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -156,9 +158,10 @@ class CorrelatedTripleSpec:
             if m.shape[1] == 0 or not np.all(np.isfinite(m)):
                 raise ValueError("weight matrices must be nonempty and finite")
         object.__setattr__(self, "weights", mats)
-        object.__setattr__(
-            self, "amplitudes", tuple(float(a) for a in self.amplitudes)
-        )
+        amps = tuple(float(a) for a in self.amplitudes)
+        if len(amps) != 3 or not all(math.isfinite(a) for a in amps):
+            raise ValueError("need exactly three finite amplitudes")
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_channels(self) -> int:

@@ -97,6 +97,29 @@ def test_invalid_config_field_exits_two(tmp_path):
     assert "epsilon_list" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"kind": "helmholtz-corrector", "epsilon_list": [0.03]}, "probes"),
+        (
+            {"kind": "spectral-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2},
+            "n_pairs",
+        ),
+        (
+            {"kind": "helmholtz-corrector", "thresholds": {"slope_lo": "low"}},
+            "thresholds.slope_lo",
+        ),
+    ],
+)
+def test_config_that_cannot_run_exits_two_before_any_realization(tmp_path, payload, field):
+    cfg = _write(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    proc = _run("run", "--config", cfg, "--out-dir", str(out))
+    assert proc.returncode == 2
+    assert f"config field {field!r}" in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_kind_exits_two(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"kind": "mystery"})
     proc = _run("run", "--config", cfg)

@@ -68,6 +68,53 @@ def test_validate_config_type_and_range_errors():
     assert "marginal" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "raw, field, message",
+    [
+        # thresholds are checked like every other field
+        ({"kind": "helmholtz-corrector", "thresholds": {"slope_lo": "low"}},
+         "thresholds.slope_lo", "must be a number"),
+        ({"kind": "spectral-corrector", "thresholds": {"ks_level": 0.1}},
+         "thresholds.ks_level", "must be one of [0.01, 0.05]"),
+        ({"kind": "heat-corrector", "thresholds": 4.0}, "thresholds", "must be an object"),
+        # mesh preconditions at every epsilon
+        ({"kind": "helmholtz-corrector", "epsilon_list": [0.03]},
+         "probes", "probe 0.25 is not a mesh node at epsilon 0.03"),
+        ({"kind": "elliptic-corrector", "epsilon_list": [0.02, 0.03 / 4]},
+         "probes", "probe 0.25 is not a mesh node at epsilon 0.0075"),
+        ({"kind": "spectral-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2},
+         "n_pairs", "exceeds the 3 interior nodes at epsilon 0.5"),
+        ({"kind": "heat-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2},
+         "n_pairs", "exceeds the 3 interior nodes"),
+        ({"kind": "helmholtz-moments-2d", "epsilon_list": [10.0], "nodes_per_eps": 2},
+         "epsilon_list", "epsilon 10.0 leaves fewer than 3 mesh nodes"),
+        ({"kind": "periodic-compare",
+          "random": {"epsilon_list": [20.0], "nodes_per_eps": 2}},
+         "random.epsilon_list", "fewer than 3 mesh nodes"),
+        ({"kind": "elliptic-corrector", "triple": {"amplitudes": [1.0, 1.0]}},
+         "triple", "three finite amplitudes"),
+        ({"kind": "field-stats", "field": {"amplitude": float("nan")}},
+         "field", "amplitude must be finite"),
+        ({"kind": "helmholtz-moments-2d", "f": "parabola"},
+         "f", "2D sources must be one of ['one', 'sine']"),
+    ],
+)
+def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == field
+    assert message in str(err.value)
+
+
+def test_mesh_preconditions_accept_aligned_probes():
+    # eps = 0.03 at 8 nodes per eps has no node at 0.25; at 3 it has h = 0.01
+    validate_config(
+        {"kind": "helmholtz-corrector", "epsilon_list": [0.03], "nodes_per_eps": 3}
+    )
+    validate_config({"kind": "spectral-corrector", "epsilon_list": [0.5],
+                     "nodes_per_eps": 2, "n_pairs": 3, "modes": [1, 2]})
+
+
 def test_validate_config_round_trip_idempotent():
     for kind in ALL_KINDS:
         full = validate_config({"kind": kind})
