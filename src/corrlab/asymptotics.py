@@ -286,15 +286,27 @@ class VarianceCurve:
     fit_log: object
 
 
+# the exponent fits of a scaling study need this many epsilons over this
+# many decades
+SCALING_MIN_EPS = 4
+SCALING_MIN_DECADES = 1.5
+
+
+def check_scaling_epsilons(epsilon_list) -> None:
+    """Raise ValueError unless the list supports the scaling-study fits."""
+    eps = [float(e) for e in epsilon_list]
+    if len(eps) < SCALING_MIN_EPS:
+        raise ValueError(f"need at least {SCALING_MIN_EPS} epsilon values")
+    if max(eps) / min(eps) < 10**SCALING_MIN_DECADES:
+        raise ValueError(f"epsilon values must span at least {SCALING_MIN_DECADES} decades")
+
+
 def scaling_study(setup: RadialSetup, epsilon_list) -> VarianceCurve:
     """Evaluate the variance curve and fit exponents with and without |ln eps|."""
     from .ensemble import loglog_slope
 
+    check_scaling_epsilons(epsilon_list)
     eps = [float(e) for e in epsilon_list]
-    if len(eps) < 4:
-        raise ValueError("need at least 4 epsilon values")
-    if max(eps) / min(eps) < 10**1.5:
-        raise ValueError("epsilon_list must span at least 1.5 decades")
     pairs = tuple((e, variance_fourier(setup, e)) for e in sorted(eps, reverse=True))
     return VarianceCurve(
         pairs=pairs,

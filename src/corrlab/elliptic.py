@@ -23,7 +23,7 @@ from scipy.linalg import solveh_banded
 
 from . import randfield
 from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d
-from .greens import cumulative_trapezoid, node_indices
+from .greens import cumulative_trapezoid, fd_green_norm, node_indices
 from .helmholtz import dirichlet_solve_fd
 from .iteration import neumann_solve
 from .randfield import CorrelatedTripleSpec
@@ -143,6 +143,11 @@ def conservative_matrix_banded(mesh: Mesh1D, a_values: np.ndarray, potential) ->
     Harmonic-mean coefficient at the half nodes keeps the scheme second
     order for rough a.
     """
+    return _conservative_system(mesh, a_values, potential)[0]
+
+
+def _conservative_system(mesh: Mesh1D, a_values: np.ndarray, potential):
+    """The banded matrix and the half-node coefficients a_{i+1/2} it uses."""
     a = np.asarray(a_values, dtype=float)
     n_int = mesh.n_nodes - 2
     h2 = mesh.h * mesh.h
@@ -151,19 +156,23 @@ def conservative_matrix_banded(mesh: Mesh1D, a_values: np.ndarray, potential) ->
     ab = np.zeros((2, n_int))
     ab[0, 1:] = -a_half[1:-1] / h2
     ab[1, :] = (a_half[:-1] + a_half[1:]) / h2 + pot[1:-1]
-    return ab
+    return ab, a_half
 
 
-def transformed_green_apply(problem: EllipticProblem1D, a_values: np.ndarray):
+def transformed_green(problem: EllipticProblem1D, a_values: np.ndarray):
     """Exact discrete inverse of v -> -(a_eps v')' + q0 (a*/a_eps) v.
 
     This is the solution operator the transformed fixed point iterates; it
-    agrees with the kernel-composed quadrature operator to O(h^2).
+    agrees with the kernel-composed quadrature operator to O(h^2).  Returns
+    its apply function and a bound on its Euclidean norm: the matrix is
+    sum a_{i+1/2} (x_{i+1} - x_i)^2 / h^2 + sum pot_i x_i^2 as a quadratic
+    form, so it dominates the constant-coefficient FD matrix with
+    a* = min a_{i+1/2} and q0 = min pot.
     """
     pot = problem.q0 * a_star(problem) / np.asarray(a_values, dtype=float)
-    ab = conservative_matrix_banded(problem.mesh, a_values, pot)
+    ab, a_half = _conservative_system(problem.mesh, a_values, pot)
     op = DiscreteGreenOperator(problem.mesh, ab)
-    return op.apply
+    return op.apply, fd_green_norm(problem.mesh, float(np.min(a_half)), float(np.min(pot)))
 
 
 def transformed_green_matrix(problem: EllipticProblem1D, coords: HarmonicCoords) -> np.ndarray:
@@ -198,7 +207,7 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
     coords = harmonic_coords(problem, a_vals)
     tq = tilde_q(problem, fields)
     rho = problem.rho_bar + fields[CH_RHO].values
-    apply_g = transformed_green_apply(problem, a_vals)
+    apply_g, green_norm = transformed_green(problem, a_vals)
     res = neumann_solve(
         apply_g,
         tq,
@@ -206,6 +215,7 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
+        green_norm=green_norm,
     )
     return EllipticSolution(
         u_eps=res.u,

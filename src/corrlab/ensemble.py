@@ -32,6 +32,9 @@ REGISTRY: dict = {}
 # asymptotic KS critical-value coefficients by significance level
 KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 
+# fewest (epsilon, value) points a log-log slope fit accepts
+MIN_FIT_POINTS = 3
+
 
 def register_task(name: str, fn) -> None:
     REGISTRY[name] = fn
@@ -272,8 +275,8 @@ def loglog_slope(pairs, with_log_regressor: bool = False) -> SlopeFit:
     returned slope is the exponent p and log_coeff the |ln eps| power.
     """
     pts = [(float(e), float(v)) for e, v in pairs]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points")
+    if len(pts) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points")
     for e, v in pts:
         if e <= 0 or v <= 0:
             raise ValueError(f"non-positive data point ({e}, {v})")

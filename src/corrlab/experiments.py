@@ -268,7 +268,26 @@ def _check_2d(cfg: dict):
     _check_mesh(cfg)
 
 
+def _scaling_eps_key(cfg: dict, d: int) -> str:
+    """The epsilon list scaling-study fits in dimension d."""
+    return "epsilon_list_d4" if d == 4 and cfg["epsilon_list_d4"] else "epsilon_list"
+
+
+def _check_scaling(cfg: dict):
+    """The epsilon lists the runner fits must suit `asymptotics.scaling_study`."""
+    for key in sorted({_scaling_eps_key(cfg, d) for d in cfg["dimensions"]}):
+        try:
+            asymptotics.check_scaling_epsilons(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+
+
 def _check_periodic(cfg: dict):
+    if len(cfg["periodic_epsilon_list"]) < ensemble.MIN_FIT_POINTS:
+        raise ConfigError(
+            "periodic_epsilon_list",
+            f"need at least {ensemble.MIN_FIT_POINTS} epsilon values for the slope fit",
+        )
     _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
     _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
 
@@ -674,7 +693,7 @@ def _norm_slope(rep, functional: str = "norm_sq"):
         rep.stats[k][functional].mean if functional in rep.stats[k] else 0.0
         for k in range(len(eps))
     ]
-    if len(eps) < 3 or any(m <= 0 for m in means):
+    if len(eps) < ensemble.MIN_FIT_POINTS or any(m <= 0 for m in means):
         return None
     fit = ensemble.loglog_slope(list(zip(eps, means)))
     rep.scaling_fits[f"{functional}_mean"] = fit.to_dict()
@@ -1012,10 +1031,7 @@ def _run_scaling_study(config, workers):
         setup = asymptotics.RadialSetup(
             dimension=d, alpha=config["alpha"], s_max=config["s_max"]
         )
-        eps = config["epsilon_list"]
-        if d == 4 and config["epsilon_list_d4"]:
-            eps = config["epsilon_list_d4"]
-        curve = asymptotics.scaling_study(setup, eps)
+        curve = asymptotics.scaling_study(setup, config[_scaling_eps_key(config, d)])
         for e, v in curve.pairs:
             res.rows.append((repr(e), f"variance_d{d}", "value", float(v)))
         res.tables[f"fit_d{d}"] = curve.fit_plain.to_dict()
@@ -1281,6 +1297,7 @@ KINDS = {
                 "epsilon_list_d4": _optional_eps_list,
                 "thresholds.quartic_constant": _POSITIVE,
             },
+            _check_scaling,
         ),
         ExperimentKind(
             "periodic-compare",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn
@@ -222,8 +223,28 @@ class DiscreteGreenOperator:
 
 
 def discrete_green_operator(mesh: Mesh1D, a_star: float, q0: float) -> DiscreteGreenOperator:
-    """Inverse of the three-point discretization of -a* u'' + q0 u."""
+    """Inverse of the three-point discretization of -a* u'' + q0 u.
+
+    The operator is deterministic, so it is factored once per process and
+    shared by every caller with the same mesh size and coefficients.
+    """
+    return _cached_fd_operator(mesh.n_nodes, mesh.length, a_star, q0)
+
+
+@lru_cache(maxsize=8)
+def _cached_fd_operator(n_nodes: int, length: float, a_star: float, q0: float):
+    mesh = Mesh1D(n_nodes, length)
     return DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, a_star, q0))
+
+
+def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
+    """Euclidean norm of the FD inverse, 1 / lambda_min of -a* D^2 + q0.
+
+    The lowest Dirichlet eigenvalue of the three-point matrix is
+    (4 a* / h^2) sin^2(pi h / (2 L)) + q0.
+    """
+    s = math.sin(math.pi * mesh.h / (2.0 * mesh.length))
+    return 1.0 / (4.0 * a_star / (mesh.h * mesh.h) * s * s + q0)
 
 
 def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray, modes: int | None = None) -> np.ndarray:
@@ -251,3 +272,12 @@ def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray, modes: int | None =
     out = np.zeros((mesh2d.n_nodes, mesh2d.n_nodes))
     out[1:-1, 1:-1] = dstn(coef, type=1) / 4.0
     return out
+
+
+def green_norm_2d(q0: float) -> float:
+    """Euclidean norm bound of `apply_green_2d`, 1 / (2 pi^2 + q0).
+
+    The normalized sine transform is orthogonal, so the norm is the largest
+    inverse eigenvalue; truncating modes can only lower it.
+    """
+    return 1.0 / (2.0 * math.pi**2 + q0)

@@ -18,13 +18,14 @@ from scipy.linalg import solveh_banded
 from . import randfield
 from .greens import (
     GreenKernel1D,
-    GreenOperator,
     Mesh1D,
     Mesh2D,
     apply_green_2d,
     cumulative_trapezoid,
     discrete_green_operator,
+    fd_green_norm,
     fd_matrix_banded,
+    green_norm_2d,
 )
 from .iteration import neumann_solve
 from .randfield import MAProcessSpec, sigma2
@@ -60,25 +61,19 @@ class HelmholtzProblem:
         if not np.all(np.isfinite(self.f)):
             raise ValueError("f must be finite")
         self.dimension = 1
-        self._green_fd = None
-        self._green_quad = None
 
     @property
     def kernel(self) -> GreenKernel1D:
         return GreenKernel1D(self.a_star, self.q0, self.mesh.length)
 
-    @property
-    def green(self) -> GreenOperator:
-        """Quadrature Green's operator built from the closed-form kernel."""
-        if self._green_quad is None:
-            self._green_quad = GreenOperator(self.kernel, self.mesh)
-        return self._green_quad
-
     def apply_green(self, v: np.ndarray) -> np.ndarray:
         """Unperturbed solution operator, realized as the exact FD inverse."""
-        if self._green_fd is None:
-            self._green_fd = discrete_green_operator(self.mesh, self.a_star, self.q0)
-        return self._green_fd.apply(v)
+        return discrete_green_operator(self.mesh, self.a_star, self.q0).apply(v)
+
+    @property
+    def green_norm(self) -> float:
+        """Euclidean norm of `apply_green`, in closed form."""
+        return fd_green_norm(self.mesh, self.a_star, self.q0)
 
     @property
     def corrector_scale(self) -> float:
@@ -124,6 +119,7 @@ def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) ->
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
+        green_norm=problem.green_norm,
     )
     return HelmholtzSolution(
         u_eps=res.u,
@@ -299,6 +295,11 @@ class Helmholtz2DProblem:
         return apply_green_2d(self.mesh, self.q0, v, self.modes)
 
     @property
+    def green_norm(self) -> float:
+        """Upper bound on the Euclidean norm of `apply_green`."""
+        return green_norm_2d(self.q0)
+
+    @property
     def corrector_scale(self) -> float:
         return self.epsilon ** (self.dimension * (0.5 - self.alpha))
 
@@ -324,6 +325,7 @@ def perturbed_solve_2d(problem: Helmholtz2DProblem, seed: int, tol: float = 1e-1
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
+        green_norm=problem.green_norm,
     )
     return HelmholtzSolution(
         u_eps=res.u,

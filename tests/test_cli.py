@@ -109,6 +109,16 @@ def test_invalid_config_field_exits_two(tmp_path):
             {"kind": "helmholtz-corrector", "thresholds": {"slope_lo": "low"}},
             "thresholds.slope_lo",
         ),
+        ({"kind": "scaling-study", "epsilon_list": [0.1, 0.05]}, "epsilon_list"),
+        ({"kind": "scaling-study", "epsilon_list": [0.1, 0.08, 0.06, 0.04]}, "epsilon_list"),
+        (
+            {"kind": "scaling-study", "dimensions": [4], "epsilon_list_d4": [0.2, 0.1]},
+            "epsilon_list_d4",
+        ),
+        (
+            {"kind": "periodic-compare", "periodic_epsilon_list": [0.0625, 0.03125]},
+            "periodic_epsilon_list",
+        ),
     ],
 )
 def test_config_that_cannot_run_exits_two_before_any_realization(tmp_path, payload, field):
@@ -118,6 +128,16 @@ def test_config_that_cannot_run_exits_two_before_any_realization(tmp_path, paylo
     assert proc.returncode == 2
     assert f"config field {field!r}" in proc.stderr
     assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """BLAS thread variables set in main() must precede the first numpy import."""
+    code = "import sys, corrlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_kind_exits_two(tmp_path):

@@ -149,6 +149,17 @@ def test_discrete_operator_is_exact_inverse():
     assert np.max(np.abs(res - f[1:-1])) < 1e-9
 
 
+def test_discrete_operator_is_factored_once_per_coefficients():
+    mesh = Mesh1D(n_nodes=41)
+    op = discrete_green_operator(mesh, 1.5, 0.7)
+    assert discrete_green_operator(Mesh1D(n_nodes=41), 1.5, 0.7) is op
+    assert discrete_green_operator(mesh, 1.5, 0.8) is not op
+    assert discrete_green_operator(Mesh1D(n_nodes=41, length=2.0), 1.5, 0.7) is not op
+    fresh = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.5, 0.7))
+    f = np.sin(3.0 * mesh.nodes)
+    assert np.array_equal(op.apply(f), fresh.apply(f))
+
+
 def test_discrete_operator_variable_potential_and_indefinite():
     mesh = Mesh1D(n_nodes=31)
     pot = 1.0 + np.sin(2 * math.pi * mesh.nodes) ** 2

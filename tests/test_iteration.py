@@ -1,16 +1,39 @@
-"""Safeguarded fixed-point solver on small matrix fixtures."""
+"""Safeguarded fixed-point solver on small matrix fixtures, and its certified skip."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corrlab.greens import GreenKernel1D, GreenOperator, Mesh1D
+from corrlab.elliptic import (
+    CH_B,
+    CH_RHO,
+    EllipticProblem1D,
+    coefficient_values,
+    sample_fields,
+    tilde_q,
+    transformed_green,
+)
+from corrlab.greens import (
+    GreenKernel1D,
+    GreenOperator,
+    Mesh1D,
+    Mesh2D,
+    apply_green_2d,
+    fd_green_norm,
+    fd_matrix_banded,
+    green_norm_2d,
+)
+from corrlab.helmholtz import Helmholtz2DProblem, HelmholtzProblem
 from corrlab.iteration import (
+    CERTIFY_MARGIN,
     MAX_ITERATIONS,
     estimate_composed_norm,
     neumann_solve,
 )
+from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec
 
 MESH = Mesh1D(n_nodes=101)
 OP = GreenOperator(GreenKernel1D(a_star=1.0, q0=0.0), MESH)
@@ -99,3 +122,125 @@ def test_sign_indefinite_potential():
     ident = np.eye(MESH.n_nodes)
     dense = np.linalg.solve(ident + OP.matrix * q[None, :], OP.apply(f))
     assert np.max(np.abs(res.u - dense)) < 1e-10
+
+
+# --- certified safeguard: closed-form Green norm bounds ---
+
+FIELD_WEIGHTS = (0.5, 0.5)
+TRIPLE_WEIGHTS = (
+    [[0.25, 0.25], [0.0, 0.0]],
+    [[0.2, 0.2], [0.2, 0.2]],
+    [[0.0, 0.0], [0.5, 0.5]],
+)
+
+
+def _fd_case(seed, amp, eps):
+    mesh = Mesh1D(n_nodes=101)
+    spec = MAProcessSpec(weights=FIELD_WEIGHTS, amplitude=amp)
+    p = HelmholtzProblem(mesh, 1.0, 0.5, spec, np.ones(mesh.n_nodes), eps)
+    return p.apply_green, p.sample_potential(seed), p.green_norm, p.f, mesh.quad_weights
+
+
+def _elliptic_case(seed, amp, eps):
+    mesh = Mesh1D(n_nodes=101)
+    spec = CorrelatedTripleSpec(weights=TRIPLE_WEIGHTS, amplitudes=(1.9, 1.0, amp))
+    p = EllipticProblem1D(mesh, spec, 0.5, 1.0, np.ones(mesh.n_nodes), eps)
+    fields = sample_fields(p, seed)
+    apply_g, green_norm = transformed_green(p, coefficient_values(p, fields[CH_B].values))
+    rhs = (p.rho_bar + fields[CH_RHO].values) * p.f
+    return apply_g, tilde_q(p, fields), green_norm, rhs, mesh.quad_weights
+
+
+def _case_2d(seed, amp, eps):
+    mesh = Mesh2D(n_nodes=17)
+    spec = MAProcessSpec(weights=FIELD_WEIGHTS, amplitude=amp)
+    p = Helmholtz2DProblem(mesh, 0.5, spec, np.ones((17, 17)), eps)
+    return p.apply_green, p.sample_potential(seed), p.green_norm, p.f, mesh.quad_weights
+
+
+CASES = {"fd": _fd_case, "elliptic": _elliptic_case, "2d": _case_2d}
+
+
+def _composed_bound(q, green_norm):
+    return (green_norm * float(np.max(np.abs(q)))) ** 2
+
+
+# (kernel, seed, amplitude, epsilon) per regime of the safeguard
+CERTIFIED = [("fd", 3, 1.0, 0.25), ("elliptic", 3, 1.0, 0.25), ("2d", 3, 1.0, 0.25)]
+BOUND_PAST_THRESHOLD = [("fd", 3, 12.0, 0.05), ("elliptic", 3, 10.0, 0.25), ("2d", 3, 60.0, 1.0)]
+TRUNCATING = [("fd", 3, 60.0, 1.0), ("elliptic", 3, 200.0, 1.0), ("2d", 3, 60.0, 2.0)]
+
+CASE_ARGS = {
+    "kernel": st.sampled_from(sorted(CASES)),
+    "seed": st.integers(0, 2**31),
+    "amp": st.floats(0.0, 200.0),
+    "eps": st.sampled_from([2.0, 1.0, 0.25, 0.05]),
+}
+
+
+def _with_examples(test):
+    for case in CERTIFIED + BOUND_PAST_THRESHOLD + TRUNCATING:
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(**CASE_ARGS)
+@_with_examples
+def test_certified_bound_dominates_power_estimate(kernel, seed, amp, eps):
+    apply_g, q, green_norm, _, _ = CASES[kernel](seed, amp, eps)
+    est = estimate_composed_norm(apply_g, q, q.shape)
+    # a constant potential makes the bound tight; allow rounding only
+    assert est <= _composed_bound(q, green_norm) * (1.0 + 1e-9)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(**CASE_ARGS)
+@_with_examples
+def test_green_norm_leaves_the_solve_unchanged(kernel, seed, amp, eps):
+    apply_g, q, green_norm, rhs, weights = CASES[kernel](seed, amp, eps)
+    plain = neumann_solve(apply_g, q, rhs, weights)
+    fast = neumann_solve(apply_g, q, rhs, weights, green_norm=green_norm)
+    assert np.array_equal(fast.u, plain.u)
+    assert (fast.iterations, fast.truncated) == (plain.iterations, plain.truncated)
+    assert not plain.certified
+    bound = _composed_bound(q, green_norm)
+    assert fast.certified == (bound <= 0.5 * (1.0 - CERTIFY_MARGIN))
+    if fast.certified:
+        assert fast.op_norm_estimate == bound
+    else:
+        assert fast.op_norm_estimate == plain.op_norm_estimate
+
+
+@pytest.mark.parametrize("case", CERTIFIED + BOUND_PAST_THRESHOLD + TRUNCATING)
+def test_regime_examples(case):
+    """The fixed examples above reach every regime of the safeguard."""
+    apply_g, q, green_norm, rhs, weights = CASES[case[0]](*case[1:])
+    res = neumann_solve(apply_g, q, rhs, weights, green_norm=green_norm)
+    assert res.certified == (case in CERTIFIED)
+    assert res.truncated == (case in TRUNCATING)
+    if case in TRUNCATING:
+        plain = neumann_solve(apply_g, q, rhs, weights)
+        assert plain.truncated
+        assert res.op_norm_estimate == plain.op_norm_estimate > 0.5
+        assert np.array_equal(res.u, res.u0)
+
+
+def test_closed_form_norms_match_dense_operators():
+    # FD: exactly 1 / lambda_min of the interior matrix
+    mesh = Mesh1D(n_nodes=41, length=2.5)
+    ab = fd_matrix_banded(mesh, 1.5, 0.7)
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+    lam = np.linalg.eigvalsh(dense)[0]
+    assert fd_green_norm(mesh, 1.5, 0.7) == pytest.approx(1.0 / lam, rel=1e-12)
+    # 2D: the lowest sine mode attains 1 / (2 pi^2 + q0)
+    mesh2 = Mesh2D(n_nodes=33)
+    mode = np.outer(np.sin(math.pi * mesh2.nodes), np.sin(math.pi * mesh2.nodes))
+    out = apply_green_2d(mesh2, 0.5, mode)
+    gain = np.linalg.norm(out) / np.linalg.norm(mode)
+    assert gain == pytest.approx(green_norm_2d(0.5), rel=1e-12)
+    # elliptic: the bound dominates the exact norm of the conservative inverse
+    apply_g, _, green_norm, _, _ = _elliptic_case(5, 1.0, 0.25)
+    cols = np.eye(101)
+    mat = np.column_stack([apply_g(c) for c in cols])
+    assert np.linalg.norm(mat, 2) <= green_norm * (1.0 + 1e-12)
