@@ -191,13 +191,6 @@ def radial_profile(setup: RadialSetup):
     return profile
 
 
-def hankel_profile(setup: RadialSetup):
-    """Hankel-transform profile handle; d = 1 uses the cosine transform route."""
-    if setup.dimension < 2:
-        raise ValueError("d = 1 uses the cosine transform directly")
-    return radial_profile(setup)
-
-
 def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     """Master quadrature table for the variance integral.
 

@@ -23,8 +23,8 @@ from scipy.linalg import solveh_banded
 
 from . import randfield
 from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d
-from .greens import cumulative_trapezoid, fd_green_norm, node_indices
-from .helmholtz import dirichlet_solve_fd
+from .greens import cumulative_trapezoid, fd_green_norm, green_partials_1d, node_indices
+from .helmholtz import Solution, dirichlet_solve_fd
 from .iteration import neumann_solve
 from .randfield import CorrelatedTripleSpec
 
@@ -66,12 +66,6 @@ class EllipticProblem1D:
             raise ValueError("f must hold one value per mesh node")
         if abs(self.mesh.length - 1.0) > 1e-12:
             raise ValueError("mesh must cover the unit interval")
-        self.dimension = 1
-
-    @property
-    def ellipticity_floor(self) -> float:
-        """Lower bound a0 with a_eps in [a0, a_base^2 / a0] pathwise."""
-        return self.a_base / (1.0 + self.triple_spec.component_bound(CH_B))
 
 
 @dataclass
@@ -85,22 +79,6 @@ class HarmonicCoords:
     @property
     def length(self) -> float:
         return float(self.z_eps[-1])
-
-
-@dataclass
-class EllipticSolution:
-    u_eps: np.ndarray
-    u0: np.ndarray
-    iterations: int
-    residual: float
-    op_norm_estimate: float
-    truncated: bool
-    seed: int
-    b_values: np.ndarray
-    drho_values: np.ndarray
-    q_values: np.ndarray
-    tilde_q_values: np.ndarray
-    coords: HarmonicCoords
 
 
 def a_star(problem: EllipticProblem1D) -> float:
@@ -132,9 +110,7 @@ def harmonic_coords(problem: EllipticProblem1D, a_values: np.ndarray) -> Harmoni
 
 def tilde_q(problem: EllipticProblem1D, fields) -> np.ndarray:
     """Transformed potential (1 - a*/a_eps) q0 + q_eps = -b q0 + q_eps."""
-    b = fields[CH_B].values
-    q = fields[CH_Q].values
-    return -b * problem.q0 + q
+    return -fields[CH_B] * problem.q0 + fields[CH_Q]
 
 
 def conservative_matrix_banded(mesh: Mesh1D, a_values: np.ndarray, potential) -> np.ndarray:
@@ -193,7 +169,7 @@ def solve_homogenized(problem: EllipticProblem1D) -> np.ndarray:
     )
 
 
-def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10) -> EllipticSolution:
+def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10) -> Solution:
     """Fixed-point solve of u = G_eps(rho_eps f) - G_eps(tq G_eps(rho_eps f)) + ...
 
     G_eps is applied as the exact inverse of the conservative discretization
@@ -202,42 +178,24 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
     tolerance.
     """
     fields = sample_fields(problem, seed)
-    b = fields[CH_B].values
-    a_vals = coefficient_values(problem, b)
-    coords = harmonic_coords(problem, a_vals)
-    tq = tilde_q(problem, fields)
-    rho = problem.rho_bar + fields[CH_RHO].values
-    apply_g, green_norm = transformed_green(problem, a_vals)
+    apply_g, green_norm = transformed_green(problem, coefficient_values(problem, fields[CH_B]))
     res = neumann_solve(
         apply_g,
-        tq,
-        rho * problem.f,
+        tilde_q(problem, fields),
+        (problem.rho_bar + fields[CH_RHO]) * problem.f,
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
         green_norm=green_norm,
     )
-    return EllipticSolution(
-        u_eps=res.u,
-        u0=solve_homogenized(problem),
-        iterations=res.iterations,
-        residual=res.residual,
-        op_norm_estimate=res.op_norm_estimate,
-        truncated=res.truncated,
-        seed=int(seed),
-        b_values=b,
-        drho_values=fields[CH_RHO].values,
-        q_values=fields[CH_Q].values,
-        tilde_q_values=tq,
-        coords=coords,
-    )
+    return Solution(res.u, solve_homogenized(problem), res.iterations, res.truncated, fields[CH_Q])
 
 
 def direct_solve_conservative(problem: EllipticProblem1D, fields) -> np.ndarray:
     """Independent oracle: conservative three-point solve of the raw problem."""
-    a_vals = coefficient_values(problem, fields[CH_B].values)
-    rho = problem.rho_bar + fields[CH_RHO].values
-    pot = problem.q0 + fields[CH_Q].values
+    a_vals = coefficient_values(problem, fields[CH_B])
+    rho = problem.rho_bar + fields[CH_RHO]
+    pot = problem.q0 + fields[CH_Q]
     ab = conservative_matrix_banded(problem.mesh, a_vals, pot)
     try:
         interior = solveh_banded(ab, (rho * problem.f)[1:-1])
@@ -248,40 +206,12 @@ def direct_solve_conservative(problem: EllipticProblem1D, fields) -> np.ndarray:
     return out
 
 
-def corrector(problem: EllipticProblem1D, solution: EllipticSolution) -> np.ndarray:
+def corrector(problem: EllipticProblem1D, solution: Solution) -> np.ndarray:
     """(u_eps - u0) / sqrt(epsilon) at the mesh nodes."""
     return (solution.u_eps - solution.u0) / math.sqrt(problem.epsilon)
 
 
 # --- corrector kernels and the limit law ---
-
-
-def _partial_arrays(kern: GreenKernel1D, x: float, y: np.ndarray):
-    """dG/dx, dG/dy, dG/dL at fixed x over the y grid, for both branches.
-
-    Returns (dx_lo, dy_lo, dx_hi, dy_hi, dL): the *_lo arrays hold the
-    y < x branch, the *_hi arrays the y > x branch; dL is continuous.
-    """
-    a, L, q0 = kern.a_star, kern.L, kern.q0
-    if q0 == 0.0:
-        dx_lo = -y / (a * L)
-        dy_lo = np.full_like(y, (L - x) / (a * L), dtype=float)
-        dx_hi = (L - y) / (a * L)
-        dy_hi = np.full_like(y, -x / (a * L), dtype=float)
-        dL = np.minimum(x, y) * np.maximum(x, y) / (a * L * L)
-        return dx_lo, dy_lo, dx_hi, dy_hi, dL
-    k = kern.kappa
-    s = math.sinh(k * L)
-    # y < x: lo = y, hi = x
-    dx_lo = -np.sinh(k * y) * math.cosh(k * (L - x)) / (a * s)
-    dy_lo = np.cosh(k * y) * math.sinh(k * (L - x)) / (a * s)
-    # y > x: lo = x, hi = y
-    dx_hi = math.cosh(k * x) * np.sinh(k * (L - y)) / (a * s)
-    dy_hi = -math.sinh(k * x) * np.cosh(k * (L - y)) / (a * s)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    dL = np.sinh(k * lo) * np.sinh(k * hi) / (a * s * s)
-    return dx_lo, dy_lo, dx_hi, dy_hi, dL
 
 
 def _split_trapezoid(values: np.ndarray, h: float, i: int):
@@ -353,7 +283,7 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKern
     # u0(t) = int G(t,z) rho_bar f(z) dz enters H_q
     u0 = solve_homogenized(problem)
     for r, (i, x) in enumerate(zip(idx, xs)):
-        dx_lo, dy_lo, dx_hi, dy_hi, dL = _partial_arrays(kern, float(x), t)
+        dx_lo, dy_lo, dx_hi, dy_hi, dL = green_partials_1d(kern, float(x), t)
         jump[r] = _split_trapezoid((dx_lo * rf, dx_hi * rf), h, i)
         # B(x, t) = int_t^1 dG/dy(x,y) rho_bar f(y) dy, split at y = x
         g_lo = dy_lo * rf

@@ -110,12 +110,6 @@ class EnsembleReport:
     scaling_fits: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def functional_names(self) -> list:
-        names = set()
-        for per_eps in self.stats:
-            names.update(per_eps.keys())
-        return sorted(names)
-
     def to_json_dict(self) -> dict:
         blocks = []
         for k, eps in enumerate(self.spec.epsilon_list):

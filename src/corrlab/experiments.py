@@ -303,12 +303,10 @@ def source_profile(kind: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown profile {kind!r}")
 
 
-def source_profile_2d(kind: str, mesh2d: Mesh2D) -> np.ndarray:
-    """Separable 2D node profile p(x) p(y) for the profiles in _PROFILES_2D."""
-    if kind not in _PROFILES_2D:
-        raise ValueError(f"unknown profile {kind!r}")
-    p = source_profile(kind, mesh2d.nodes)
-    return np.outer(p, p)
+def mesh_profile(kind: str, mesh) -> np.ndarray:
+    """A named profile at the nodes of a mesh: p(x), or p(x) p(y) on a Mesh2D."""
+    p = source_profile(kind, mesh.nodes)
+    return np.outer(p, p) if isinstance(mesh, Mesh2D) else p
 
 
 def aligned_mesh(epsilon: float, nodes_per_eps: int) -> Mesh1D:
@@ -330,7 +328,7 @@ def field_stats_task(params: dict, epsilon: float, seed: int) -> dict:
     reach = int(math.ceil(randfield.mixing_range(spec)))
     lags = np.arange(-n_sub * reach, n_sub * reach + 1) / n_sub
     pts = params["probe"] + epsilon * lags
-    vals = randfield.sample_at(spec, epsilon, pts, seed).values
+    vals = randfield.sample_at(spec, epsilon, pts, seed)
     center = float(vals[n_sub * reach])
     # sum R(k/8)/8 telescopes to int R exactly: R is piecewise linear with
     # integer knots and vanishes beyond the mixing range
@@ -344,28 +342,20 @@ def field_stats_task(params: dict, epsilon: float, seed: int) -> dict:
     }
 
 
-def _helm_args(params: dict, epsilon: float) -> dict:
-    """Constructor arguments the 1D and 2D Helmholtz problems share."""
-    return {
-        "q0": params["q0"],
-        "field_spec": randfield.MAProcessSpec.from_json(params["field"]),
-        "epsilon": epsilon,
-        "alpha": params["alpha"],
-        "truncation_rho": params["truncation_rho"],
-    }
-
-
-def _helm_problem(params: dict, epsilon: float) -> helmholtz.HelmholtzProblem:
-    mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
-    f = source_profile(params["f"], mesh.nodes)
-    args = _helm_args(params, epsilon)
-    return helmholtz.HelmholtzProblem(mesh, params["a_star"], f=f, **args)
-
-
-def _helm2d_problem(params: dict, epsilon: float) -> helmholtz.Helmholtz2DProblem:
-    mesh2 = Mesh2D(_aligned_cells(epsilon, params["nodes_per_eps"]) + 1)
-    f = source_profile_2d(params["f"], mesh2)
-    return helmholtz.Helmholtz2DProblem(mesh2, f=f, **_helm_args(params, epsilon))
+def _helm_problem(params: dict, epsilon: float, dimension: int = 1) -> helmholtz.HelmholtzProblem:
+    """The Helmholtz problem of a config at one epsilon; 2D configs have a* = 1."""
+    cells = _aligned_cells(epsilon, params["nodes_per_eps"])
+    mesh = Mesh2D(cells + 1) if dimension == 2 else Mesh1D(cells + 1)
+    return helmholtz.HelmholtzProblem(
+        mesh,
+        params.get("a_star", 1.0),
+        params["q0"],
+        randfield.MAProcessSpec.from_json(params["field"]),
+        mesh_profile(params["f"], mesh),
+        epsilon,
+        alpha=params["alpha"],
+        truncation_rho=params["truncation_rho"],
+    )
 
 
 def _elliptic_problem(params: dict, epsilon: float) -> elliptic.EllipticProblem1D:
@@ -385,12 +375,8 @@ def _elliptic_problem(params: dict, epsilon: float) -> elliptic.EllipticProblem1
 
 
 def _moment_set(prob, profiles) -> helmholtz.MomentSet:
-    """Named moment test functions on the nodes of a 1D or 2D problem."""
-    if prob.dimension == 1:
-        fns = (source_profile(mk, prob.mesh.nodes) for mk in profiles)
-    else:
-        fns = (source_profile_2d(mk, prob.mesh) for mk in profiles)
-    return helmholtz.MomentSet(tuple(fns))
+    """Named moment test functions on the nodes of a problem's mesh."""
+    return helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in profiles))
 
 
 def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
@@ -420,10 +406,10 @@ def helmholtz_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
 
 
 def helmholtz_moments_2d_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm2d_problem(params, epsilon)
+    prob = _helm_problem(params, epsilon, dimension=2)
     sol = helmholtz.perturbed_solve_2d(prob, seed, tol=params["tol"])
     mset = _moment_set(prob, params["moments"])
-    return _solve_record(prob.mesh, sol, moments=helmholtz.moment_functionals_2d(prob, mset, sol))
+    return _solve_record(prob.mesh, sol, moments=helmholtz.moment_functionals(prob, mset, sol))
 
 
 def elliptic_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
@@ -861,7 +847,7 @@ def _run_helmholtz_moments_2d(config, workers):
     spec = randfield.MAProcessSpec.from_json(config["field"])
     res.tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
     for k, eps in enumerate(rep.spec.epsilon_list):
-        prob = _helm2d_problem(config, eps)
+        prob = _helm_problem(config, eps, dimension=2)
         mset = _moment_set(prob, config["moments"])
         _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(prob, mset))
     _grade_truncation(res, rep)

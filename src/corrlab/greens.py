@@ -40,9 +40,6 @@ class Mesh1D:
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.quad_weights * u * v))
 
-    def norm_l2(self, u: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(u, u), 0.0))
-
 
 @dataclass(eq=False)
 class Mesh2D:
@@ -62,9 +59,6 @@ class Mesh2D:
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.quad_weights * u * v))
-
-    def norm_l2(self, u: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(u, u), 0.0))
 
 
 def node_indices(h: float, xs) -> list:
@@ -122,38 +116,33 @@ def eval_green_1d(kernel: GreenKernel1D, x, y):
     return out if out.ndim else float(out)
 
 
-def green_partials_1d(kernel: GreenKernel1D, x: float, y: float, side: str | None = None):
-    """One-sided partial derivatives (dG/dx, dG/dy, dG/dL) at (x, y).
+def green_partials_1d(kernel: GreenKernel1D, x: float, y: np.ndarray):
+    """dG/dx, dG/dy, dG/dL at fixed x over an array of y, for both branches.
 
-    On the diagonal x == y the derivatives in x and y jump; `side` selects the
-    branch: "below" treats the point as the limit from y > x (x below y),
-    "above" as the limit from y < x.
+    Returns (dx_lo, dy_lo, dx_hi, dy_hi, dL): the *_lo arrays hold the
+    y < x branch, the *_hi arrays the y > x branch; dL is continuous.  On the
+    diagonal y = x the two branches are the one-sided limits.
     """
     a, L, q0 = kernel.a_star, kernel.L, kernel.q0
-    x = float(x)
-    y = float(y)
-    if x == y:
-        if side is None:
-            raise ValueError("diagonal side unspecified")
-        if side not in ("below", "above"):
-            raise ValueError("side must be 'below' or 'above'")
-        x_below = side == "below"
-    else:
-        x_below = x < y
-    lo, hi = (x, y) if x_below else (y, x)
     if q0 == 0.0:
-        d_lo = (L - hi) / (a * L)
-        d_hi = -lo / (a * L)
-        d_L = lo * hi / (a * L * L)
-    else:
-        k = kernel.kappa
-        s = math.sinh(k * L)
-        d_lo = math.cosh(k * lo) * math.sinh(k * (L - hi)) / (a * s)
-        d_hi = -math.sinh(k * lo) * math.cosh(k * (L - hi)) / (a * s)
-        d_L = math.sinh(k * lo) * math.sinh(k * hi) / (a * s * s)
-    if x_below:
-        return d_lo, d_hi, d_L
-    return d_hi, d_lo, d_L
+        dx_lo = -y / (a * L)
+        dy_lo = np.full_like(y, (L - x) / (a * L), dtype=float)
+        dx_hi = (L - y) / (a * L)
+        dy_hi = np.full_like(y, -x / (a * L), dtype=float)
+        dL = np.minimum(x, y) * np.maximum(x, y) / (a * L * L)
+        return dx_lo, dy_lo, dx_hi, dy_hi, dL
+    k = kernel.kappa
+    s = math.sinh(k * L)
+    # y < x: lo = y, hi = x
+    dx_lo = -np.sinh(k * y) * math.cosh(k * (L - x)) / (a * s)
+    dy_lo = np.cosh(k * y) * math.sinh(k * (L - x)) / (a * s)
+    # y > x: lo = x, hi = y
+    dx_hi = math.cosh(k * x) * np.sinh(k * (L - y)) / (a * s)
+    dy_hi = -math.sinh(k * x) * np.cosh(k * (L - y)) / (a * s)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    dL = np.sinh(k * lo) * np.sinh(k * hi) / (a * s * s)
+    return dx_lo, dy_lo, dx_hi, dy_hi, dL
 
 
 @dataclass(eq=False)
@@ -183,10 +172,6 @@ class GreenOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(f, dtype=float)
-
-
-def apply_green(op: GreenOperator, f: np.ndarray) -> np.ndarray:
-    return op.apply(f)
 
 
 def fd_matrix_banded(mesh: Mesh1D, a_star: float, potential) -> np.ndarray:

@@ -1,11 +1,20 @@
 """Random-potential Helmholtz problems and their corrector statistics.
 
-The perturbed problem (P + q_eps) u = f with P = -a* d^2/dx^2 + q0 is solved
-through the safeguarded twice-iterated integral equation; a direct banded
-solve of the same discrete operator serves as the independent oracle.  The
-module also evaluates the limiting corrector variance law, moment-functional
-covariances (1D and 2D), and the periodic-potential cell corrector used for
-contrast experiments.
+The perturbed problem (P + q_eps) u = f with P = -a* Laplace + q0 is solved
+through the safeguarded twice-iterated integral equation, in any dimension
+the mesh gives: on a `Mesh1D` interval G is the exact inverse of the
+three-point matrix, on the `Mesh2D` unit square (a* = 1) it is the
+sine-spectral solve.  The dimension also picks the field sampler and the
+limit sigma^2; every other step is shared.  In 1D a direct banded solve of
+the same discrete operator serves as the independent oracle.  The module
+also evaluates the limiting corrector variance law, moment-functional
+covariances, and the periodic-potential cell corrector used for contrast
+experiments.
+
+`perturbed_solve_2d` and `moment_covariance_2d` are the 2D names of
+`perturbed_solve` and `moment_covariance`, and the sine-spectral apply is
+looked up as this module's `apply_green_2d` on every call, so a wrapper on
+any of these names times the 2D path alone.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .greens import (
     apply_green_2d,
     cumulative_trapezoid,
     discrete_green_operator,
+    eval_green_1d,
     fd_green_norm,
     fd_matrix_banded,
     green_norm_2d,
@@ -31,11 +41,26 @@ from .iteration import neumann_solve
 from .randfield import MAProcessSpec, sigma2
 
 
+@dataclass(frozen=True)
+class _Dimension:
+    """The pieces of a Helmholtz problem that depend on its dimension."""
+
+    d: int
+    apply_green: object  # (problem, v) -> G v
+    green_norm: object  # problem -> closed-form bound on the norm of G
+    sample: object  # (problem, seed) -> unscaled field at the nodes
+    sigma2: object  # field spec -> integrated correlation of the field
+
+
 @dataclass(eq=False)
 class HelmholtzProblem:
-    """1D problem -a* u'' + (q0 + q_eps) u = f on (0, L), Dirichlet ends."""
+    """-a* Laplace u + (q0 + q_eps) u = f with Dirichlet data.
 
-    mesh: Mesh1D
+    The mesh sets the dimension: a `Mesh1D` is the interval (0, L), a
+    `Mesh2D` the unit square, where a* must be 1.
+    """
+
+    mesh: Mesh1D | Mesh2D
     a_star: float
     q0: float
     field_spec: MAProcessSpec
@@ -45,8 +70,11 @@ class HelmholtzProblem:
     truncation_rho: float = 0.5
 
     def __post_init__(self):
+        self._dim = _DIMENSIONS[type(self.mesh)]
         if not self.a_star > 0:
             raise ValueError("a_star must be positive")
+        if self._dim.d == 2 and self.a_star != 1.0:
+            raise ValueError("a_star must be 1 on the unit square")
         if self.q0 < 0:
             raise ValueError("q0 must be nonnegative")
         if not self.epsilon > 0:
@@ -56,24 +84,25 @@ class HelmholtzProblem:
         if not 0.0 < self.truncation_rho < 1.0:
             raise ValueError("truncation_rho must lie in (0, 1)")
         self.f = np.asarray(self.f, dtype=float)
-        if self.f.shape != self.mesh.nodes.shape:
+        if self.f.shape != self.mesh.quad_weights.shape:
             raise ValueError("f must hold one value per mesh node")
         if not np.all(np.isfinite(self.f)):
             raise ValueError("f must be finite")
-        self.dimension = 1
-
-    @property
-    def kernel(self) -> GreenKernel1D:
-        return GreenKernel1D(self.a_star, self.q0, self.mesh.length)
+        self.dimension = self._dim.d
 
     def apply_green(self, v: np.ndarray) -> np.ndarray:
-        """Unperturbed solution operator, realized as the exact FD inverse."""
-        return discrete_green_operator(self.mesh, self.a_star, self.q0).apply(v)
+        """Unperturbed solution operator G."""
+        return self._dim.apply_green(self, v)
 
     @property
     def green_norm(self) -> float:
-        """Euclidean norm of `apply_green`, in closed form."""
-        return fd_green_norm(self.mesh, self.a_star, self.q0)
+        """Upper bound on the Euclidean norm of `apply_green`, in closed form."""
+        return self._dim.green_norm(self)
+
+    @property
+    def sigma2(self) -> float:
+        """Integrated correlation of the field: the limit variance factor."""
+        return self._dim.sigma2(self.field_spec)
 
     @property
     def corrector_scale(self) -> float:
@@ -87,21 +116,18 @@ class HelmholtzProblem:
 
     def sample_potential(self, seed: int) -> np.ndarray:
         """Scaled potential q_eps at the mesh nodes for one realization."""
-        real = randfield.sample(self.field_spec, self.epsilon, self.mesh, seed)
-        return self.amplitude_scale * real.values
+        return self.amplitude_scale * self._dim.sample(self, seed)
 
 
 @dataclass
-class HelmholtzSolution:
+class Solution:
+    """One perturbed solve: u_eps, the unperturbed u0, and the sampled q_eps."""
+
     u_eps: np.ndarray
     u0: np.ndarray
     iterations: int
-    residual: float
-    op_norm_estimate: float
     truncated: bool
-    seed: int
     q_values: np.ndarray
-    residual_history: tuple = ()
 
 
 def homogenized_solve(problem: HelmholtzProblem) -> np.ndarray:
@@ -109,7 +135,7 @@ def homogenized_solve(problem: HelmholtzProblem) -> np.ndarray:
     return problem.apply_green(problem.f)
 
 
-def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) -> HelmholtzSolution:
+def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) -> Solution:
     """Solve the perturbed problem by the safeguarded fixed-point iteration."""
     q = problem.sample_potential(seed)
     res = neumann_solve(
@@ -121,17 +147,10 @@ def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) ->
         truncation_rho=problem.truncation_rho,
         green_norm=problem.green_norm,
     )
-    return HelmholtzSolution(
-        u_eps=res.u,
-        u0=res.u0,
-        iterations=res.iterations,
-        residual=res.residual,
-        op_norm_estimate=res.op_norm_estimate,
-        truncated=res.truncated,
-        seed=int(seed),
-        q_values=q,
-        residual_history=res.residual_history,
-    )
+    return Solution(res.u, res.u0, res.iterations, res.truncated, q)
+
+
+perturbed_solve_2d = perturbed_solve
 
 
 def dirichlet_solve_fd(mesh: Mesh1D, a_star: float, potential, f: np.ndarray) -> np.ndarray:
@@ -153,7 +172,7 @@ def direct_solve_fd(problem: HelmholtzProblem, q_values: np.ndarray) -> np.ndarr
     )
 
 
-def corrector(problem: HelmholtzProblem, solution: HelmholtzSolution) -> np.ndarray:
+def corrector(problem: HelmholtzProblem, solution: Solution) -> np.ndarray:
     """(u_eps - u0) / epsilon^{d (1/2 - alpha)} at the mesh nodes."""
     return (solution.u_eps - solution.u0) / problem.corrector_scale
 
@@ -190,18 +209,16 @@ def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None, block: int = 256) 
     x_nodes restricts evaluation to selected probe nodes (default: the whole
     mesh).
     """
-    s2 = sigma2(problem.field_spec)
+    s2 = problem.sigma2
     u0 = homogenized_solve(problem)
     mesh = problem.mesh
     if x_nodes is None:
         xs = mesh.nodes
     else:
         xs = np.asarray(x_nodes, dtype=float)
-    kern = problem.kernel
+    kern = GreenKernel1D(problem.a_star, problem.q0, mesh.length)
     w_u2 = mesh.quad_weights * u0 * u0
     var = np.empty(xs.size)
-    from .greens import eval_green_1d
-
     for start in range(0, xs.size, block):
         stop = min(start + block, xs.size)
         g = eval_green_1d(kern, xs[start:stop, None], mesh.nodes[None, :])
@@ -220,7 +237,7 @@ class MomentSet:
 
 
 def moment_functionals(
-    problem: HelmholtzProblem, moments: MomentSet, solution: HelmholtzSolution
+    problem: HelmholtzProblem, moments: MomentSet, solution: Solution
 ) -> np.ndarray:
     """Quadrature pairings of the normalized corrector with each M_k."""
     c = corrector(problem, solution)
@@ -234,12 +251,15 @@ def moment_covariance(problem: HelmholtzProblem, moments: MomentSet) -> np.ndarr
     w = problem.mesh.quad_weights
     ms = [-problem.apply_green(m) * u0 for m in moments.functions]
     k = len(ms)
-    s2 = sigma2(problem.field_spec)
+    s2 = problem.sigma2
     out = np.empty((k, k))
     for i in range(k):
         for j in range(k):
             out[i, j] = s2 * float(np.sum(w * ms[i] * ms[j]))
     return out
+
+
+moment_covariance_2d = moment_covariance
 
 
 def periodic_cell_corrector_1d(mesh: Mesh1D, q_values: np.ndarray) -> np.ndarray:
@@ -263,105 +283,25 @@ def periodic_cell_corrector_1d(mesh: Mesh1D, q_values: np.ndarray) -> np.ndarray
     return u2
 
 
-# --- 2D problem (moment functionals on the unit square) ---
-
-
-@dataclass(eq=False)
-class Helmholtz2DProblem:
-    """-Laplace u + (q0 + q_eps) u = f on the unit square, sine-spectral G."""
-
-    mesh: Mesh2D
-    q0: float
-    field_spec: MAProcessSpec
-    f: np.ndarray
-    epsilon: float
-    alpha: float = 0.0
-    truncation_rho: float = 0.5
-    modes: int | None = None
-
-    def __post_init__(self):
-        if self.q0 < 0:
-            raise ValueError("q0 must be nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.alpha < 0.25:
-            raise ValueError("alpha must lie in [0, 1/4)")
-        self.f = np.asarray(self.f, dtype=float)
-        if self.f.shape != (self.mesh.n_nodes, self.mesh.n_nodes):
-            raise ValueError("f must hold one value per mesh node")
-        self.dimension = 2
-
-    def apply_green(self, v: np.ndarray) -> np.ndarray:
-        return apply_green_2d(self.mesh, self.q0, v, self.modes)
-
-    @property
-    def green_norm(self) -> float:
-        """Upper bound on the Euclidean norm of `apply_green`."""
-        return green_norm_2d(self.q0)
-
-    @property
-    def corrector_scale(self) -> float:
-        return self.epsilon ** (self.dimension * (0.5 - self.alpha))
-
-    @property
-    def amplitude_scale(self) -> float:
-        return self.epsilon ** (-self.alpha * self.dimension)
-
-    def sample_potential(self, seed: int) -> np.ndarray:
-        real = randfield.sample_2d(self.field_spec, self.epsilon, self.mesh, seed)
-        return self.amplitude_scale * real.values
-
-
-def homogenized_solve_2d(problem: Helmholtz2DProblem) -> np.ndarray:
-    return problem.apply_green(problem.f)
-
-
-def perturbed_solve_2d(problem: Helmholtz2DProblem, seed: int, tol: float = 1e-10) -> HelmholtzSolution:
-    q = problem.sample_potential(seed)
-    res = neumann_solve(
-        problem.apply_green,
-        q,
-        problem.f,
-        problem.mesh.quad_weights,
-        tol=tol,
-        truncation_rho=problem.truncation_rho,
-        green_norm=problem.green_norm,
-    )
-    return HelmholtzSolution(
-        u_eps=res.u,
-        u0=res.u0,
-        iterations=res.iterations,
-        residual=res.residual,
-        op_norm_estimate=res.op_norm_estimate,
-        truncated=res.truncated,
-        seed=int(seed),
-        q_values=q,
-        residual_history=res.residual_history,
-    )
-
-
 def sigma2_separable_2d(spec: MAProcessSpec) -> float:
     """Integrated correlation of the separable 2D field: amp^2 Var(xi) (sum w)^4."""
     s = float(np.sum(spec.weights))
     return spec.amplitude**2 * spec.marginal.variance * s**4
 
 
-def moment_functionals_2d(
-    problem: Helmholtz2DProblem, moments: MomentSet, solution: HelmholtzSolution
-) -> np.ndarray:
-    c = (solution.u_eps - solution.u0) / problem.corrector_scale
-    w = problem.mesh.quad_weights
-    return np.array([float(np.sum(w * c * m)) for m in moments.functions])
-
-
-def moment_covariance_2d(problem: Helmholtz2DProblem, moments: MomentSet) -> np.ndarray:
-    u0 = homogenized_solve_2d(problem)
-    w = problem.mesh.quad_weights
-    ms = [-problem.apply_green(m) * u0 for m in moments.functions]
-    s2 = sigma2_separable_2d(problem.field_spec)
-    k = len(ms)
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = s2 * float(np.sum(w * ms[i] * ms[j]))
-    return out
+_DIMENSIONS = {
+    Mesh1D: _Dimension(
+        1,
+        lambda p, v: discrete_green_operator(p.mesh, p.a_star, p.q0).apply(v),
+        lambda p: fd_green_norm(p.mesh, p.a_star, p.q0),
+        lambda p, seed: randfield.sample_at(p.field_spec, p.epsilon, p.mesh.nodes, seed),
+        sigma2,
+    ),
+    Mesh2D: _Dimension(
+        2,
+        lambda p, v: apply_green_2d(p.mesh, p.q0, v),
+        lambda p: green_norm_2d(p.q0),
+        lambda p, seed: randfield.sample_2d(p.field_spec, p.epsilon, p.mesh, seed),
+        sigma2_separable_2d,
+    ),
+}

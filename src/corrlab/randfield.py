@@ -191,16 +191,6 @@ class CorrelatedTripleSpec:
         )
 
 
-@dataclass(frozen=True)
-class FieldRealization:
-    """One sampled field: node values plus the randomness that produced them."""
-
-    epsilon: float
-    values: np.ndarray
-    seed: int
-    phase: np.ndarray
-
-
 def autocovariance_lattice(spec: MAProcessSpec, n: int) -> float:
     """Lattice autocovariance C(n) = amp^2 Var(xi) sum_k w_k w_{k+n}."""
     w = np.asarray(spec.weights)
@@ -287,22 +277,6 @@ def sigma_matrix(spec: CorrelatedTripleSpec) -> np.ndarray:
     )
 
 
-def rho_matrix(spec: CorrelatedTripleSpec) -> np.ndarray:
-    """Correlation matrix of the limiting driving noises.
-
-    A component with zero integrated correlation gets zero off-diagonal
-    entries (its limit contribution vanishes) and a unit diagonal.
-    """
-    s = sigma_matrix(spec)
-    d = np.sqrt(np.diag(s))
-    rho = np.eye(3)
-    for j in range(3):
-        for k in range(3):
-            if j != k and d[j] > 0 and d[k] > 0:
-                rho[j, k] = s[j, k] / (d[j] * d[k])
-    return rho
-
-
 def _lattice_block(points_over_eps: np.ndarray, window: int):
     """Integer window indices plus block size; guards index overflow."""
     if points_over_eps.size and np.max(np.abs(points_over_eps)) >= _FLOAT_INDEX_LIMIT:
@@ -316,9 +290,7 @@ def _lattice_block(points_over_eps: np.ndarray, window: int):
     return m - m_min, count
 
 
-def sample_at(
-    spec: MAProcessSpec, epsilon: float, points: np.ndarray, seed: int
-) -> FieldRealization:
+def sample_at(spec: MAProcessSpec, epsilon: float, points: np.ndarray, seed: int) -> np.ndarray:
     """Sample the field q(x/epsilon) at arbitrary points, reproducibly.
 
     The generator draws the phase first, then one contiguous lattice noise
@@ -336,17 +308,10 @@ def sample_at(
     for k, w in enumerate(spec.weights):
         values += w * noise[idx + k]
     values *= spec.amplitude
-    return FieldRealization(
-        epsilon=float(epsilon), values=values, seed=int(seed), phase=np.array([phase])
-    )
+    return values
 
 
-def sample(spec: MAProcessSpec, epsilon: float, mesh, seed: int) -> FieldRealization:
-    """Sample the field on a 1D mesh (see sample_at)."""
-    return sample_at(spec, epsilon, mesh.nodes, seed)
-
-
-def sample_2d(spec: MAProcessSpec, epsilon: float, mesh2d, seed: int) -> FieldRealization:
+def sample_2d(spec: MAProcessSpec, epsilon: float, mesh2d, seed: int) -> np.ndarray:
     """Sample a separable 2D field on a tensor mesh.
 
     Uses the same lattice construction on the 2D integer lattice with a 2D
@@ -367,9 +332,7 @@ def sample_2d(spec: MAProcessSpec, epsilon: float, mesh2d, seed: int) -> FieldRe
         for k, wk in enumerate(w):
             values += (wj * wk) * rows[:, idx_c + k]
     values *= spec.amplitude
-    return FieldRealization(
-        epsilon=float(epsilon), values=values, seed=int(seed), phase=phase
-    )
+    return values
 
 
 def sample_triple(
@@ -377,8 +340,8 @@ def sample_triple(
 ):
     """Sample the three correlated fields at shared points.
 
-    Returns a tuple of three FieldRealization objects sharing one phase and
-    one underlying multichannel noise block.
+    Returns a tuple of three value arrays that share one phase and one
+    underlying multichannel noise block.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -398,12 +361,5 @@ def sample_triple(
                 if wj[c, k] != 0.0:
                     values += wj[c, k] * row[idx + k]
         values *= spec.amplitudes[j]
-        out.append(
-            FieldRealization(
-                epsilon=float(epsilon),
-                values=values,
-                seed=int(seed),
-                phase=np.array([phase]),
-            )
-        )
+        out.append(values)
     return tuple(out)

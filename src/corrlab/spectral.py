@@ -106,10 +106,9 @@ def _perturbed_tridiagonal(problem, seed: int):
         q = problem.sample_potential(seed)
         ab = fd_matrix_banded(problem.mesh, problem.a_star, problem.q0 + q)
     elif isinstance(problem, EllipticProblem1D):
-        fields = sample_fields(problem, seed)
-        a_vals = coefficient_values(problem, fields[0].values)
+        b, _, q = sample_fields(problem, seed)
         ab = conservative_matrix_banded(
-            problem.mesh, a_vals, problem.q0 + fields[2].values
+            problem.mesh, coefficient_values(problem, b), problem.q0 + q
         )
     else:
         raise TypeError("problem must be HelmholtzProblem or EllipticProblem1D")

@@ -12,7 +12,6 @@ from corrlab.asymptotics import (
     bessel_j,
     gaussian_r,
     gaussian_rhat,
-    hankel_profile,
     profile_at_zero,
     quartic_tail_integral,
     radial_profile,
@@ -112,13 +111,6 @@ def test_radial_profile_matches_closed_forms():
             )
     with pytest.raises(ValueError):
         radial_profile(RadialSetup(dimension=2))(-1.0)
-
-
-def test_hankel_profile_dimension_guard():
-    with pytest.raises(ValueError):
-        hankel_profile(RadialSetup(dimension=1))
-    prof = hankel_profile(RadialSetup(dimension=3))
-    assert prof(1.0) == pytest.approx(_hhat_exact(3, 1.0, 1.0), rel=1e-9)
 
 
 def test_variance_fourier_against_space_side_d1():

@@ -11,7 +11,6 @@ from corrlab.greens import (
     GreenOperator,
     Mesh1D,
     Mesh2D,
-    apply_green,
     apply_green_2d,
     discrete_green_operator,
     eval_green_1d,
@@ -40,7 +39,6 @@ def test_mesh2d_basics():
     assert m.h == pytest.approx(0.125)
     u = np.ones((9, 9))
     assert m.inner(u, u) == pytest.approx(1.0)
-    assert m.norm_l2(u) == pytest.approx(1.0)
 
 
 def test_green_values_closed_form():
@@ -82,45 +80,43 @@ def test_green_solves_ode_pointwise():
 
 
 def test_partials_match_central_differences():
+    """Each branch at y on its side of x matches differences of G."""
     d = 1e-6
     for k in (K0, K1, KL):
-        x, y = 0.3 * k.L, 0.7 * k.L
-        dx, dy, dL = green_partials_1d(k, x, y)
-        fd_x = (eval_green_1d(k, x + d, y) - eval_green_1d(k, x - d, y)) / (2 * d)
-        fd_y = (eval_green_1d(k, x, y + d) - eval_green_1d(k, x, y - d)) / (2 * d)
+        x = 0.5 * k.L
+        ys = np.array([0.2, 0.8]) * k.L  # y < x, then y > x
+        dx_lo, dy_lo, dx_hi, dy_hi, dL = green_partials_1d(k, x, ys)
+        fd_x = (eval_green_1d(k, x + d, ys) - eval_green_1d(k, x - d, ys)) / (2 * d)
+        fd_y = (eval_green_1d(k, x, ys + d) - eval_green_1d(k, x, ys - d)) / (2 * d)
         kp = GreenKernel1D(k.a_star, k.q0, k.L + d)
         km = GreenKernel1D(k.a_star, k.q0, k.L - d)
-        fd_L = (eval_green_1d(kp, x, y) - eval_green_1d(km, x, y)) / (2 * d)
-        assert dx == pytest.approx(fd_x, abs=1e-8)
-        assert dy == pytest.approx(fd_y, abs=1e-8)
+        fd_L = (eval_green_1d(kp, x, ys) - eval_green_1d(km, x, ys)) / (2 * d)
+        assert [dx_lo[0], dx_hi[1]] == pytest.approx(fd_x, abs=1e-8)
+        assert [dy_lo[0], dy_hi[1]] == pytest.approx(fd_y, abs=1e-8)
         assert dL == pytest.approx(fd_L, abs=1e-8)
 
 
 def test_partial_x_jump_across_diagonal():
     # flux jump of the fundamental solution: [dG/dx] = -1/a across x = y
     for k in (K0, K1):
-        below, _, _ = green_partials_1d(k, 0.5, 0.5, side="below")
-        above, _, _ = green_partials_1d(k, 0.5, 0.5, side="above")
-        assert below - above == pytest.approx(1.0 / k.a_star, rel=1e-12)
-    with pytest.raises(ValueError):
-        green_partials_1d(K0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        green_partials_1d(K0, 0.5, 0.5, side="left")
+        dx_lo, _, dx_hi, _, _ = green_partials_1d(k, 0.5, np.array([0.5]))
+        # x below y is the y > x branch, x above y the y < x branch
+        assert dx_hi[0] - dx_lo[0] == pytest.approx(1.0 / k.a_star, rel=1e-12)
 
 
 def test_partial_L_closed_form_q0_zero():
-    # dG/dL = lo hi / (a L^2) when q0 = 0
-    _, _, dL = green_partials_1d(K0, 0.25, 0.75)
-    assert dL == pytest.approx(0.25 * 0.75, rel=1e-14)
-    _, _, dL = green_partials_1d(KL, 0.5, 2.0)
-    assert dL == pytest.approx(0.5 * 2.0 / 2.5**2, rel=1e-14)
+    # dG/dL = lo hi / (a L^2) when q0 = 0, on both sides of the diagonal
+    dL = green_partials_1d(K0, 0.25, np.array([0.75]))[4]
+    assert dL[0] == pytest.approx(0.25 * 0.75, rel=1e-14)
+    dL = green_partials_1d(KL, 2.0, np.array([0.5]))[4]
+    assert dL[0] == pytest.approx(0.5 * 2.0 / 2.5**2, rel=1e-14)
 
 
 def test_nystrom_apply_matches_analytic_solution():
     """G applied to f = 1 gives x(1-x)/(2a) up to quadrature error."""
     mesh = Mesh1D(n_nodes=401)
     op = GreenOperator(K0, mesh)
-    u = apply_green(op, np.ones(mesh.n_nodes))
+    u = op.apply(np.ones(mesh.n_nodes))
     want = mesh.nodes * (1.0 - mesh.nodes) / 2.0
     assert np.max(np.abs(u - want)) < 2e-5
     # sine source, q0 > 0: u = sin(pi x) / (a pi^2 + q0)

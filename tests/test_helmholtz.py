@@ -7,7 +7,6 @@ import pytest
 
 from corrlab.greens import Mesh1D, Mesh2D
 from corrlab.helmholtz import (
-    Helmholtz2DProblem,
     HelmholtzProblem,
     MomentSet,
     corrector,
@@ -15,12 +14,10 @@ from corrlab.helmholtz import (
     direct_solve_fd,
     dirichlet_solve_fd,
     homogenized_solve,
-    homogenized_solve_2d,
     leading_corrector,
     moment_covariance,
     moment_covariance_2d,
     moment_functionals,
-    moment_functionals_2d,
     periodic_cell_corrector_1d,
     perturbed_solve,
     perturbed_solve_2d,
@@ -192,8 +189,8 @@ def test_periodic_cell_corrector_rejects_nonperiodic():
 def _problem_2d(n_nodes=33, epsilon=0.125, q0=0.0):
     mesh = Mesh2D(n_nodes=n_nodes)
     f = np.ones((n_nodes, n_nodes))
-    return Helmholtz2DProblem(
-        mesh=mesh, q0=q0, field_spec=SPEC, f=f, epsilon=epsilon
+    return HelmholtzProblem(
+        mesh=mesh, a_star=1.0, q0=q0, field_spec=SPEC, f=f, epsilon=epsilon
     )
 
 
@@ -230,7 +227,7 @@ def test_moment_covariance_2d_sine_mode():
     m = np.sin(math.pi * X) * np.sin(math.pi * Y)
     cov = moment_covariance_2d(p, MomentSet(functions=(m,)))
     # G m = m / (2 pi^2); Sigma = sigma^2 int (m u0)^2 / (2 pi^2)^2
-    u0 = homogenized_solve_2d(p)
+    u0 = homogenized_solve(p)
     w = p.mesh.quad_weights
     want = float(np.sum(w * (m * u0) ** 2)) / (2 * math.pi**2) ** 2
     assert cov[0, 0] == pytest.approx(want, rel=1e-10)
@@ -240,7 +237,7 @@ def test_moment_functionals_2d_pairing():
     p = _problem_2d(n_nodes=17, epsilon=0.25)
     sol = perturbed_solve_2d(p, seed=2)
     m = np.ones((17, 17))
-    got = moment_functionals_2d(p, MomentSet(functions=(m,)), sol)[0]
+    got = moment_functionals(p, MomentSet(functions=(m,)), sol)[0]
     c = (sol.u_eps - sol.u0) / p.corrector_scale
     assert got == pytest.approx(float(np.sum(p.mesh.quad_weights * c)), rel=1e-13)
 
@@ -258,3 +255,20 @@ def test_problem_validation():
         HelmholtzProblem(mesh, 1.0, 0.0, SPEC, ones, 0.1, alpha=0.25)
     with pytest.raises(ValueError):
         HelmholtzProblem(mesh, 1.0, 0.0, SPEC, np.ones(7), 0.1)
+
+
+def test_problem_validation_2d():
+    """The unit-square problem gets the checks of the interval problem."""
+    mesh = Mesh2D(n_nodes=9)
+    ones = np.ones((9, 9))
+    HelmholtzProblem(mesh, 1.0, 0.0, SPEC, ones, 0.1)
+    with pytest.raises(ValueError, match="truncation_rho"):
+        HelmholtzProblem(mesh, 1.0, 0.0, SPEC, ones, 0.1, truncation_rho=1.5)
+    bad_f = ones.copy()
+    bad_f[4, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        HelmholtzProblem(mesh, 1.0, 0.0, SPEC, bad_f, 0.1)
+    with pytest.raises(ValueError, match="one value per mesh node"):
+        HelmholtzProblem(mesh, 1.0, 0.0, SPEC, np.ones(9), 0.1)
+    with pytest.raises(ValueError, match="a_star"):
+        HelmholtzProblem(mesh, 2.0, 0.0, SPEC, ones, 0.1)

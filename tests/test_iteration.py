@@ -26,7 +26,7 @@ from corrlab.greens import (
     fd_matrix_banded,
     green_norm_2d,
 )
-from corrlab.helmholtz import Helmholtz2DProblem, HelmholtzProblem
+from corrlab.helmholtz import HelmholtzProblem
 from corrlab.iteration import (
     CERTIFY_MARGIN,
     MAX_ITERATIONS,
@@ -146,15 +146,15 @@ def _elliptic_case(seed, amp, eps):
     spec = CorrelatedTripleSpec(weights=TRIPLE_WEIGHTS, amplitudes=(1.9, 1.0, amp))
     p = EllipticProblem1D(mesh, spec, 0.5, 1.0, np.ones(mesh.n_nodes), eps)
     fields = sample_fields(p, seed)
-    apply_g, green_norm = transformed_green(p, coefficient_values(p, fields[CH_B].values))
-    rhs = (p.rho_bar + fields[CH_RHO].values) * p.f
+    apply_g, green_norm = transformed_green(p, coefficient_values(p, fields[CH_B]))
+    rhs = (p.rho_bar + fields[CH_RHO]) * p.f
     return apply_g, tilde_q(p, fields), green_norm, rhs, mesh.quad_weights
 
 
 def _case_2d(seed, amp, eps):
     mesh = Mesh2D(n_nodes=17)
     spec = MAProcessSpec(weights=FIELD_WEIGHTS, amplitude=amp)
-    p = Helmholtz2DProblem(mesh, 0.5, spec, np.ones((17, 17)), eps)
+    p = HelmholtzProblem(mesh, 1.0, 0.5, spec, np.ones((17, 17)), eps)
     return p.apply_green, p.sample_potential(seed), p.green_norm, p.f, mesh.quad_weights
 
 
