@@ -114,21 +114,24 @@ def surface_area(d: int) -> float:
 
 
 def gaussian_rhat(rho):
+    """The correlation transform Rhat(rho) = exp(-rho^2 / 2) of every radial setup."""
     return np.exp(-0.5 * np.square(rho))
 
 
 def gaussian_r(x):
-    """Inverse transform of the default Gaussian Rhat in one dimension."""
+    """Inverse transform of the Gaussian Rhat in one dimension."""
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(eq=False)
 class RadialSetup:
-    """Dimension, kernel truncation radius, and the correlation transform."""
+    """Dimension, kernel truncation radius, and the transform cutoff s_max.
+
+    The correlation transform is the Gaussian `gaussian_rhat`.
+    """
 
     dimension: int
     alpha: float = 1.0
-    r_hat: object = None
     s_max: float = 13.0
 
     def __post_init__(self):
@@ -136,8 +139,6 @@ class RadialSetup:
             raise ValueError("dimension must lie in 1..6")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.r_hat is None:
-            self.r_hat = gaussian_rhat
         self._grid = None  # lazily built master quadrature table
 
     @property
@@ -239,7 +240,7 @@ def variance_fourier(setup: RadialSetup, epsilon: float) -> float:
         grid = _grid_for(setup, s_max / epsilon)
         rho, w, core = grid["rho"], grid["w"], grid["hsq_pow"]
         mask = rho <= s_max / epsilon
-        f = core[mask] * epsilon**d * np.asarray(setup.r_hat(epsilon * rho[mask]), dtype=float)
+        f = core[mask] * epsilon**d * gaussian_rhat(epsilon * rho[mask])
         total = float(np.dot(w[mask], f))
         tail_mask = rho[mask] > 0.9 * s_max / epsilon
         tail = float(np.dot(w[mask][tail_mask], f[tail_mask]))
@@ -268,7 +269,7 @@ def quartic_tail_integral(setup: RadialSetup) -> float:
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = np.asarray(setup.r_hat(s), dtype=float) * s ** (d - 5)
+    vals = gaussian_rhat(s) * s ** (d - 5)
     return surface_area(d) * float(np.dot(w, vals))
 
 

@@ -68,19 +68,16 @@ def main(argv=None) -> int:
         sys.stdout.write(experiments.describe_kinds())
         return 0
 
-    try:
-        raw = _load_config(args.config)
-        config = experiments.validate_config(raw)
-    except experiments.ConfigError as exc:
-        sys.stderr.write(f"invalid config: {exc}\n")
-        return 2
-
     if args.workers < 1:
         sys.stderr.write("invalid config: field '--workers': must be >= 1\n")
         return 2
 
     try:
-        result = experiments.KINDS[config["kind"]].runner(config, args.workers)
+        # validation raises ConfigError before any realization runs
+        result = experiments.run_experiment(_load_config(args.config), args.workers)
+    except experiments.ConfigError as exc:
+        sys.stderr.write(f"invalid config: {exc}\n")
+        return 2
     except Exception as exc:
         sys.stderr.write(f"runtime failure: {type(exc).__name__}: {exc}\n")
         return 1

@@ -64,8 +64,6 @@ class EllipticProblem1D:
         self.f = np.asarray(self.f, dtype=float)
         if self.f.shape != self.mesh.nodes.shape:
             raise ValueError("f must hold one value per mesh node")
-        if abs(self.mesh.length - 1.0) > 1e-12:
-            raise ValueError("mesh must cover the unit interval")
 
 
 @dataclass
@@ -74,16 +72,10 @@ class HarmonicCoords:
 
     z_eps: np.ndarray
     a_star: float
-    delta_z: np.ndarray
 
     @property
     def length(self) -> float:
         return float(self.z_eps[-1])
-
-
-def a_star(problem: EllipticProblem1D) -> float:
-    """Effective coefficient 1/E{1/a}; exact under the chosen parametrization."""
-    return problem.a_base
 
 
 def sample_fields(problem: EllipticProblem1D, seed: int):
@@ -103,9 +95,8 @@ def harmonic_coords(problem: EllipticProblem1D, a_values: np.ndarray) -> Harmoni
         raise ValueError("a must hold one value per mesh node")
     if not np.all(a > 0.0):
         raise ValueError("coefficient not uniformly elliptic")
-    astar = a_star(problem)
-    z = cumulative_trapezoid(astar / a, problem.mesh.nodes)
-    return HarmonicCoords(z_eps=z, a_star=astar, delta_z=z - problem.mesh.nodes)
+    z = cumulative_trapezoid(problem.a_base / a, problem.mesh.nodes)
+    return HarmonicCoords(z_eps=z, a_star=problem.a_base)
 
 
 def tilde_q(problem: EllipticProblem1D, fields) -> np.ndarray:
@@ -113,17 +104,12 @@ def tilde_q(problem: EllipticProblem1D, fields) -> np.ndarray:
     return -fields[CH_B] * problem.q0 + fields[CH_Q]
 
 
-def conservative_matrix_banded(mesh: Mesh1D, a_values: np.ndarray, potential) -> np.ndarray:
-    """Banded (upper) interior matrix of -(a u')' + potential u.
+def conservative_system(mesh: Mesh1D, a_values: np.ndarray, potential):
+    """Banded (upper) interior matrix of -(a u')' + potential u, and its a_{i+1/2}.
 
     Harmonic-mean coefficient at the half nodes keeps the scheme second
     order for rough a.
     """
-    return _conservative_system(mesh, a_values, potential)[0]
-
-
-def _conservative_system(mesh: Mesh1D, a_values: np.ndarray, potential):
-    """The banded matrix and the half-node coefficients a_{i+1/2} it uses."""
     a = np.asarray(a_values, dtype=float)
     n_int = mesh.n_nodes - 2
     h2 = mesh.h * mesh.h
@@ -145,8 +131,8 @@ def transformed_green(problem: EllipticProblem1D, a_values: np.ndarray):
     form, so it dominates the constant-coefficient FD matrix with
     a* = min a_{i+1/2} and q0 = min pot.
     """
-    pot = problem.q0 * a_star(problem) / np.asarray(a_values, dtype=float)
-    ab, a_half = _conservative_system(problem.mesh, a_values, pot)
+    pot = problem.q0 * problem.a_base / np.asarray(a_values, dtype=float)
+    ab, a_half = conservative_system(problem.mesh, a_values, pot)
     op = DiscreteGreenOperator(problem.mesh, ab)
     return op.apply, fd_green_norm(problem.mesh, float(np.min(a_half)), float(np.min(pot)))
 
@@ -165,7 +151,7 @@ def transformed_green_matrix(problem: EllipticProblem1D, coords: HarmonicCoords)
 def solve_homogenized(problem: EllipticProblem1D) -> np.ndarray:
     """u0 of -a* u0'' + q0 u0 = rho_bar f."""
     return dirichlet_solve_fd(
-        problem.mesh, a_star(problem), problem.q0, problem.rho_bar * problem.f
+        problem.mesh, problem.a_base, problem.q0, problem.rho_bar * problem.f
     )
 
 
@@ -196,7 +182,7 @@ def direct_solve_conservative(problem: EllipticProblem1D, fields) -> np.ndarray:
     a_vals = coefficient_values(problem, fields[CH_B])
     rho = problem.rho_bar + fields[CH_RHO]
     pot = problem.q0 + fields[CH_Q]
-    ab = conservative_matrix_banded(problem.mesh, a_vals, pot)
+    ab, _ = conservative_system(problem.mesh, a_vals, pot)
     try:
         interior = solveh_banded(ab, (rho * problem.f)[1:-1])
     except np.linalg.LinAlgError as exc:
@@ -258,21 +244,19 @@ class CorrectorKernels:
         return s + self.jump_coeff[row], s
 
 
-def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKernels:
-    """Materialize H_b, H_rho, H_q at probe rows (default: every mesh node).
+def corrector_kernels(problem: EllipticProblem1D, x_nodes) -> CorrectorKernels:
+    """Materialize H_b, H_rho, H_q at probe rows, one per mesh node in x_nodes.
 
     The y-quadratures defining H_b are split at y = x with one-sided kernel
     derivatives on each subinterval, so the assembly is second order despite
     the derivative jumps across the diagonal.
     """
     mesh = problem.mesh
-    if x_nodes is None:
-        x_nodes = mesh.nodes
     idx = np.array(node_indices(mesh.h, x_nodes), dtype=int)
     xs = mesh.nodes[idx]
     t = mesh.nodes
     h = mesh.h
-    kern = GreenKernel1D(a_star(problem), problem.q0, mesh.length)
+    kern = GreenKernel1D(problem.a_base, problem.q0)
     rf = problem.rho_bar * problem.f
     n = mesh.n_nodes
     m = idx.size
@@ -310,18 +294,11 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes=None) -> CorrectorKern
 class EllipticLimitLaw:
     """Gaussian limit of (u_eps - u0)/sqrt(eps): correlated-BM decomposition."""
 
-    x_nodes: np.ndarray
     sigma_b: np.ndarray
     sigma_rho: np.ndarray
     sigma_q: np.ndarray
     rho_jk: np.ndarray
-    variance_fn: np.ndarray
-
-    def variance_at(self, x: float) -> float:
-        pos = np.nonzero(np.abs(self.x_nodes - x) <= 1e-9)[0]
-        if pos.size == 0:
-            raise ValueError("x is not a probe node of this law")
-        return float(self.variance_fn[pos[0]])
+    variance_fn: np.ndarray  # limit variance at each probe, in the order given
 
 
 def driver_covariance(problem: EllipticProblem1D) -> np.ndarray:
@@ -346,7 +323,7 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
     return out
 
 
-def limit_law(problem: EllipticProblem1D, x_nodes=None) -> EllipticLimitLaw:
+def limit_law(problem: EllipticProblem1D, x_nodes) -> EllipticLimitLaw:
     """Assemble the limiting variance function and its BM decomposition.
 
     variance_fn(x) = int_0^1 v(x,t)^t S v(x,t) dt with v = (H_b, H_rho, H_q)
@@ -375,7 +352,6 @@ def limit_law(problem: EllipticProblem1D, x_nodes=None) -> EllipticLimitLaw:
         above[i] = v_right @ cov @ v_right
         var[r] = _split_trapezoid((below, above), mesh.h, i)
     return EllipticLimitLaw(
-        x_nodes=kernels.x_nodes,
         sigma_b=sd[0] * hb,
         sigma_rho=sd[1] * kernels.H_rho,
         sigma_q=sd[2] * kernels.H_q,

@@ -151,7 +151,8 @@ def _moments(values) -> FunctionalStats:
     d = [v - mean for v in values]
     m2 = math.fsum(x * x for x in d) / n
     var = math.fsum(x * x for x in d) / (n - 1) if n > 1 else 0.0
-    if m2 > 0.0 and n > 3:
+    # below m2 ~ 1e-162 the shape moments underflow: treated as degenerate
+    if m2 * m2 > 0.0 and n > 3:
         m3 = math.fsum(x * x * x for x in d) / n
         m4 = math.fsum(x * x * x * x for x in d) / n
         g1 = m3 / m2**1.5

@@ -214,16 +214,33 @@ def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
     return n
 
 
+def _check_lattice(key: str, spec, points, eps: float, where: str):
+    """ConfigError `key` unless the sampler's lattice takes `points` at eps."""
+    coords = np.asarray(points) / eps
+    try:  # the phase adds less than 1 to every coordinate
+        randfield.lattice_sites(coords.min(), coords.max() + 1.0, randfield.lag_window(spec))
+    except ValueError as exc:
+        raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
+
+
 def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
     """Mesh preconditions at every epsilon, from the node count alone.
 
-    The mesh needs 3 nodes, the config's probes must be nodes, and its
-    n_pairs eigenpairs must fit in the interior nodes.
+    The mesh needs 3 nodes, the field (or triple) beside `eps_key`, if any,
+    must sample the unit interval within the lattice limits, the config's
+    probes must be nodes, and its n_pairs eigenpairs must fit in the
+    interior nodes.
     """
+    scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
+    raw = scope.get("triple", scope.get("field"))
+    cls = randfield.CorrelatedTripleSpec if "triple" in scope else randfield.MAProcessSpec
+    spec = raw and cls.from_json(raw)
     for eps in _get(cfg, eps_key):
         cells = _aligned_cells(eps, _get(cfg, npe_key))
         if cells < 2:
             raise ConfigError(eps_key, f"epsilon {eps!r} leaves fewer than 3 mesh nodes")
+        if spec:
+            _check_lattice(eps_key, spec, (0.0, 1.0), eps, "on the unit interval")
         try:
             node_indices(1.0 / cells, cfg.get("probes", ()))
         except ValueError as exc:
@@ -266,6 +283,15 @@ def _check_2d(cfg: dict):
     if cfg["f"] not in _PROFILES_2D:
         raise ConfigError("f", f"2D sources must be one of {sorted(_PROFILES_2D)}")
     _check_mesh(cfg)
+
+
+def _check_field_stats(cfg: dict):
+    """The points a realization samples fit the lattice at every epsilon."""
+    spec, probe = randfield.MAProcessSpec.from_json(cfg["field"]), cfg["probe"]
+    # the mesh kinds sample the unit interval: inside it, epsilon is at fault
+    key = "probe" if abs(probe) > 1.0 else "epsilon_list"
+    for eps in cfg["epsilon_list"]:
+        _check_lattice(key, spec, field_stats_points(spec, probe, eps), eps, f"for probe {probe!r}")
 
 
 def _scaling_eps_key(cfg: dict, d: int) -> str:
@@ -321,18 +347,25 @@ def _probe_name(x: float) -> str:
 # --- realization tasks (module level so worker processes can pickle them) ---
 
 
+_LAG_STEPS = 8  # field-stats lag subdivisions per lattice unit
+
+
+def field_stats_points(spec, probe: float, epsilon: float) -> np.ndarray:
+    """Points of one field-stats realization: probe +- the mixing range, in
+    steps of epsilon / _LAG_STEPS; the probe is the middle point."""
+    reach = int(math.ceil(randfield.mixing_range(spec)))
+    return probe + epsilon * (np.arange(-_LAG_STEPS * reach, _LAG_STEPS * reach + 1) / _LAG_STEPS)
+
+
 def field_stats_task(params: dict, epsilon: float, seed: int) -> dict:
     """Point statistics plus an exact-in-expectation integrated-covariance probe."""
     spec = randfield.MAProcessSpec.from_json(params["field"])
-    n_sub = 8  # lag subdivisions per lattice unit
-    reach = int(math.ceil(randfield.mixing_range(spec)))
-    lags = np.arange(-n_sub * reach, n_sub * reach + 1) / n_sub
-    pts = params["probe"] + epsilon * lags
+    pts = field_stats_points(spec, params["probe"], epsilon)
     vals = randfield.sample_at(spec, epsilon, pts, seed)
-    center = float(vals[n_sub * reach])
+    center = float(vals[vals.size // 2])
     # sum R(k/8)/8 telescopes to int R exactly: R is piecewise linear with
     # integer knots and vanishes beyond the mixing range
-    sig = center * float(np.sum(vals)) / n_sub
+    sig = center * float(np.sum(vals)) / _LAG_STEPS
     bound = spec.abs_bound + 1e-12
     return {
         "point_value": center,
@@ -697,10 +730,11 @@ def _grade_variance(res, eps, st, name, target, label, key, mean=False):
             res.checks.append(_mean_check(f"{label}_mean[{key}]", st[name], 0.0, sf))
 
 
-def _grade_probes(res, rep, k: int, law):
+def _grade_probes(res, rep, k: int, variances: np.ndarray):
+    """Variance and mean checks at each probe against the law's `variances` there."""
     eps = rep.spec.epsilon_list[k]
-    for x in res.config["probes"]:
-        target, key = law.variance_at(x), f"{x!r},{eps!r}"
+    for x, target in zip(res.config["probes"], variances.tolist()):
+        key = f"{x!r},{eps!r}"
         _grade_variance(res, eps, rep.stats[k], _probe_name(x), target, "corr", key, mean=True)
 
 
@@ -762,12 +796,12 @@ def _run_field_stats(config, workers):
     r0 = randfield.correlation(spec, 0.0)
     for k, eps in enumerate(rep.spec.epsilon_list):
         st = rep.stats[k]
-        res.rows.append((repr(eps), "sigma2_sample", "analytic", float(s2)))
-        res.rows.append((repr(eps), "point_square", "analytic", float(r0)))
-        res.rows.append((repr(eps), "point_value", "analytic", 0.0))
-        res.checks.append(_mean_check(f"sigma2[{eps!r}]", st["sigma2_sample"], s2, sf))
-        res.checks.append(_mean_check(f"point_var[{eps!r}]", st["point_square"], r0, sf))
-        res.checks.append(_mean_check(f"mean_zero[{eps!r}]", st["point_value"], 0.0, sf))
+        for name, label, target in (
+            ("sigma2_sample", "sigma2", s2), ("point_square", "point_var", r0), ("point_value", "mean_zero", 0.0)
+        ):
+            res.rows.append((repr(eps), name, "analytic", float(target)))
+            if name in st:
+                res.checks.append(_mean_check(f"{label}[{eps!r}]", st[name], target, sf))
     res.checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
     res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
     return res
@@ -811,7 +845,7 @@ def _run_helmholtz_corrector(config, workers):
     for k, eps in enumerate(rep.spec.epsilon_list):
         prob = _helm_problem(config, eps)
         if config["probes"]:
-            _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, x_nodes=config["probes"]))
+            _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
         if config["moments"]:
             mset = _moment_set(prob, config["moments"])
             _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, mset))
@@ -898,7 +932,7 @@ def _run_elliptic_corrector(config, workers):
                 res.tables["sigma_b"] = law.sigma_b.tolist()
                 res.tables["sigma_rho"] = law.sigma_rho.tolist()
                 res.tables["sigma_q"] = law.sigma_q.tolist()
-            _grade_probes(res, rep, k, law)
+            _grade_probes(res, rep, k, law.variance_fn)
     _grade_norm_slope(res, rep)
     _grade_truncation(res, rep)
     return res
@@ -1192,6 +1226,7 @@ KINDS = {
                 "probe": _number,
                 "thresholds.stderr_factor": _POSITIVE,
             },
+            _check_field_stats,
         ),
         ExperimentKind(
             "helmholtz-corrector",

@@ -21,18 +21,15 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 @dataclass(eq=False)
 class Mesh1D:
-    """Uniform mesh on [0, L] with trapezoid quadrature weights."""
+    """Uniform mesh on the unit interval with trapezoid quadrature weights."""
 
     n_nodes: int
-    length: float = 1.0
 
     def __post_init__(self):
         if self.n_nodes < 3:
             raise ValueError("need at least 3 nodes")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
-        self.nodes = np.linspace(0.0, self.length, self.n_nodes)
-        self.h = self.length / (self.n_nodes - 1)
+        self.nodes = np.linspace(0.0, 1.0, self.n_nodes)
+        self.h = 1.0 / (self.n_nodes - 1)
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = 0.5 * self.h
         self.quad_weights = w
@@ -50,15 +47,11 @@ class Mesh2D:
     def __post_init__(self):
         if self.n_nodes < 3:
             raise ValueError("need at least 3 nodes per axis")
-        self.nodes = np.linspace(0.0, 1.0, self.n_nodes)
-        self.h = 1.0 / (self.n_nodes - 1)
-        w = np.full(self.n_nodes, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        self.weights_1d = w
-        self.quad_weights = np.outer(w, w)
+        axis = Mesh1D(self.n_nodes)
+        self.nodes, self.h = axis.nodes, axis.h
+        self.quad_weights = np.outer(axis.quad_weights, axis.quad_weights)
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.quad_weights * u * v))
+    inner = Mesh1D.inner
 
 
 def node_indices(h: float, xs) -> list:
@@ -157,18 +150,10 @@ class GreenOperator:
     mesh: Mesh1D
 
     def __post_init__(self):
-        if abs(self.mesh.length - self.kernel.L) > 1e-12 * self.kernel.L:
-            raise ValueError("mesh length must match kernel interval")
-        self._matrix = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            g = eval_green_1d(
-                self.kernel, self.mesh.nodes[:, None], self.mesh.nodes[None, :]
-            )
-            self._matrix = g * self.mesh.quad_weights[None, :]
-        return self._matrix
+        if abs(1.0 - self.kernel.L) > 1e-12 * self.kernel.L:
+            raise ValueError("kernel interval must be the unit interval of the mesh")
+        g = eval_green_1d(self.kernel, self.mesh.nodes[:, None], self.mesh.nodes[None, :])
+        self.matrix = g * self.mesh.quad_weights[None, :]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(f, dtype=float)
@@ -213,12 +198,12 @@ def discrete_green_operator(mesh: Mesh1D, a_star: float, q0: float) -> DiscreteG
     The operator is deterministic, so it is factored once per process and
     shared by every caller with the same mesh size and coefficients.
     """
-    return _cached_fd_operator(mesh.n_nodes, mesh.length, a_star, q0)
+    return _cached_fd_operator(mesh.n_nodes, a_star, q0)
 
 
 @lru_cache(maxsize=8)
-def _cached_fd_operator(n_nodes: int, length: float, a_star: float, q0: float):
-    mesh = Mesh1D(n_nodes, length)
+def _cached_fd_operator(n_nodes: int, a_star: float, q0: float):
+    mesh = Mesh1D(n_nodes)
     return DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, a_star, q0))
 
 
@@ -226,34 +211,27 @@ def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
     """Euclidean norm of the FD inverse, 1 / lambda_min of -a* D^2 + q0.
 
     The lowest Dirichlet eigenvalue of the three-point matrix is
-    (4 a* / h^2) sin^2(pi h / (2 L)) + q0.
+    (4 a* / h^2) sin^2(pi h / 2) + q0 on the unit interval.
     """
-    s = math.sin(math.pi * mesh.h / (2.0 * mesh.length))
+    s = math.sin(math.pi * mesh.h / 2.0)
     return 1.0 / (4.0 * a_star / (mesh.h * mesh.h) * s * s + q0)
 
 
-def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray, modes: int | None = None) -> np.ndarray:
+def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:
     """Sine-spectral solve of -Laplace u + q0 u = f on the unit square.
 
     f holds node values including the boundary; the result satisfies the
-    homogeneous Dirichlet condition exactly.  `modes` truncates the sine
-    synthesis per axis (defaults to all resolvable modes, n_nodes - 2).
+    homogeneous Dirichlet condition exactly.  Every resolvable sine mode,
+    n_nodes - 2 per axis, enters the synthesis.
     """
     if q0 < 0:
         raise ValueError("q0 must be nonnegative")
     n = mesh2d.n_nodes - 1
-    if modes is None:
-        modes = n - 1
-    if not 1 <= modes <= n - 1:
-        raise ValueError("modes must be between 1 and n_nodes - 2")
     interior = np.asarray(f, dtype=float)[1:-1, 1:-1]
     coef = dstn(interior, type=1) / (n * n)
     j = np.arange(1, n)
     lam = (j[:, None] ** 2 + j[None, :] ** 2) * math.pi**2 + q0
     coef = coef / lam
-    if modes < n - 1:
-        coef[modes:, :] = 0.0
-        coef[:, modes:] = 0.0
     out = np.zeros((mesh2d.n_nodes, mesh2d.n_nodes))
     out[1:-1, 1:-1] = dstn(coef, type=1) / 4.0
     return out
@@ -263,6 +241,6 @@ def green_norm_2d(q0: float) -> float:
     """Euclidean norm bound of `apply_green_2d`, 1 / (2 pi^2 + q0).
 
     The normalized sine transform is orthogonal, so the norm is the largest
-    inverse eigenvalue; truncating modes can only lower it.
+    inverse eigenvalue, that of the lowest mode.
     """
     return 1.0 / (2.0 * math.pi**2 + q0)

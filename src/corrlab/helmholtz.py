@@ -56,7 +56,7 @@ class _Dimension:
 class HelmholtzProblem:
     """-a* Laplace u + (q0 + q_eps) u = f with Dirichlet data.
 
-    The mesh sets the dimension: a `Mesh1D` is the interval (0, L), a
+    The mesh sets the dimension: a `Mesh1D` is the unit interval, a
     `Mesh2D` the unit square, where a* must be 1.
     """
 
@@ -88,7 +88,6 @@ class HelmholtzProblem:
             raise ValueError("f must hold one value per mesh node")
         if not np.all(np.isfinite(self.f)):
             raise ValueError("f must be finite")
-        self.dimension = self._dim.d
 
     def apply_green(self, v: np.ndarray) -> np.ndarray:
         """Unperturbed solution operator G."""
@@ -107,12 +106,12 @@ class HelmholtzProblem:
     @property
     def corrector_scale(self) -> float:
         """epsilon^{d (1/2 - alpha)}, the corrector normalization."""
-        return self.epsilon ** (self.dimension * (0.5 - self.alpha))
+        return self.epsilon ** (self._dim.d * (0.5 - self.alpha))
 
     @property
     def amplitude_scale(self) -> float:
         """epsilon^{-alpha d}, the potential amplitude for alpha > 0."""
-        return self.epsilon ** (-self.alpha * self.dimension)
+        return self.epsilon ** (-self.alpha * self._dim.d)
 
     def sample_potential(self, seed: int) -> np.ndarray:
         """Scaled potential q_eps at the mesh nodes for one realization."""
@@ -188,42 +187,16 @@ def leading_corrector(problem: HelmholtzProblem, seed: int) -> np.ndarray:
     return -problem.apply_green(q * u0) / problem.corrector_scale
 
 
-@dataclass
-class CorrectorLawHelm1D:
-    """Pointwise Gaussian limit of the normalized corrector."""
+def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None) -> np.ndarray:
+    """Limit variance sigma^2 int G(x,y)^2 u0(y)^2 dy at each x of x_nodes.
 
-    x_nodes: np.ndarray
-    variance_fn: np.ndarray  # variance of the limit at each probe node
-    sigma2: float
-
-    def variance_at(self, x: float) -> float:
-        pos = np.nonzero(np.abs(self.x_nodes - x) <= 1e-9)[0]
-        if pos.size == 0:
-            raise ValueError("x is not a probe node of this law")
-        return float(self.variance_fn[pos[0]])
-
-
-def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None, block: int = 256) -> CorrectorLawHelm1D:
-    """Limit variance x -> sigma^2 int G(x,y)^2 u0(y)^2 dy by node quadrature.
-
-    x_nodes restricts evaluation to selected probe nodes (default: the whole
-    mesh).
+    The y-integral is node quadrature; x_nodes defaults to the whole mesh.
     """
-    s2 = problem.sigma2
-    u0 = homogenized_solve(problem)
     mesh = problem.mesh
-    if x_nodes is None:
-        xs = mesh.nodes
-    else:
-        xs = np.asarray(x_nodes, dtype=float)
-    kern = GreenKernel1D(problem.a_star, problem.q0, mesh.length)
-    w_u2 = mesh.quad_weights * u0 * u0
-    var = np.empty(xs.size)
-    for start in range(0, xs.size, block):
-        stop = min(start + block, xs.size)
-        g = eval_green_1d(kern, xs[start:stop, None], mesh.nodes[None, :])
-        var[start:stop] = (g * g) @ w_u2
-    return CorrectorLawHelm1D(x_nodes=xs, variance_fn=s2 * var, sigma2=s2)
+    xs = mesh.nodes if x_nodes is None else np.asarray(x_nodes, dtype=float)
+    u0 = homogenized_solve(problem)
+    g = eval_green_1d(GreenKernel1D(problem.a_star, problem.q0), xs[:, None], mesh.nodes[None, :])
+    return problem.sigma2 * ((g * g) @ (mesh.quad_weights * u0 * u0))
 
 
 @dataclass(eq=False)
@@ -274,12 +247,12 @@ def periodic_cell_corrector_1d(mesh: Mesh1D, q_values: np.ndarray) -> np.ndarray
     if abs(q[0] - q[-1]) > 1e-12 * (1.0 + np.max(np.abs(q))):
         raise ValueError("q must be periodic (equal end values)")
     w = mesh.quad_weights
-    g = float(np.sum(w * q)) / mesh.length - q  # <q> - q, mean zero
+    g = float(np.sum(w * q)) - q  # <q> - q, mean zero
     big_i = cumulative_trapezoid(g, mesh.nodes)
-    slope0 = float(np.sum(w * big_i)) / mesh.length
+    slope0 = float(np.sum(w * big_i))
     du = slope0 - big_i
     u2 = cumulative_trapezoid(du, mesh.nodes)
-    u2 -= float(np.sum(w * u2)) / mesh.length
+    u2 -= float(np.sum(w * u2))
     return u2
 
 

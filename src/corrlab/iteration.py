@@ -46,12 +46,12 @@ def _weighted_norm(u: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(max(float(np.sum(weights * u * u)), 0.0))
 
 
-def estimate_composed_norm(apply_green, q: np.ndarray, shape, steps: int = POWER_STEPS) -> float:
-    """Power-iteration estimate of ||G q G q|| from a fixed start vector."""
+def estimate_composed_norm(apply_green, q: np.ndarray, shape) -> float:
+    """POWER_STEPS-step power estimate of ||G q G q|| from a fixed start vector."""
     v = np.ones(shape, dtype=float)
     v /= math.sqrt(v.size)
     estimate = 0.0
-    for _ in range(steps):
+    for _ in range(POWER_STEPS):
         w = apply_green(q * apply_green(q * v))
         nrm = float(np.sqrt(np.sum(w * w)))
         vnrm = float(np.sqrt(np.sum(v * v)))
@@ -69,7 +69,6 @@ def neumann_solve(
     quad_weights: np.ndarray,
     tol: float = 1e-10,
     truncation_rho: float = 0.5,
-    max_iterations: int = MAX_ITERATIONS,
     green_norm: float | None = None,
 ) -> FixedPointResult:
     """Run the safeguarded twice-iterated fixed point.
@@ -78,6 +77,7 @@ def neumann_solve(
     `apply_green` from above; it lets the safeguard skip the power iteration
     whenever (green_norm * max|q|)^2 clears the threshold with margin.
 
+    At most MAX_ITERATIONS updates run (read at call time); then it raises.
     The returned residual is the weighted L2 norm of the last update; with a
     contraction factor rho < 1 the distance to the fixed point is bounded by
     residual * rho / (1 - rho), so tol is effectively an absolute tolerance.
@@ -104,7 +104,7 @@ def neumann_solve(
     u = u0.copy()
     history = []
     residual = math.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         u_next = g + apply_green(q * apply_green(q * u))
         residual = _weighted_norm(u_next - u, quad_weights)
         history.append(residual)
@@ -121,6 +121,6 @@ def neumann_solve(
                 certified=certified,
             )
     raise RuntimeError(
-        f"fixed point did not converge in {max_iterations} iterations "
+        f"fixed point did not converge in {MAX_ITERATIONS} iterations "
         f"(last residual {residual:.3e}, norm estimate {estimate:.3f})"
     )

@@ -10,17 +10,13 @@ and exactly vanishing correlations beyond a finite range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 _MAX_LATTICE_SITES = 1 << 26
 _FLOAT_INDEX_LIMIT = 2.0**52
-
-
-class LatticeRangeError(ValueError):
-    """Raised when a requested mesh needs an unrepresentable lattice block."""
 
 
 @dataclass(frozen=True)
@@ -37,18 +33,6 @@ class MarginalDist:
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind == "truncated_gaussian" and not self.bound > 0:
             raise ValueError("truncation bound must be positive")
-
-    @classmethod
-    def rademacher(cls) -> "MarginalDist":
-        return cls("rademacher")
-
-    @classmethod
-    def uniform_pm1(cls) -> "MarginalDist":
-        return cls("uniform_pm1")
-
-    @classmethod
-    def truncated_gaussian(cls, bound: float) -> "MarginalDist":
-        return cls("truncated_gaussian", bound=float(bound))
 
     @property
     def variance(self) -> float:
@@ -77,11 +61,6 @@ class MarginalDist:
         u = rng.random(size=shape)
         return ndtri(lo + u * (hi - lo))
 
-    def to_json(self):
-        if self.kind == "truncated_gaussian":
-            return {"kind": self.kind, "bound": self.bound}
-        return self.kind
-
     @classmethod
     def from_json(cls, obj) -> "MarginalDist":
         if isinstance(obj, str):
@@ -94,7 +73,7 @@ class MAProcessSpec:
     """Scalar moving-average field: amplitude * sum_k w_k xi_{k + floor(y + U)}."""
 
     weights: tuple
-    marginal: MarginalDist = field(default_factory=MarginalDist.rademacher)
+    marginal: MarginalDist = MarginalDist("rademacher")
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -118,13 +97,6 @@ class MAProcessSpec:
             np.sum(np.abs(self.weights))
         )
 
-    def to_json(self):
-        return {
-            "weights": list(self.weights),
-            "marginal": self.marginal.to_json(),
-            "amplitude": self.amplitude,
-        }
-
     @classmethod
     def from_json(cls, obj) -> "MAProcessSpec":
         return cls(
@@ -144,7 +116,7 @@ class CorrelatedTripleSpec:
     """
 
     weights: tuple  # three 2D arrays (channels x lags), same channel count
-    marginal: MarginalDist = field(default_factory=MarginalDist.rademacher)
+    marginal: MarginalDist = MarginalDist("rademacher")
     amplitudes: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
@@ -174,13 +146,6 @@ class CorrelatedTripleSpec:
         return abs(self.amplitudes[j]) * self.marginal.abs_bound * float(
             np.sum(np.abs(self.weights[j]))
         )
-
-    def to_json(self):
-        return {
-            "weights": [np.asarray(w).tolist() for w in self.weights],
-            "marginal": self.marginal.to_json(),
-            "amplitudes": list(self.amplitudes),
-        }
 
     @classmethod
     def from_json(cls, obj) -> "CorrelatedTripleSpec":
@@ -217,16 +182,20 @@ def sigma2(spec: MAProcessSpec) -> float:
     return spec.amplitude**2 * spec.marginal.variance * s * s
 
 
+def lag_window(spec) -> int:
+    """Lattice lags one field value reads; a triple's widest component window."""
+    if isinstance(spec, CorrelatedTripleSpec):
+        return max(spec.window(j) for j in range(3))
+    return spec.window
+
+
 def mixing_range(spec) -> float:
     """Separation beyond which field values are exactly decorrelated.
 
-    The dependence window of floor(y + U) spans at most window + 1 lattice
-    cells, so r0 = window + 1 for a scalar spec and the largest component
-    window + 1 for a triple.
+    The dependence window of floor(y + U) spans at most lag_window + 1
+    lattice cells.
     """
-    if isinstance(spec, CorrelatedTripleSpec):
-        return float(max(spec.window(j) for j in range(3)) + 1)
-    return float(spec.window + 1)
+    return float(lag_window(spec) + 1)
 
 
 def cross_autocovariance_lattice(
@@ -277,17 +246,27 @@ def sigma_matrix(spec: CorrelatedTripleSpec) -> np.ndarray:
     )
 
 
-def _lattice_block(points_over_eps: np.ndarray, window: int):
-    """Integer window indices plus block size; guards index overflow."""
-    if points_over_eps.size and np.max(np.abs(points_over_eps)) >= _FLOAT_INDEX_LIMIT:
-        raise LatticeRangeError("lattice range overflow")
-    m = np.floor(points_over_eps).astype(np.int64)
-    m_min = int(m.min())
-    m_max = int(m.max())
-    count = m_max - m_min + window
+def lattice_sites(lo: float, hi: float, window: int) -> int:
+    """Noise sites of the block behind lattice coordinates in [lo, hi].
+
+    A coordinate is point / epsilon + phase.  Raises ValueError past the
+    samplers' two limits: a coordinate of magnitude 2^52 or more, where
+    floor is no longer exact, and a block of more than 2^26 sites.
+    """
+    reach = max(abs(lo), abs(hi))
+    if reach >= _FLOAT_INDEX_LIMIT:
+        raise ValueError(f"lattice range overflow (coordinate {reach:.3g}, past 2^52)")
+    count = math.floor(hi) - math.floor(lo) + window
     if count > _MAX_LATTICE_SITES:
-        raise LatticeRangeError("lattice range overflow")
-    return m - m_min, count
+        raise ValueError(f"lattice range overflow ({count} sites, more than 2^26)")
+    return count
+
+
+def _lattice_block(points_over_eps: np.ndarray, window: int):
+    """Integer window indices plus block size, within `lattice_sites` limits."""
+    lo = float(points_over_eps.min())
+    count = lattice_sites(lo, float(points_over_eps.max()), window)
+    return np.floor(points_over_eps).astype(np.int64) - math.floor(lo), count
 
 
 def sample_at(spec: MAProcessSpec, epsilon: float, points: np.ndarray, seed: int) -> np.ndarray:
@@ -348,8 +327,7 @@ def sample_triple(
     pts = np.asarray(getattr(points, "nodes", points), dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     phase = rng.random()
-    w_max = max(spec.window(j) for j in range(3))
-    idx, count = _lattice_block(pts / epsilon + phase, w_max)
+    idx, count = _lattice_block(pts / epsilon + phase, lag_window(spec))
     noise = spec.marginal.draw(rng, (spec.n_channels, count))
     out = []
     for j in range(3):

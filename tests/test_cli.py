@@ -119,6 +119,15 @@ def test_invalid_config_field_exits_two(tmp_path):
             {"kind": "periodic-compare", "periodic_epsilon_list": [0.0625, 0.03125]},
             "periodic_epsilon_list",
         ),
+        # past the sampler's lattice limits (never run: ~8e8 nodes at 1e-8)
+        ({"kind": "helmholtz-corrector", "epsilon_list": [1e-8, 5e-9, 2.5e-9]}, "epsilon_list"),
+        ({"kind": "spectral-corrector", "epsilon_list": [1e-8]}, "epsilon_list"),
+        ({"kind": "field-stats", "probe": 1e17}, "probe"),
+        ({"kind": "field-stats", "epsilon_list": [1e-17]}, "epsilon_list"),
+        (
+            {"kind": "periodic-compare", "random": {"epsilon_list": [0.02, 0.01, 1e-8]}},
+            "random.epsilon_list",
+        ),
     ],
 )
 def test_config_that_cannot_run_exits_two_before_any_realization(tmp_path, payload, field):

@@ -7,7 +7,6 @@ import pytest
 
 from corrlab.elliptic import (
     EllipticProblem1D,
-    a_star,
     coefficient_values,
     corrector,
     corrector_kernels,
@@ -245,18 +244,17 @@ def test_limit_law_degenerate_rho_only():
     )
     law = limit_law(p, x_nodes=[0.5])
     # int G(1/2, t)^2 dt = 1/48; driver variance 0.81
-    assert law.variance_at(0.5) == pytest.approx(0.81 / 48.0, rel=1e-5)
+    assert law.variance_fn[0] == pytest.approx(0.81 / 48.0, rel=1e-5)
     assert law.rho_jk[0, 1] == 0.0  # degenerate drivers decorrelate by fiat
 
 
 def test_limit_law_full_triple_properties():
     p = _problem(n_nodes=401, q0=0.5)
     law = limit_law(p, x_nodes=[0.0, 0.25, 0.5, 1.0])
-    assert law.variance_at(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert law.variance_at(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert law.variance_at(0.25) > 0.0
-    with pytest.raises(ValueError):
-        law.variance_at(0.3)
+    var_0, var_q, _, var_1 = law.variance_fn
+    assert var_0 == pytest.approx(0.0, abs=1e-12)
+    assert var_1 == pytest.approx(0.0, abs=1e-12)
+    assert var_q > 0.0
     # correlation matrix consistent with the driver covariance
     cov = driver_covariance(p)
     assert law.rho_jk[0, 1] == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]))
@@ -272,7 +270,7 @@ def test_limit_law_matches_quadratic_form_quadrature():
     vals = np.einsum("jt,jk,kt->t", rows, cov, rows)
     # midpoint splitting only matters at one node; crude check at O(h)
     crude = float(np.sum(p.mesh.quad_weights * vals))
-    assert law.variance_at(0.5) == pytest.approx(crude, rel=5e-3)
+    assert law.variance_fn[0] == pytest.approx(crude, rel=5e-3)
 
 
 def test_ellipticity_validation():
@@ -288,4 +286,3 @@ def test_ellipticity_validation():
     )
     with pytest.raises(ValueError, match="positive"):
         EllipticProblem1D(mesh, bad_rho, 0.5, 1.0, ones, 0.1)
-    assert a_star(_problem()) == 1.0

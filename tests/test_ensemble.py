@@ -155,6 +155,9 @@ def test_normality_stats_gaussian_and_errors():
     flat = ensemble._moments([0.0] * 200)
     assert flat.variance == 0.0
     assert (flat.skewness, flat.excess_kurtosis, flat.ks_statistic) == (0.0, 0.0, 0.0)
+    # so does one whose shape moments underflow (m2 ~ 1e-274 here)
+    tiny = ensemble._moments([0.0, 1e-137, 2e-137, 3e-137])
+    assert tiny.variance > 0.0 and tiny.skewness == 0.0
 
 
 def test_loglog_slope_exact_recovery():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from corrlab import ensemble
 from corrlab.experiments import (
     KINDS,
     ConfigError,
@@ -237,3 +238,20 @@ def test_config_sha_tracks_content():
     ra = run_experiment(a | {"n_real": 40, "epsilon_list": [0.1]})
     rb = run_experiment(b | {"n_real": 40, "epsilon_list": [0.1]})
     assert ra.config_sha256() != rb.config_sha256()
+
+
+def test_field_stats_with_every_realization_failed_reports_error(monkeypatch):
+    """Checks grade only what was sampled; the failures give the status."""
+
+    def broken(params, epsilon, seed):
+        raise RuntimeError("sampler down")
+
+    monkeypatch.setitem(ensemble.REGISTRY, "field-stats", broken)
+    res = run_experiment({"kind": "field-stats", "n_real": 4, "epsilon_list": [0.1]})
+    assert res.status == "error"
+    assert res.checks and all("sigma2" not in c.name for c in res.checks)
+    seed, message = res.first_failure()
+    assert seed == res.ensembles["main"].failures[0][2]
+    assert "sampler down" in message
+    assert "[ERROR] main: 4 failed realizations" in res.summary_text()
+    assert "# status=error" in res.to_csv()

@@ -116,22 +116,22 @@ def test_leading_corrector_tracks_full_corrector():
 
 def test_corrector_law_value_at_half():
     p = _problem(n_nodes=1601, epsilon=0.01)
-    law = corrector_law_1d(p, x_nodes=[0.25, 0.5])
-    assert law.sigma2 == pytest.approx(1.0)
-    assert law.variance_at(0.5) == pytest.approx(VAR_AT_HALF, rel=1e-4)
+    assert p.sigma2 == pytest.approx(1.0)
+    var = corrector_law_1d(p, x_nodes=[0.25, 0.5])
+    assert var.shape == (2,)
+    assert var[1] == pytest.approx(VAR_AT_HALF, rel=1e-4)
     # quarter point by the same quadrature on the full mesh
     full = corrector_law_1d(p)
-    assert law.variance_at(0.25) == pytest.approx(full.variance_at(0.25), rel=1e-12)
-    with pytest.raises(ValueError):
-        law.variance_at(0.3)
+    assert var[0] == pytest.approx(full[400], rel=1e-12)
 
 
 def test_corrector_law_vanishes_at_boundary():
     p = _problem(n_nodes=201)
-    law = corrector_law_1d(p)
-    assert law.variance_at(0.0) == 0.0
-    assert law.variance_at(1.0) == 0.0
-    assert np.all(law.variance_fn >= 0.0)
+    var = corrector_law_1d(p)
+    assert var.shape == (p.mesh.n_nodes,)
+    assert var[0] == 0.0
+    assert var[-1] == 0.0
+    assert np.all(var >= 0.0)
 
 
 def test_moment_covariance_constant_function():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrlab import iteration
 from corrlab.elliptic import (
     CH_B,
     CH_RHO,
@@ -101,16 +102,14 @@ def test_zero_potential_converges_immediately():
     assert res.op_norm_estimate == 0.0
 
 
-def test_nonconvergence_raises():
-    # contraction factor ~0.83 but max_iterations too small for tol
+def test_nonconvergence_raises(monkeypatch):
+    # contraction factor ~0.83 but too few iterations for tol
+    assert MAX_ITERATIONS == 400
+    monkeypatch.setattr(iteration, "MAX_ITERATIONS", 5)
     q = np.full(MESH.n_nodes, 9.0)
     f = np.ones(MESH.n_nodes)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        neumann_solve(
-            _apply, q, f, MESH.quad_weights,
-            tol=1e-300, truncation_rho=0.99, max_iterations=5,
-        )
-    assert MAX_ITERATIONS == 400
+    with pytest.raises(RuntimeError, match="did not converge in 5 iterations"):
+        neumann_solve(_apply, q, f, MESH.quad_weights, tol=1e-300, truncation_rho=0.99)
 
 
 def test_sign_indefinite_potential():
@@ -228,7 +227,7 @@ def test_regime_examples(case):
 
 def test_closed_form_norms_match_dense_operators():
     # FD: exactly 1 / lambda_min of the interior matrix
-    mesh = Mesh1D(n_nodes=41, length=2.5)
+    mesh = Mesh1D(n_nodes=41)
     ab = fd_matrix_banded(mesh, 1.5, 0.7)
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
     lam = np.linalg.eigvalsh(dense)[0]

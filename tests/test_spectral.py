@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from corrlab.elliptic import EllipticProblem1D
 from corrlab.greens import Mesh1D
 from corrlab.helmholtz import HelmholtzProblem
-from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec
+from corrlab.randfield import MAProcessSpec
 from corrlab.spectral import (
     MatchResult,
-    SpectralPair,
+    Spectrum,
     discrete_unperturbed_spectrum,
     eigenvalue_corrector_covariance,
     fourier_corrector_variance,
     inverse_corrector_covariance,
     match_eigenpairs,
-    perturbed_spectrum,
     spectral_gaps,
     spectral_realization,
     unperturbed_spectrum,
@@ -42,12 +40,12 @@ def _helm(n_nodes=201, epsilon=0.01, q0=0.0, spec=SPEC):
 
 def test_unperturbed_spectrum_closed_form():
     mesh = Mesh1D(n_nodes=401)
-    pairs = unperturbed_spectrum(mesh, a_star=2.0, q0=3.0, n_max=4)
-    assert len(pairs) == 4
-    for n, p in enumerate(pairs, start=1):
-        assert p.lam == pytest.approx(1.0 / (2.0 * (n * math.pi) ** 2 + 3.0))
+    spec = unperturbed_spectrum(mesh, a_star=2.0, q0=3.0, n_max=4)
+    assert spec.lam.shape == (4,) and spec.u.shape == (4, mesh.n_nodes)
+    for n, (lam, u) in enumerate(zip(spec.lam, spec.u), start=1):
+        assert lam == pytest.approx(1.0 / (2.0 * (n * math.pi) ** 2 + 3.0))
         # unit quadrature norm
-        assert float(np.sum(mesh.quad_weights * p.u**2)) == pytest.approx(1.0, rel=1e-4)
+        assert float(np.sum(mesh.quad_weights * u**2)) == pytest.approx(1.0, rel=1e-4)
     with pytest.raises(ValueError):
         unperturbed_spectrum(mesh, 1.0, 0.0, 0)
 
@@ -56,16 +54,18 @@ def test_discrete_spectrum_matches_fd_eigenvalue_formula():
     """nu_n = (4a/h^2) sin^2(n pi h / 2) + q0 for the 3-point stencil."""
     mesh = Mesh1D(n_nodes=101)
     a, q0 = 1.5, 2.0
-    pairs = discrete_unperturbed_spectrum(mesh, a, q0, n_max=5)
+    spec = discrete_unperturbed_spectrum(mesh, a, q0, n_max=5)
     h = mesh.h
-    for n, p in enumerate(pairs, start=1):
+    for n, (lam, u) in enumerate(zip(spec.lam, spec.u), start=1):
         nu = 4.0 * a / (h * h) * math.sin(n * math.pi * h / 2.0) ** 2 + q0
-        assert 1.0 / p.lam == pytest.approx(nu, rel=1e-12)
+        assert 1.0 / lam == pytest.approx(nu, rel=1e-12)
         # eigenvectors stay the sampled sines up to normalization sign
         want = math.sqrt(2.0) * np.sin(n * math.pi * mesh.nodes)
-        overlap = float(np.sum(mesh.quad_weights * p.u * want))
+        overlap = float(np.sum(mesh.quad_weights * u * want))
         assert abs(overlap) == pytest.approx(1.0, rel=1e-3)
-        assert p.u[1] > 0.0
+        assert u[1] > 0.0
+    # the cached reference is shared, so it is read-only
+    assert not spec.lam.flags.writeable and not spec.u.flags.writeable
 
 
 def test_discrete_spectrum_converges_to_continuum():
@@ -74,7 +74,7 @@ def test_discrete_spectrum_converges_to_continuum():
         mesh = Mesh1D(n_nodes=n_nodes)
         d = discrete_unperturbed_spectrum(mesh, 1.0, 0.0, 3)
         c = unperturbed_spectrum(mesh, 1.0, 0.0, 3)
-        errs.append(max(abs(a.lam - b.lam) for a, b in zip(d, c)))
+        errs.append(np.max(np.abs(d.lam - c.lam)))
     assert errs[0] / errs[2] == pytest.approx(16.0, rel=0.15)
 
 
@@ -93,8 +93,8 @@ def test_corrector_identities():
     p = _helm(epsilon=0.02)
     r = spectral_realization(p, seed=7, n_max=3)
     for n in (1, 2, 3):
-        lam0 = r.reference[n - 1].lam
-        lam1 = r.pairs[r.match.index_map[n - 1]].lam
+        lam0 = r.reference.lam[n - 1]
+        lam1 = r.perturbed.lam[r.match.index_map[n - 1]]
         inv = r.inverse_eigenvalue_corrector(n)
         ev = r.eigenvalue_corrector(n)
         # exact algebraic relation between the two correctors
@@ -114,14 +114,9 @@ def test_fourier_corrector_antisymmetry():
 
 
 def test_spectral_gaps_hand_values():
-    pairs = tuple(
-        SpectralPair(index=i + 1, lam=l, u=np.zeros(3))
-        for i, l in enumerate([1.0, 0.5, 0.4])
-    )
-    gaps = spectral_gaps(pairs)
+    gaps = spectral_gaps(np.array([1.0, 0.5, 0.4]))
     assert np.allclose(gaps, [0.25, 0.05, 0.05])
-    single = (SpectralPair(index=1, lam=1.0, u=np.zeros(3)),)
-    assert spectral_gaps(single)[0] == math.inf
+    assert spectral_gaps(np.array([1.0]))[0] == math.inf
 
 
 def test_match_eigenpairs_identity_and_violation():
@@ -132,28 +127,9 @@ def test_match_eigenpairs_identity_and_violation():
     assert np.array_equal(m.index_map, np.arange(4))
     assert not m.any_violation
     # shift every eigenvalue beyond its own half gap: all flagged
-    shifted = tuple(
-        SpectralPair(index=p.index, lam=p.lam + 10.0, u=p.u) for p in ref
-    )
-    m2 = match_eigenpairs(ref, shifted)
+    m2 = match_eigenpairs(ref, Spectrum(ref.lam + 10.0, ref.u))
     assert m2.any_violation
     assert np.all(m2.flags)
-
-
-def test_perturbed_spectrum_elliptic_route():
-    mesh = Mesh1D(n_nodes=201)
-    triple = CorrelatedTripleSpec(
-        weights=([[0.25, 0.25]], [[0.0]], [[0.5, 0.5]])
-    )
-    p = EllipticProblem1D(
-        mesh=mesh, triple_spec=triple, q0=1.0, rho_bar=1.0,
-        f=np.ones(mesh.n_nodes), epsilon=0.01,
-    )
-    r = spectral_realization(p, seed=2, n_max=2)
-    assert not r.match.any_violation
-    assert np.isfinite(r.inverse_eigenvalue_corrector(1))
-    with pytest.raises(TypeError):
-        perturbed_spectrum(object(), 0, 1)
 
 
 def test_overlap_covariances_frozen():
