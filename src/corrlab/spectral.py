@@ -1,7 +1,9 @@
 """Spectra of the perturbed and unperturbed operators and their correctors.
 
 Eigenpairs of the Helmholtz operator P + q_eps are computed from its
-symmetric tridiagonal FD matrix; a `Spectrum` holds the inverse-operator
+symmetric tridiagonal FD matrix by Rayleigh-quotient iteration seeded with
+the unperturbed pairs, each index certified by a Weyl window (LAPACK
+bisection is the fallback).  A `Spectrum` holds the inverse-operator
 eigenvalues (the reciprocals) and the eigenvector rows as two arrays.  The
 rescaled eigenvalue, eigenvector-Fourier, and heat-coefficient correctors
 are formed against a discrete unperturbed reference so that the zero
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .greens import Mesh1D, fd_matrix_banded
 from .helmholtz import HelmholtzProblem
@@ -24,10 +27,15 @@ from .helmholtz import HelmholtzProblem
 
 @dataclass
 class Spectrum:
-    """Lowest inverse-operator eigenpairs: lam[k] and the row u[k] (unit quadrature norm)."""
+    """Lowest inverse-operator eigenpairs: lam[k] and the row u[k] (unit quadrature norm).
+
+    `certified` is False when the Weyl-window certificate failed and the
+    pairs came from the bisection fallback.
+    """
 
     lam: np.ndarray  # (n_max,), descending
     u: np.ndarray  # (n_max, n_nodes), boundary zeros
+    certified: bool = True
 
 
 def _lam(a_star: float, q0: float, n: int) -> float:
@@ -44,56 +52,176 @@ def unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> 
     return Spectrum(lam, math.sqrt(2.0) * np.sin(n * math.pi * mesh.nodes))
 
 
-def _spectrum(ab: np.ndarray, mesh: Mesh1D, n_max: int, reference: Spectrum | None = None) -> Spectrum:
-    """Lowest n_max eigenpairs of a banded (upper) interior tridiagonal matrix.
+# Rayleigh-quotient iteration: residual target and Weyl-window slack in units
+# of u * ||T||_inf, and the steps one pair may take before its realization
+# falls back to bisection.
+_RESIDUAL_TOL = 8.0
+_WINDOW_SLACK = 64.0
+_RQI_STEPS = 8
 
-    Eigenvectors are quadrature-normalized full-mesh rows (boundary zeros),
-    sign-fixed so the first interior entry is positive and, given a
-    reference, then aligned so that (u_n^eps, u_n) >= 0.  The reference is
-    only read.
+
+def _rayleigh(d: np.ndarray, e: np.ndarray, v: np.ndarray):
+    """Rayleigh quotients of the unit rows of v and their residual norms ||T v - theta v||."""
+    tv = d * v
+    tv[:, 1:] += e * v[:, :-1]
+    tv[:, :-1] += e * v[:, 1:]
+    theta = (v * tv).sum(axis=1)
+    tv -= theta[:, None] * v
+    return theta, np.sqrt((tv * tv).sum(axis=1))
+
+
+def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, tol: float):
+    """Rayleigh-quotient iteration on the tridiagonal (d, e) from each unit row of seeds.
+
+    The rows step together; a row whose residual is at most tol is left
+    alone, so a seed that already meets tol comes back unchanged.  Returns
+    (theta, v, residual) once every residual is at most tol, or None when a
+    solve fails, a step raises a residual, or _RQI_STEPS steps do not reach
+    tol.
     """
-    d, e = ab[1], ab[0, 1:]
-    n_int = d.size
-    if n_max > n_int:
-        raise ValueError("n_max exceeds the number of interior nodes")
+    v = seeds.copy()
+    theta, res = _rayleigh(d, e, v)
+    for _ in range(_RQI_STEPS):
+        todo = np.flatnonzero(res > tol)
+        if todo.size == 0:
+            return theta, v, res
+        w = np.empty((todo.size, v.shape[1]))
+        for i, k in enumerate(todo):
+            *_, w[i], info = dgtsv(e, d - theta[k], e, v[k], overwrite_d=1)
+            if info != 0:
+                return None
+        w /= np.sqrt((w * w).sum(axis=1))[:, None]
+        step_theta, step_res = _rayleigh(d, e, w)
+        if np.any(step_res > res[todo]):
+            return None
+        v[todo], theta[todo], res[todo] = w, step_theta, step_res
+    return None
+
+
+def _certified_pairs(d, e, seeds, centres, spread):
+    """Lowest len(seeds) eigenpairs of (d, e), each index certified by a Weyl window.
+
+    `spread` bounds the 2-norm of the diagonal change from the matrix whose
+    eigenvalues are `centres` (len(seeds) + 1 of them, the last may be inf),
+    so by Weyl's inequality eigenvalue k lies in window k, centres[k] +-
+    spread plus a rounding slack.  When the windows are disjoint, an RQI
+    pair whose residual interval [theta - res, theta + res] meets window k
+    and neither neighbour holds eigenvalue k and no other.  Returns (nu, v)
+    with the rows of v unit vectors whose first entry is positive, or None
+    when the windows touch or any pair fails.
+    """
+    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+    radius, tol = spread + _WINDOW_SLACK * ulp, _RESIDUAL_TOL * ulp  # ulp >= u ||T||_inf
+    if np.any(np.diff(centres) <= 2.0 * radius):
+        return None
+    pairs = _rqi(d, e, seeds, tol)
+    if pairs is None:
+        return None
+    theta, v, res = pairs
+    lo, hi = theta - res, theta + res
+    own, below, above = centres[:-1], np.append(-np.inf, centres[:-2]), centres[1:]
+    if not np.all((hi >= own - radius) & (lo <= own + radius) & (lo > below + radius) & (hi < above - radius)):
+        return None
+    v[v[:, 0] < 0.0] *= -1.0
+    return theta, v
+
+
+def _bisection_pairs(d: np.ndarray, e: np.ndarray, n_max: int):
+    """Lowest n_max eigenpairs by LAPACK bisection and inverse iteration."""
     try:
         nu, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_max - 1))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"eigensolver failed on tridiagonal matrix (n={n_int}, "
+            f"eigensolver failed on tridiagonal matrix (n={d.size}, "
             f"diag range [{d.min():.3e}, {d.max():.3e}])"
         ) from exc
+    return nu, v.T
+
+
+def _spectrum(nu, v, mesh: Mesh1D, reference: Spectrum | None, certified: bool) -> Spectrum:
+    """Inverse-operator pairs from operator eigenvalues nu and interior unit rows v.
+
+    Eigenvectors become quadrature-normalized full-mesh rows (boundary
+    zeros), sign-fixed so the first interior entry is positive and, given a
+    reference, then aligned so that (u_n^eps, u_n) >= 0.  The reference is
+    only read.
+    """
     if nu[0] <= 0.0:
         raise ValueError(f"indefinite operator: smallest eigenvalue {nu[0]:.3e}")
-    u = np.zeros((n_max, mesh.n_nodes))
-    u[:, 1:-1] = v.T / math.sqrt(mesh.h)
+    u = np.zeros((nu.size, mesh.n_nodes))
+    u[:, 1:-1] = v / math.sqrt(mesh.h)
     u[u[:, 1] < 0.0] *= -1.0
     if reference is not None:
-        for k in range(n_max):
-            if float(np.sum(mesh.quad_weights * u[k] * reference.u[k])) < 0.0:
-                u[k] *= -1.0
-    return Spectrum(1.0 / nu, u)
+        u[np.sum(mesh.quad_weights * u * reference.u, axis=1) < 0.0] *= -1.0
+    return Spectrum(1.0 / nu, u, certified)
+
+
+def _fd_eigenvalue(mesh: Mesh1D, a_star: float, q0: float, k: int) -> float:
+    """Eigenvalue k of the unperturbed FD matrix, inf past the interior size."""
+    if k > mesh.n_nodes - 2:
+        return math.inf
+    s = math.sin(k * math.pi * mesh.h / 2.0)
+    return 4.0 * a_star / (mesh.h * mesh.h) * s * s + q0
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """Certified pairs of the unperturbed FD matrix, shared read-only.
+
+    The interior unit rows `v` seed every realization's RQI; `d` is the
+    diagonal Weyl's inequality compares against, and `centres` the n_max + 1
+    window centres: the certified eigenvalues, then the closed-form next one.
+    """
+
+    spectrum: Spectrum
+    v: np.ndarray
+    d: np.ndarray
+    centres: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _cached_reference(n_nodes: int, a_star: float, q0: float, n_max: int) -> Spectrum:
+def _cached_reference(n_nodes: int, a_star: float, q0: float, n_max: int) -> _Reference:
     mesh = Mesh1D(n_nodes)
-    ref = _spectrum(fd_matrix_banded(mesh, a_star, q0), mesh, n_max)
+    if n_max > n_nodes - 2:
+        raise ValueError("n_max exceeds the number of interior nodes")
+    ab = fd_matrix_banded(mesh, a_star, q0)
+    d, e = ab[1], ab[0, 1:]
+    # the FD eigenvectors are the sampled sines; RQI only polishes them
+    s = np.sin(np.arange(1, n_max + 1)[:, None] * math.pi * mesh.nodes[1:-1])
+    seeds = s / np.sqrt(np.sum(s * s, axis=1))[:, None]
+    exact = np.array([_fd_eigenvalue(mesh, a_star, q0, k) for k in range(1, n_max + 2)])
+    pairs = _certified_pairs(d, e, seeds, exact, 0.0)
+    if pairs is None:
+        raise RuntimeError(f"unperturbed eigenpairs not certified (n={d.size}, n_max={n_max})")
+    nu, v = pairs
+    ref = _Reference(_spectrum(nu, v, mesh, None, True), v, d, np.append(nu, exact[-1]))
     # every realization with these coefficients shares this record
-    ref.lam.flags.writeable = ref.u.flags.writeable = False
+    for arr in (ref.spectrum.lam, ref.spectrum.u, v, d, ref.centres):
+        arr.flags.writeable = False
     return ref
 
 
 def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
     """Eigenpairs of the unperturbed FD matrix; corrector reference spectrum."""
-    return _cached_reference(mesh.n_nodes, a_star, q0, n_max)
+    return _cached_reference(mesh.n_nodes, a_star, q0, n_max).spectrum
 
 
 def perturbed_spectrum(problem: HelmholtzProblem, seed: int, n_max: int, reference=None) -> Spectrum:
-    """Lowest n_max inverse-operator eigenpairs of P + q_eps for one realization."""
-    q = problem.sample_potential(seed)
-    ab = fd_matrix_banded(problem.mesh, problem.a_star, problem.q0 + q)
-    return _spectrum(ab, problem.mesh, n_max, reference)
+    """Lowest n_max inverse-operator eigenpairs of P + q_eps for one realization.
+
+    RQI runs from the cached unperturbed pairs.  Weyl's inequality puts the
+    k-th eigenvalue within max|q| of the k-th unperturbed one, which
+    certifies each pair's index; if any pair fails its window, the whole
+    realization is solved by bisection instead (`certified` False).
+    """
+    mesh = problem.mesh
+    ref = _cached_reference(mesh.n_nodes, problem.a_star, problem.q0, n_max)
+    ab = fd_matrix_banded(mesh, problem.a_star, problem.q0 + problem.sample_potential(seed))
+    d, e = ab[1], ab[0, 1:]
+    pairs = _certified_pairs(d, e, ref.v, ref.centres, float(np.max(np.abs(d - ref.d))))
+    if pairs is None:
+        return _spectrum(*_bisection_pairs(d, e, n_max), mesh, reference, False)
+    return _spectrum(*pairs, mesh, reference, True)
 
 
 def spectral_gaps(lam: np.ndarray) -> np.ndarray:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from corrlab.greens import Mesh1D
+from corrlab.greens import Mesh1D, fd_matrix_banded
 from corrlab.helmholtz import HelmholtzProblem
 from corrlab.randfield import MAProcessSpec
 from corrlab.spectral import (
@@ -16,6 +19,7 @@ from corrlab.spectral import (
     fourier_corrector_variance,
     inverse_corrector_covariance,
     match_eigenpairs,
+    perturbed_spectrum,
     spectral_gaps,
     spectral_realization,
     unperturbed_spectrum,
@@ -187,3 +191,64 @@ def test_heat_corrector_decay_scale():
     d2, s2 = r.heat_corrector(1, 1.0, v0, epsilon_const=2.0)
     assert d1 == pytest.approx(d2, rel=1e-12)
     assert s1 == pytest.approx(s2, rel=1e-12)
+
+
+def _bisection(problem, seed, n_max, reference):
+    """The bisection route: eigh_tridiagonal pairs, sign-fixed and aligned."""
+    ab = fd_matrix_banded(problem.mesh, problem.a_star, problem.q0 + problem.sample_potential(seed))
+    nu, v = eigh_tridiagonal(ab[1], ab[0, 1:], select="i", select_range=(0, n_max - 1))
+    u = np.zeros((n_max, problem.mesh.n_nodes))
+    u[:, 1:-1] = v.T / math.sqrt(problem.mesh.h)
+    u[u[:, 1] < 0.0] *= -1.0
+    for k in range(n_max):
+        if float(np.sum(problem.mesh.quad_weights * u[k] * reference.u[k])) < 0.0:
+            u[k] *= -1.0
+    return 1.0 / nu, u
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    amplitude=st.floats(0.0, 1.0),
+    n_nodes=st.integers(11, 801),
+    n_max=st.integers(1, 8),
+    q0=st.sampled_from([0.0, 2.5]),
+)
+def test_certified_spectrum_matches_bisection(seed, amplitude, n_nodes, n_max, q0):
+    n_max = min(n_max, n_nodes - 2)
+    p = _helm(n_nodes=n_nodes, epsilon=0.05, q0=q0, spec=MAProcessSpec(weights=(0.5, 0.5), amplitude=amplitude))
+    ref = discrete_unperturbed_spectrum(p.mesh, p.a_star, p.q0, n_max)
+    got = perturbed_spectrum(p, seed, n_max, ref)
+    lam, u = _bisection(p, seed, n_max, ref)
+    if got.certified:
+        assert np.allclose(1.0 / got.lam, 1.0 / lam, rtol=1e-9, atol=0.0)
+        for k in range(n_max):
+            assert np.max(np.abs(got.u[k] - u[k])) <= 1e-8 * np.max(np.abs(u[k]))
+    else:  # e.g. a shift equal to an eigenvalue in floating point: the step is refused
+        assert np.array_equal(got.lam, lam) and np.array_equal(got.u, u)
+
+
+def test_default_field_realizations_are_certified():
+    """max|q| = 1 keeps every window far inside the 3 pi^2 gap."""
+    p = _helm(n_nodes=401)
+    ref = discrete_unperturbed_spectrum(p.mesh, p.a_star, p.q0, 8)
+    assert all(perturbed_spectrum(p, seed, 8, ref).certified for seed in range(20))
+
+
+def test_overlapping_windows_fall_back_to_bisection():
+    """max|q| past half the nu_1-nu_2 gap (3 pi^2 / 2): no window certifies."""
+    p = _helm(n_nodes=201, q0=40.0, spec=MAProcessSpec(weights=(0.5, 0.5), amplitude=16.0))
+    assert np.max(np.abs(p.sample_potential(3))) == 16.0
+    ref = discrete_unperturbed_spectrum(p.mesh, p.a_star, p.q0, 3)
+    got = perturbed_spectrum(p, 3, 3, ref)
+    assert got.certified is False
+    lam, u = _bisection(p, 3, 3, ref)
+    assert np.array_equal(got.lam, lam) and np.array_equal(got.u, u)
+
+
+def test_zero_amplitude_returns_the_reference_pairs():
+    p = _helm(spec=SPEC_ZERO)
+    ref = discrete_unperturbed_spectrum(p.mesh, p.a_star, p.q0, 4)
+    got = perturbed_spectrum(p, 11, 4, ref)
+    assert got.certified and ref.certified
+    assert np.array_equal(got.lam, ref.lam) and np.array_equal(got.u, ref.u)
