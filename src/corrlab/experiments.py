@@ -214,11 +214,13 @@ def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
     return n
 
 
-def _check_lattice(key: str, spec, points, eps: float, where: str):
-    """ConfigError `key` unless the sampler's lattice takes `points` at eps."""
-    coords = np.asarray(points) / eps
+def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str):
+    """ConfigError `key` unless the sampler's lattice takes the points in [lo, hi] at eps.
+
+    Scalar arithmetic: an out-of-range bound becomes inf, never an overflow warning.
+    """
     try:  # the phase adds less than 1 to every coordinate
-        randfield.lattice_sites(coords.min(), coords.max() + 1.0, randfield.lag_window(spec))
+        randfield.lattice_sites(lo / eps, hi / eps + 1.0, randfield.lag_window(spec))
     except ValueError as exc:
         raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
 
@@ -240,7 +242,7 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
         if cells < 2:
             raise ConfigError(eps_key, f"epsilon {eps!r} leaves fewer than 3 mesh nodes")
         if spec:
-            _check_lattice(eps_key, spec, (0.0, 1.0), eps, "on the unit interval")
+            _check_lattice(eps_key, spec, 0.0, 1.0, eps, "on the unit interval")
         try:
             node_indices(1.0 / cells, cfg.get("probes", ()))
         except ValueError as exc:
@@ -290,8 +292,11 @@ def _check_field_stats(cfg: dict):
     spec, probe = randfield.MAProcessSpec.from_json(cfg["field"]), cfg["probe"]
     # the mesh kinds sample the unit interval: inside it, epsilon is at fault
     key = "probe" if abs(probe) > 1.0 else "epsilon_list"
+    reach = _field_stats_reach(spec)
     for eps in cfg["epsilon_list"]:
-        _check_lattice(key, spec, field_stats_points(spec, probe, eps), eps, f"for probe {probe!r}")
+        # the ends of field_stats_points, without building the array
+        lo, hi = probe - eps * reach, probe + eps * reach
+        _check_lattice(key, spec, lo, hi, eps, f"for probe {probe!r}")
 
 
 def _scaling_eps_key(cfg: dict, d: int) -> str:
@@ -350,10 +355,15 @@ def _probe_name(x: float) -> str:
 _LAG_STEPS = 8  # field-stats lag subdivisions per lattice unit
 
 
+def _field_stats_reach(spec) -> int:
+    """The mixing range in whole lattice cells."""
+    return int(math.ceil(randfield.mixing_range(spec)))
+
+
 def field_stats_points(spec, probe: float, epsilon: float) -> np.ndarray:
     """Points of one field-stats realization: probe +- the mixing range, in
     steps of epsilon / _LAG_STEPS; the probe is the middle point."""
-    reach = int(math.ceil(randfield.mixing_range(spec)))
+    reach = _field_stats_reach(spec)
     return probe + epsilon * (np.arange(-_LAG_STEPS * reach, _LAG_STEPS * reach + 1) / _LAG_STEPS)
 
 

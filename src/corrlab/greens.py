@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 
 @dataclass(eq=False)
@@ -188,7 +189,7 @@ class DiscreteGreenOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_nodes)
-        out[1:-1] = cho_solve_banded((self._factor, False), np.asarray(f)[1:-1])
+        out[1:-1], _ = dpbtrs(self._factor, np.asarray(f)[1:-1], lower=0)
         return out
 
 

@@ -31,27 +31,35 @@ ORACLES = (  # (name, the route it checks)
 NAMES = [name for name, _ in ORACLES]
 
 
-def _names(tree, skip=()):
-    """Names loaded or read as attributes in `tree`, outside the subtrees in `skip`."""
-    inside = {id(n) for node in skip for n in ast.walk(node)}
-    return {getattr(n, "id", None) or n.attr for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside}
+def _names(tree):
+    """Names loaded or read as attributes in `tree`."""
+    return {getattr(n, "id", None) or n.attr for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _public_defs():
+def _trees():
+    """Each source file parsed once: its public top-level defs and, for every
+    name it uses, the ids of the top-level statements that use it."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        yield from ((tree, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_"))
+        users = {}
+        for stmt in tree.body:
+            for name in _names(stmt):
+                users.setdefault(name, set()).add(id(stmt))
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+        yield defs, users
 
 
 def test_every_public_def_is_run_by_the_program_or_is_an_oracle():
-    defs = list(_public_defs())
-    oracle_defs = [node for _, node in defs if node.name in NAMES]
-    trees = {id(tree): tree for tree, _ in defs}.values()
-    unused = {node.name for _, node in defs
-              if not any(node.name in _names(tree, oracle_defs + [node]) for tree in trees)}
+    trees = list(_trees())
+    defs = [node for tree_defs, _ in trees for node in tree_defs]
+    oracle_defs = [node for node in defs if node.name in NAMES]
+    oracle_ids = {id(node) for node in oracle_defs}
+    # a use counts unless it sits in the definition itself or in an oracle's body
+    unused = {node.name for node in defs
+              if not any(users.get(node.name, set()) - oracle_ids - {id(node)} for _, users in trees)}
     assert sorted(unused ^ set(NAMES)) == []  # an oracle the program runs is no oracle
     tested = set().union(*(_names(ast.parse(p.read_text())) for p in TESTS.glob("test_*.py")))
+    oracle_names = {id(o): _names(o) - {o.name} for o in oracle_defs}
     for node in oracle_defs:  # a test calls it, or another oracle builds on it
-        assert node.name in tested | set().union(*(_names(o) - {o.name} for o in oracle_defs if o is not node))
+        assert node.name in tested | set().union(*(names for i, names in oracle_names.items() if i != id(node)))

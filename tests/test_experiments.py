@@ -1,6 +1,7 @@
 """Experiment catalog: config validation, grading, and report layout."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, mess
         validate_config(raw)
     assert err.value.field == field
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("eps", [1e308, 1e-320])
+def test_field_stats_extreme_epsilon_is_a_config_error_without_warnings(eps):
+    """The sample range is bounded in scalar arithmetic: no overflow warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            validate_config({"kind": "field-stats", "epsilon_list": [eps]})
+    assert err.value.field == "epsilon_list"
+    assert "lattice range overflow" in str(err.value)
 
 
 def test_mesh_preconditions_accept_aligned_probes():

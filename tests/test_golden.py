@@ -5,11 +5,14 @@ at one and two workers, with BLAS pinned to one thread before numpy loads
 (the deterministic quadratures of scaling-study change in the last digits
 with the BLAS thread count).  Each report.csv, report.json and summary.txt
 must equal the file under tests/golden/<kind>/.  Several kinds grade `fail`
-at these sizes; the FAIL lines are part of the recorded behaviour.
+at these sizes; the FAIL lines are part of the recorded behaviour.  The
+eigen kinds reduce with numpy sums and LAPACK tridiagonal solves only, so a
+second child renders them with BLAS at two threads against the same files.
 
-    python tests/test_golden.py OUT_DIR
+    python tests/test_golden.py OUT_DIR [KIND ...]
 
-writes the reports the test compares under OUT_DIR/<kind>-w<workers>/.
+writes the reports the test compares under OUT_DIR/<kind>-w<workers>/, for
+every kind or the ones named.
 """
 
 import json
@@ -55,15 +58,16 @@ BLAS_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+BLAS_INDEPENDENT = ("spectral-corrector", "heat-corrector")
 
 
-def render_all(out: Path) -> None:
-    """Run every golden config through `corrlab run` at each worker count."""
+def render_all(out: Path, kinds=tuple(CONFIGS)) -> None:
+    """Run the golden configs of `kinds` through `corrlab run` at each worker count."""
     from corrlab import cli
 
-    for kind, body in CONFIGS.items():
+    for kind in kinds:
         cfg = out / f"{kind}.json"
-        cfg.write_text(json.dumps(dict(body, kind=kind)))
+        cfg.write_text(json.dumps(dict(CONFIGS[kind], kind=kind)))
         for workers in WORKERS:
             code = cli.main(
                 ["run", "--config", str(cfg), "--workers", str(workers),
@@ -73,26 +77,44 @@ def render_all(out: Path) -> None:
                 raise SystemExit(f"{kind}: corrlab run exited {code}")
 
 
-@pytest.fixture(scope="module")
-def rendered(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+def _render(out: Path, blas_threads: str, kinds=()) -> Path:
+    env = dict(os.environ, **{var: blas_threads for var in BLAS_VARS})
     proc = subprocess.run(
-        [sys.executable, __file__, str(out)],
+        [sys.executable, __file__, str(out), *kinds],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     return out
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-@pytest.mark.parametrize("kind", list(CONFIGS))
-def test_report_bytes_match_golden(kind, workers, rendered):
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory):
+    return _render(tmp_path_factory.mktemp("golden"), "1")
+
+
+@pytest.fixture(scope="module")
+def rendered_blas2(tmp_path_factory):
+    return _render(tmp_path_factory.mktemp("golden-blas2"), "2", BLAS_INDEPENDENT)
+
+
+def _assert_golden(rendered: Path, kind: str, workers: int):
     for name in REPORTS:
         got = (rendered / f"{kind}-w{workers}" / name).read_bytes()
         want = (GOLDEN / kind / name).read_bytes()
         assert got == want, f"{kind}/{name} differs at workers={workers}"
 
 
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("kind", list(CONFIGS))
+def test_report_bytes_match_golden(kind, workers, rendered):
+    _assert_golden(rendered, kind, workers)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("kind", BLAS_INDEPENDENT)
+def test_eigen_report_bytes_match_golden_at_two_blas_threads(kind, workers, rendered_blas2):
+    _assert_golden(rendered_blas2, kind, workers)
+
+
 if __name__ == "__main__":
-    render_all(Path(sys.argv[1]))
+    render_all(Path(sys.argv[1]), sys.argv[2:] or tuple(CONFIGS))
