@@ -208,14 +208,17 @@ def _cached_fd_operator(n_nodes: int, a_star: float, q0: float):
     return DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, a_star, q0))
 
 
-def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
-    """Euclidean norm of the FD inverse, 1 / lambda_min of -a* D^2 + q0.
+def fd_eigenvalue(mesh: Mesh1D, a_star: float, q0: float, k: int) -> float:
+    """Dirichlet eigenvalue k of the three-point matrix of -a* D^2 + q0 on the
+    unit interval: (4 a* / h^2) sin^2(k pi h / 2) + q0, for k up to the
+    interior node count; its eigenvector is the sampled sin(k pi x)."""
+    s = math.sin(k * math.pi * mesh.h / 2.0)
+    return 4.0 * a_star / (mesh.h * mesh.h) * s * s + q0
 
-    The lowest Dirichlet eigenvalue of the three-point matrix is
-    (4 a* / h^2) sin^2(pi h / 2) + q0 on the unit interval.
-    """
-    s = math.sin(math.pi * mesh.h / 2.0)
-    return 1.0 / (4.0 * a_star / (mesh.h * mesh.h) * s * s + q0)
+
+def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
+    """Euclidean norm of the FD inverse, 1 / lambda_min of -a* D^2 + q0."""
+    return 1.0 / fd_eigenvalue(mesh, a_star, q0, 1)
 
 
 def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:

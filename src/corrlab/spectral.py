@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .greens import Mesh1D, fd_matrix_banded
+from .greens import Mesh1D, fd_eigenvalue, fd_matrix_banded
 from .helmholtz import HelmholtzProblem
 
 
@@ -156,14 +156,6 @@ def _spectrum(nu, v, mesh: Mesh1D, reference: Spectrum | None, certified: bool) 
     return Spectrum(1.0 / nu, u, certified)
 
 
-def _fd_eigenvalue(mesh: Mesh1D, a_star: float, q0: float, k: int) -> float:
-    """Eigenvalue k of the unperturbed FD matrix, inf past the interior size."""
-    if k > mesh.n_nodes - 2:
-        return math.inf
-    s = math.sin(k * math.pi * mesh.h / 2.0)
-    return 4.0 * a_star / (mesh.h * mesh.h) * s * s + q0
-
-
 @dataclass(frozen=True)
 class _Reference:
     """Certified pairs of the unperturbed FD matrix, shared read-only.
@@ -189,12 +181,15 @@ def _cached_reference(n_nodes: int, a_star: float, q0: float, n_max: int) -> _Re
     # the FD eigenvectors are the sampled sines; RQI only polishes them
     s = np.sin(np.arange(1, n_max + 1)[:, None] * math.pi * mesh.nodes[1:-1])
     seeds = s / np.sqrt(np.sum(s * s, axis=1))[:, None]
-    exact = np.array([_fd_eigenvalue(mesh, a_star, q0, k) for k in range(1, n_max + 2)])
+    # window n_max + 1 bounds the pairs from above; past the last mode it is empty
+    exact = np.array([fd_eigenvalue(mesh, a_star, q0, k) if k < n_nodes - 1 else math.inf
+                      for k in range(1, n_max + 2)])
     pairs = _certified_pairs(d, e, seeds, exact, 0.0)
-    if pairs is None:
-        raise RuntimeError(f"unperturbed eigenpairs not certified (n={d.size}, n_max={n_max})")
+    certified = pairs is not None
+    if not certified:  # e.g. a top mode of a small mesh whose shift is an exact eigenvalue
+        pairs = _bisection_pairs(d, e, n_max)
     nu, v = pairs
-    ref = _Reference(_spectrum(nu, v, mesh, None, True), v, d, np.append(nu, exact[-1]))
+    ref = _Reference(_spectrum(nu, v, mesh, None, certified), v, d, np.append(nu, exact[-1]))
     # every realization with these coefficients shares this record
     for arr in (ref.spectrum.lam, ref.spectrum.u, v, d, ref.centres):
         arr.flags.writeable = False
