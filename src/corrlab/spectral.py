@@ -158,11 +158,11 @@ def _spectrum(nu, v, mesh: Mesh1D, reference: Spectrum | None, certified: bool) 
 
 @dataclass(frozen=True)
 class _Reference:
-    """Certified pairs of the unperturbed FD matrix, shared read-only.
+    """Pairs of the unperturbed FD matrix, shared read-only.
 
     The interior unit rows `v` seed every realization's RQI; `d` is the
     diagonal Weyl's inequality compares against, and `centres` the n_max + 1
-    window centres: the certified eigenvalues, then the closed-form next one.
+    window centres: the reference eigenvalues, then the closed-form next one.
     """
 
     spectrum: Spectrum

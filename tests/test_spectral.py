@@ -72,21 +72,6 @@ def test_discrete_spectrum_matches_fd_eigenvalue_formula():
     assert not spec.lam.flags.writeable and not spec.u.flags.writeable
 
 
-@pytest.mark.parametrize("n_nodes", [57, 58, 801])
-def test_discrete_spectrum_of_every_interior_mode(n_nodes):
-    """n_max up to the interior size: the top sampled sines sit at the residual floor."""
-    mesh = Mesh1D(n_nodes=n_nodes)
-    n_max = min(n_nodes - 2, 60)
-    spec = discrete_unperturbed_spectrum(mesh, 1.0, 1.0, n_max)
-    h = mesh.h
-    nu = [4.0 / (h * h) * math.sin(n * math.pi * h / 2.0) ** 2 + 1.0 for n in range(1, n_max + 1)]
-    assert np.allclose(1.0 / spec.lam, nu, rtol=1e-12, atol=0.0)
-    p = _helm(n_nodes=n_nodes, q0=1.0)
-    got = perturbed_spectrum(p, 2, n_max, spec)
-    lam, _ = _bisection(p, 2, n_max, spec)
-    assert np.allclose(got.lam, lam, rtol=1e-9, atol=0.0)
-
-
 def test_discrete_spectrum_converges_to_continuum():
     errs = []
     for n_nodes in (51, 101, 201):
@@ -267,3 +252,18 @@ def test_zero_amplitude_returns_the_reference_pairs():
     got = perturbed_spectrum(p, 11, 4, ref)
     assert got.certified and ref.certified
     assert np.array_equal(got.lam, ref.lam) and np.array_equal(got.u, ref.u)
+
+
+@pytest.mark.parametrize("n_nodes", [57, 58, 801])
+def test_discrete_spectrum_of_every_interior_mode(n_nodes):
+    """n_max up to the interior size: the top sampled sines sit at the residual floor."""
+    mesh = Mesh1D(n_nodes=n_nodes)
+    n_max = min(n_nodes - 2, 60)
+    spec = discrete_unperturbed_spectrum(mesh, 1.0, 1.0, n_max)
+    h = mesh.h
+    nu = [4.0 / (h * h) * math.sin(n * math.pi * h / 2.0) ** 2 + 1.0 for n in range(1, n_max + 1)]
+    assert np.allclose(1.0 / spec.lam, nu, rtol=1e-12, atol=0.0)
+    p = _helm(n_nodes=n_nodes, q0=1.0)
+    got = perturbed_spectrum(p, 2, n_max, spec)
+    lam, _ = _bisection(p, 2, n_max, spec)
+    assert np.allclose(got.lam, lam, rtol=1e-9, atol=0.0)
