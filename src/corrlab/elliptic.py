@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -64,6 +65,13 @@ class EllipticProblem1D:
         self.f = np.asarray(self.f, dtype=float)
         if self.f.shape != self.mesh.nodes.shape:
             raise ValueError("f must hold one value per mesh node")
+
+    @cached_property
+    def u0(self) -> np.ndarray:
+        """u0 of -a* u0'' + q0 u0 = rho_bar f, one direct banded solve per problem; read-only."""
+        u0 = dirichlet_solve_fd(self.mesh, self.a_base, self.q0, self.rho_bar * self.f)
+        u0.flags.writeable = False
+        return u0
 
 
 @dataclass
@@ -148,13 +156,6 @@ def transformed_green_matrix(problem: EllipticProblem1D, coords: HarmonicCoords)
     return g * problem.mesh.quad_weights[None, :]
 
 
-def solve_homogenized(problem: EllipticProblem1D) -> np.ndarray:
-    """u0 of -a* u0'' + q0 u0 = rho_bar f."""
-    return dirichlet_solve_fd(
-        problem.mesh, problem.a_base, problem.q0, problem.rho_bar * problem.f
-    )
-
-
 def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10) -> Solution:
     """Fixed-point solve of u = G_eps(rho_eps f) - G_eps(tq G_eps(rho_eps f)) + ...
 
@@ -168,13 +169,13 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
     res = neumann_solve(
         apply_g,
         tilde_q(problem, fields),
-        (problem.rho_bar + fields[CH_RHO]) * problem.f,
+        apply_g((problem.rho_bar + fields[CH_RHO]) * problem.f),
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
         green_norm=green_norm,
     )
-    return Solution(res.u, solve_homogenized(problem), res.iterations, res.truncated, fields[CH_Q])
+    return Solution(res.u, problem.u0, res.iterations, res.truncated, fields[CH_Q])
 
 
 def direct_solve_conservative(problem: EllipticProblem1D, fields) -> np.ndarray:
@@ -265,7 +266,7 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes) -> CorrectorKernels:
     H_rho = np.empty((m, n))
     H_q = np.empty((m, n))
     # u0(t) = int G(t,z) rho_bar f(z) dz enters H_q
-    u0 = solve_homogenized(problem)
+    u0 = problem.u0
     for r, (i, x) in enumerate(zip(idx, xs)):
         dx_lo, dy_lo, dx_hi, dy_hi, dL = green_partials_1d(kern, float(x), t)
         jump[r] = _split_trapezoid((dx_lo * rf, dx_hi * rf), h, i)

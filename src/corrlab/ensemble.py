@@ -1,11 +1,17 @@
 """Deterministic parallel Monte Carlo engine and statistics toolkit.
 
-Realization tasks are pure functions of (params, epsilon, seed) returning a
-flat dict of named float functionals.  Seeds are derived from the experiment
-seed and the (epsilon index, realization index) pair by a splitmix64-style
-hash, chunks are fixed-size, and aggregation runs in realization-index order
-with exact (fsum) summation, so reports are byte-identical for any worker
-count.
+Realization tasks are pure functions of (state, epsilon, seed) returning a
+flat dict of named float functionals.  A task's `prepare(params, epsilon)`
+builds the state, what every realization at one epsilon shares (by default
+the params themselves); `run` calls it once per epsilon, in the parent, and
+then starts one process pool for the whole run.  Its forked workers inherit
+the states, so a work item is only (epsilon index, first realization,
+count): a chunk of ceil(n_real / (4 workers)) realizations, whose seeds the
+worker derives from the experiment seed and the (epsilon index, realization
+index) pair by a splitmix64-style hash.  Each epsilon is aggregated as soon
+as its chunks are in, in realization-index order with exact (fsum)
+summation, so reports are byte-identical for any worker count.  If a
+prepare raises, every realization at its epsilon fails with its message.
 
 Keys returned by a task that start with "count_" are aggregated by summation
 only (diagnostic counters such as truncation flags); all other keys receive
@@ -16,7 +22,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.special import ndtr
@@ -24,10 +32,8 @@ from scipy.special import ndtr
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# fixed chunk size decouples the work split from the worker count
-CHUNK_SIZE = 32
-
 REGISTRY: dict = {}
+PREPARE: dict = {}
 
 # asymptotic KS critical-value coefficients by significance level
 KS_COEFF = {0.05: 1.358, 0.01: 1.628}
@@ -36,8 +42,10 @@ KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 MIN_FIT_POINTS = 3
 
 
-def register_task(name: str, fn) -> None:
+def register_task(name: str, fn, prepare=None) -> None:
+    """Register fn(state, epsilon, seed) and its prepare(params, epsilon) -> state."""
     REGISTRY[name] = fn
+    PREPARE[name] = prepare
 
 
 def _mix64(z: int) -> int:
@@ -109,6 +117,9 @@ class EnsembleReport:
     samples: list
     scaling_fits: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    # prepared state per epsilon, or the exception its prepare raised, for
+    # the runner's targets; no report serializes it
+    states: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         blocks = []
@@ -134,15 +145,30 @@ class EnsembleReport:
         }
 
 
-def _run_chunk(fn, params: dict, epsilon: float, seeds):
-    """Run one chunk of realizations; never raises, returns per-seed outcomes."""
-    out = []
-    for seed in seeds:
+def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: int):
+    """Realizations start..start+count-1 at epsilon index k; never raises,
+    returns (ok, functionals or message) per realization."""
+    state, eps, out = states[k], spec.epsilon_list[k], []
+    if isinstance(state, Exception):  # its prepare failed, so does every realization
+        return [(False, f"{type(state).__name__}: {state}")] * count
+    for j in range(start, start + count):
         try:
-            out.append((True, fn(params, epsilon, seed)))
+            out.append((True, fn(state, eps, derive_seed(spec.experiment_seed, k, j))))
         except Exception as exc:  # recorded, not propagated
             out.append((False, f"{type(exc).__name__}: {exc}"))
     return out
+
+
+_WORK = None  # (fn, spec, states) of the run a pool worker serves
+
+
+def _init_worker(work) -> None:
+    global _WORK
+    _WORK = work
+
+
+def _pool_chunk(item):
+    return _run_chunk(*_WORK, *item)
 
 
 def _moments(values) -> FunctionalStats:
@@ -174,51 +200,64 @@ def _moments(values) -> FunctionalStats:
     )
 
 
+def _prepare(spec: EnsembleSpec) -> list:
+    """The task's state at each epsilon, or the exception its prepare raised."""
+    prepare = PREPARE.get(spec.task) or (lambda params, epsilon: params)
+    states = []
+    for eps in spec.epsilon_list:
+        try:
+            states.append(prepare(spec.params, eps))
+        except Exception as exc:  # every realization at eps fails with it
+            states.append(exc)
+    return states
+
+
+def _chunk_size(n_real: int, workers: int) -> int:
+    """Realizations per work item: about four items per worker and epsilon."""
+    return -(-n_real // (4 * workers))
+
+
 def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleReport:
     """Execute the ensemble; byte-identical output for any `workers`."""
     if spec.task not in REGISTRY:
         raise KeyError(f"task {spec.task!r} is not registered")
-    fn = REGISTRY[spec.task]
-    all_stats, all_counts, all_samples, failures = [], [], [], []
-    for k, eps in enumerate(spec.epsilon_list):
-        seeds = [derive_seed(spec.experiment_seed, k, j) for j in range(spec.n_real)]
-        chunks = [seeds[i : i + CHUNK_SIZE] for i in range(0, len(seeds), CHUNK_SIZE)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk_results = list(
-                    pool.map(_run_chunk, *zip(*((fn, spec.params, eps, c) for c in chunks)))
-                )
-        else:
-            chunk_results = [_run_chunk(fn, spec.params, eps, c) for c in chunks]
-        # flatten in realization-index order
-        outcomes = [r for chunk in chunk_results for r in chunk]
-        values: dict = {}
-        counters: dict = {"count_failed": 0}
-        for j, (ok, payload) in enumerate(outcomes):
-            if not ok:
-                counters["count_failed"] += 1
-                failures.append((k, j, seeds[j], payload))
+    workers = max(1, workers)
+    work = (REGISTRY[spec.task], spec, _prepare(spec))
+    size = _chunk_size(spec.n_real, workers)
+    starts = range(0, spec.n_real, size)
+    items = [(k, j, min(size, spec.n_real - j)) for k in range(len(spec.epsilon_list)) for j in starts]
+    all_stats, all_counts, all_samples, failures, outcomes = [], [], [], [], []
+    # forked workers inherit the states, which need not pickle; only items are sent
+    pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker, (work,)) if workers > 1 else None
+    with pool or nullcontext():
+        chunks = pool.map(_pool_chunk, items) if pool else (_run_chunk(*work, *item) for item in items)
+        for i, chunk in enumerate(chunks, 1):
+            outcomes += chunk
+            if i % len(starts):
                 continue
-            for name, val in payload.items():
-                if name.startswith("count_"):
-                    counters[name] = counters.get(name, 0) + int(val)
-                else:
-                    values.setdefault(name, []).append(float(val))
-        all_counts.append(counters)
-        all_samples.append(values)
-        all_stats.append({name: _moments(vals) for name, vals in values.items() if vals})
+            # the last chunk of epsilon k is in: aggregate in realization order
+            k = len(all_stats)
+            values: dict = {}
+            counters: dict = {"count_failed": 0}
+            for j, (ok, payload) in enumerate(outcomes):
+                if not ok:
+                    counters["count_failed"] += 1
+                    failures.append((k, j, derive_seed(spec.experiment_seed, k, j), payload))
+                    continue
+                for name, val in payload.items():
+                    if name.startswith("count_"):
+                        counters[name] = counters.get(name, 0) + int(val)
+                    else:
+                        values.setdefault(name, []).append(float(val))
+            outcomes = []
+            all_counts.append(counters)
+            all_samples.append(values)
+            all_stats.append({name: _moments(vals) for name, vals in values.items() if vals})
     n_total = len(spec.epsilon_list) * spec.n_real
     n_failed = sum(c["count_failed"] for c in all_counts)
     status = "ok" if n_failed <= 0.01 * n_total else "error"
-    return EnsembleReport(
-        spec=spec,
-        version=version,
-        stats=all_stats,
-        counts=all_counts,
-        failures=failures,
-        status=status,
-        samples=all_samples,
-    )
+    return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_samples,
+                          states=work[2])
 
 
 # --- statistics toolkit ---

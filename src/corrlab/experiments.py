@@ -165,6 +165,20 @@ def _dimensions(val, key):
         raise ConfigError(key, "dimensions must be integers in 1..6")
 
 
+# mesh nodes one realization may hold: n in 1D, n^2 in 2D, n_pairs * n for
+# the eigenvector rows of the spectral and heat kinds (32 MB per array)
+MAX_NODES = 1 << 22
+
+
+def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
+    """Cell count with h = epsilon / nodes_per_eps (rounded up if not integral)."""
+    cells = nodes_per_eps / epsilon
+    n = int(round(cells))
+    if abs(cells - n) > 1e-9 * max(1.0, cells):
+        n = int(math.ceil(cells))
+    return n
+
+
 # a leaf without a table rule is checked by the type of its default value
 _BY_TYPE = {bool: _boolean, int: _integer, float: _number}
 
@@ -179,7 +193,7 @@ _FIELD_SPEC = partial(_spec, cls=randfield.MAProcessSpec)
 _PROFILES = ("one", "sine", "parabola")
 _PROFILES_2D = ("one", "sine")
 _PROFILE = partial(_choice, options=_PROFILES)
-_NODES_PER_EPS = partial(_integer, lo=2)
+_NODES_PER_EPS = partial(_integer, lo=2, hi=MAX_NODES)
 _FOURIER_PAIR = "must be two distinct modes in 1..n_pairs"
 
 
@@ -205,15 +219,6 @@ def _rules(defaults: dict, table: dict) -> dict:
     return rules
 
 
-def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
-    """Cell count with h = epsilon / nodes_per_eps (rounded up if not integral)."""
-    cells = nodes_per_eps / epsilon
-    n = int(round(cells))
-    if abs(cells - n) > 1e-9 * max(1.0, cells):
-        n = int(math.ceil(cells))
-    return n
-
-
 def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str):
     """ConfigError `key` unless the sampler's lattice takes the points in [lo, hi] at eps.
 
@@ -225,20 +230,24 @@ def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str)
         raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
 
 
-def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
+def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1):
     """Mesh preconditions at every epsilon, from the node count alone.
 
-    The mesh needs 3 nodes, the field (or triple) beside `eps_key`, if any,
-    must sample the unit interval within the lattice limits, the config's
-    probes must be nodes, and its n_pairs eigenpairs must fit in the
-    interior nodes.
+    The mesh needs 3 nodes and at most MAX_NODES per realization, the field
+    (or triple) beside `eps_key`, if any, must sample the unit interval
+    within the lattice limits, the config's probes must be nodes, and its
+    n_pairs eigenpairs must fit in the interior nodes.
     """
     scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
     raw = scope.get("triple", scope.get("field"))
     cls = randfield.CorrelatedTripleSpec if "triple" in scope else randfield.MAProcessSpec
     spec = raw and cls.from_json(raw)
+    npe = _get(cfg, npe_key)
     for eps in _get(cfg, eps_key):
-        cells = _aligned_cells(eps, _get(cfg, npe_key))
+        over = f"at {npe} nodes per epsilon needs over {MAX_NODES} mesh nodes per realization"
+        if npe / eps > MAX_NODES:  # checked first: _aligned_cells would overflow
+            raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
+        cells = _aligned_cells(eps, npe)
         if cells < 2:
             raise ConfigError(eps_key, f"epsilon {eps!r} leaves fewer than 3 mesh nodes")
         if spec:
@@ -250,6 +259,8 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
         if cfg.get("n_pairs", 0) > cells - 1:
             interior = f"the {cells - 1} interior nodes at epsilon {eps!r}"
             raise ConfigError("n_pairs", f"exceeds {interior}")
+        if (cells + 1) ** dimension * cfg.get("n_pairs", 1) > MAX_NODES:
+            raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
 
 
 def _check_elliptic(cfg: dict):
@@ -284,7 +295,7 @@ def _check_heat(cfg: dict):
 def _check_2d(cfg: dict):
     if cfg["f"] not in _PROFILES_2D:
         raise ConfigError("f", f"2D sources must be one of {sorted(_PROFILES_2D)}")
-    _check_mesh(cfg)
+    _check_mesh(cfg, dimension=2)
 
 
 def _check_field_stats(cfg: dict):
@@ -294,7 +305,7 @@ def _check_field_stats(cfg: dict):
     key = "probe" if abs(probe) > 1.0 else "epsilon_list"
     reach = _field_stats_reach(spec)
     for eps in cfg["epsilon_list"]:
-        # the ends of field_stats_points, without building the array
+        # the ends of the prepared points, without building the array
         lo, hi = probe - eps * reach, probe + eps * reach
         _check_lattice(key, spec, lo, hi, eps, f"for probe {probe!r}")
 
@@ -349,7 +360,12 @@ def _probe_name(x: float) -> str:
     return "corr_" + repr(float(x))
 
 
-# --- realization tasks (module level so worker processes can pickle them) ---
+# --- realization tasks and the per-epsilon state each kind prepares ---
+#
+# A kind's prepare(params, epsilon) runs once per run and epsilon, before any
+# realization; its task(state, epsilon, seed) then does only per-seed work.
+# A state is the params plus what every realization shares, and the runner's
+# targets read the same states from the ensemble report.
 
 
 _LAG_STEPS = 8  # field-stats lag subdivisions per lattice unit
@@ -360,28 +376,28 @@ def _field_stats_reach(spec) -> int:
     return int(math.ceil(randfield.mixing_range(spec)))
 
 
-def field_stats_points(spec, probe: float, epsilon: float) -> np.ndarray:
-    """Points of one field-stats realization: probe +- the mixing range, in
-    steps of epsilon / _LAG_STEPS; the probe is the middle point."""
-    reach = _field_stats_reach(spec)
-    return probe + epsilon * (np.arange(-_LAG_STEPS * reach, _LAG_STEPS * reach + 1) / _LAG_STEPS)
-
-
-def field_stats_task(params: dict, epsilon: float, seed: int) -> dict:
-    """Point statistics plus an exact-in-expectation integrated-covariance probe."""
+def _prepare_field_stats(params: dict, epsilon: float) -> dict:
+    """The spec, the bound on |field|, and the points of every realization:
+    the probe +- the mixing range in steps of epsilon / _LAG_STEPS, the
+    probe in the middle."""
     spec = randfield.MAProcessSpec.from_json(params["field"])
-    pts = field_stats_points(spec, params["probe"], epsilon)
-    vals = randfield.sample_at(spec, epsilon, pts, seed)
+    steps = _LAG_STEPS * _field_stats_reach(spec)
+    points = params["probe"] + epsilon * (np.arange(-steps, steps + 1) / _LAG_STEPS)
+    return dict(params, spec=spec, points=points, bound=spec.abs_bound + 1e-12)
+
+
+def field_stats_task(state: dict, epsilon: float, seed: int) -> dict:
+    """Point statistics plus an exact-in-expectation integrated-covariance probe."""
+    vals = randfield.sample_at(state["spec"], epsilon, state["points"], seed)
     center = float(vals[vals.size // 2])
     # sum R(k/8)/8 telescopes to int R exactly: R is piecewise linear with
     # integer knots and vanishes beyond the mixing range
     sig = center * float(np.sum(vals)) / _LAG_STEPS
-    bound = spec.abs_bound + 1e-12
     return {
         "point_value": center,
         "point_square": center * center,
         "sigma2_sample": sig,
-        "count_bound_violation": float(np.any(np.abs(vals) > bound)),
+        "count_bound_violation": float(np.any(np.abs(vals) > state["bound"])),
     }
 
 
@@ -389,37 +405,37 @@ def _helm_problem(params: dict, epsilon: float, dimension: int = 1) -> helmholtz
     """The Helmholtz problem of a config at one epsilon; 2D configs have a* = 1."""
     cells = _aligned_cells(epsilon, params["nodes_per_eps"])
     mesh = Mesh2D(cells + 1) if dimension == 2 else Mesh1D(cells + 1)
-    return helmholtz.HelmholtzProblem(
-        mesh,
-        params.get("a_star", 1.0),
-        params["q0"],
-        randfield.MAProcessSpec.from_json(params["field"]),
-        mesh_profile(params["f"], mesh),
-        epsilon,
-        alpha=params["alpha"],
-        truncation_rho=params["truncation_rho"],
-    )
+    spec, f = randfield.MAProcessSpec.from_json(params["field"]), mesh_profile(params["f"], mesh)
+    return helmholtz.HelmholtzProblem(mesh, params.get("a_star", 1.0), params["q0"], spec, f, epsilon,
+                                      alpha=params["alpha"], truncation_rho=params["truncation_rho"])
 
 
-def _elliptic_problem(params: dict, epsilon: float) -> elliptic.EllipticProblem1D:
-    spec = randfield.CorrelatedTripleSpec.from_json(params["triple"])
+def _prepare_helmholtz(params: dict, epsilon: float, dimension: int = 1) -> dict:
+    """The problem, its G factored and u0 = G f solved, and the moment test functions."""
+    prob = _helm_problem(params, epsilon, dimension)
+    prob.u0  # computed here, once, for every realization
+    mset = helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in params["moments"]))
+    return dict(params, problem=prob, moment_set=mset)
+
+
+def _prepare_elliptic(params: dict, epsilon: float) -> dict:
     mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
+    spec = randfield.CorrelatedTripleSpec.from_json(params["triple"])
     f = source_profile(params["f"], mesh.nodes)
-    return elliptic.EllipticProblem1D(
-        mesh,
-        spec,
-        params["q0"],
-        params["rho_bar"],
-        f,
-        epsilon,
-        a_base=params["a_base"],
-        truncation_rho=params["truncation_rho"],
-    )
+    prob = elliptic.EllipticProblem1D(mesh, spec, params["q0"], params["rho_bar"], f, epsilon,
+                                      a_base=params["a_base"], truncation_rho=params["truncation_rho"])
+    prob.u0  # computed here, once, for every realization
+    return dict(params, problem=prob)
 
 
-def _moment_set(prob, profiles) -> helmholtz.MomentSet:
-    """Named moment test functions on the nodes of a problem's mesh."""
-    return helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in profiles))
+def _prepare_spectral(params: dict, epsilon: float) -> dict:
+    """The problem, its reference spectrum, and (heat) the initial data."""
+    prob = _helm_problem(params, epsilon)
+    ref = spectral.discrete_unperturbed_spectrum(prob.mesh, prob.a_star, prob.q0, params["n_pairs"])
+    state = dict(params, problem=prob, reference=ref)
+    if "v0" in params:
+        state["v0_values"] = source_profile(params["v0"], prob.mesh.nodes)
+    return state
 
 
 def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
@@ -437,63 +453,53 @@ def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
     return out
 
 
-def helmholtz_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm_problem(params, epsilon)
-    sol = helmholtz.perturbed_solve(prob, seed, tol=params["tol"])
-    moments = ()
-    if params["moments"]:
-        mset = _moment_set(prob, params["moments"])
-        moments = helmholtz.moment_functionals(prob, mset, sol)
-    c = helmholtz.corrector(prob, sol)
-    return _solve_record(prob.mesh, sol, c, params["probes"], moments)
+def helmholtz_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    prob = state["problem"]
+    sol = helmholtz.perturbed_solve(prob, seed, tol=state["tol"])
+    moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
+    return _solve_record(prob.mesh, sol, helmholtz.corrector(prob, sol), state["probes"], moments)
 
 
-def helmholtz_moments_2d_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm_problem(params, epsilon, dimension=2)
-    sol = helmholtz.perturbed_solve_2d(prob, seed, tol=params["tol"])
-    mset = _moment_set(prob, params["moments"])
-    return _solve_record(prob.mesh, sol, moments=helmholtz.moment_functionals(prob, mset, sol))
+def helmholtz_moments_2d_task(state: dict, epsilon: float, seed: int) -> dict:
+    prob = state["problem"]
+    sol = helmholtz.perturbed_solve_2d(prob, seed, tol=state["tol"])
+    moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
+    return _solve_record(prob.mesh, sol, moments=moments)
 
 
-def elliptic_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _elliptic_problem(params, epsilon)
-    sol = elliptic.solve_transformed(prob, seed, tol=params["tol"])
-    return _solve_record(prob.mesh, sol, elliptic.corrector(prob, sol), params["probes"])
+def elliptic_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    prob = state["problem"]
+    sol = elliptic.solve_transformed(prob, seed, tol=state["tol"])
+    return _solve_record(prob.mesh, sol, elliptic.corrector(prob, sol), state["probes"])
 
 
-def spectral_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm_problem(params, epsilon)
-    sr = spectral.spectral_realization(prob, seed, params["n_pairs"])
+def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
     out = {"count_flagged": float(sr.match.any_violation)}
-    for n in params["modes"]:
+    for n in state["modes"]:
         out[f"inv_eig_{n}"] = sr.inverse_eigenvalue_corrector(n)
         out[f"eig_{n}"] = sr.eigenvalue_corrector(n)
         out[f"defect_{n}"] = sr.diagonal_defect(n)
-    n, m = params["fourier_pair"]
+    n, m = state["fourier_pair"]
     out[f"fourier_{n}_{m}"] = sr.fourier_corrector(n, m)
     return out
 
 
-def heat_corrector_task(params: dict, epsilon: float, seed: int) -> dict:
-    prob = _helm_problem(params, epsilon)
-    sr = spectral.spectral_realization(prob, seed, params["n_pairs"])
-    v0 = source_profile(params["v0"], prob.mesh.nodes)
-    direct, surrogate = sr.heat_corrector(
-        params["mode"], params["time"], v0, params["epsilon_const"]
-    )
-    return {
-        "heat_direct": direct,
-        "heat_surrogate": surrogate,
-        "heat_gap": abs(direct - surrogate),
-    }
+def heat_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
+    args = state["mode"], state["time"], state["v0_values"], state["epsilon_const"]
+    direct, surrogate = sr.heat_corrector(*args)
+    return {"heat_direct": direct, "heat_surrogate": surrogate, "heat_gap": abs(direct - surrogate)}
 
 
-ensemble.register_task("field-stats", field_stats_task)
-ensemble.register_task("helmholtz-corrector", helmholtz_corrector_task)
-ensemble.register_task("helmholtz-moments-2d", helmholtz_moments_2d_task)
-ensemble.register_task("elliptic-corrector", elliptic_corrector_task)
-ensemble.register_task("spectral-corrector", spectral_corrector_task)
-ensemble.register_task("heat-corrector", heat_corrector_task)
+ensemble.register_task("field-stats", field_stats_task, _prepare_field_stats)
+ensemble.register_task("helmholtz-corrector", helmholtz_corrector_task, _prepare_helmholtz)
+ensemble.register_task(
+    "helmholtz-moments-2d", helmholtz_moments_2d_task, partial(_prepare_helmholtz, dimension=2)
+)
+ensemble.register_task("elliptic-corrector", elliptic_corrector_task, _prepare_elliptic)
+ensemble.register_task("spectral-corrector", spectral_corrector_task, _prepare_spectral)
+ensemble.register_task("heat-corrector", heat_corrector_task, _prepare_spectral)
 
 # config keys the runner owns; every other key of a config is a task param
 _RUNNER_KEYS = ("kind", "seed", "n_real", "epsilon_list", "thresholds", "normality_checks")
@@ -777,10 +783,20 @@ def _grade_truncation(res, rep):
     res.checks.extend(_count_fraction_check("truncation", rep, "count_truncated", frac_max))
 
 
-def _ensemble_result(config: dict, workers: int):
-    """Run the kind's ensemble; an ungraded result holding it, and the report."""
-    rep = _run_ensemble(config, workers)
-    return ExperimentResult(config["kind"], config, {"main": rep}, {}, [], []), rep
+def _graded(grade):
+    """The runner of a one-ensemble kind: run it, then grade(config, res, rep) unless a
+    prepare failed (an error result).  A result outlives its run, so the prepared
+    states, every epsilon's mesh, go once the targets have read them."""
+
+    def runner(config: dict, workers: int) -> ExperimentResult:
+        rep = _run_ensemble(config, workers)
+        res = ExperimentResult(config["kind"], config, {"main": rep}, {}, [], [])
+        if not any(isinstance(st, Exception) for st in rep.states):
+            grade(config, res, rep)
+        rep.states.clear()
+        return res
+
+    return runner
 
 
 # --- experiment kinds ---
@@ -798,8 +814,7 @@ FIELD_STATS_DEFAULTS = {
 }
 
 
-def _run_field_stats(config, workers):
-    res, rep = _ensemble_result(config, workers)
+def _grade_field_stats(config, res, rep):
     spec = randfield.MAProcessSpec.from_json(config["field"])
     sf = config["thresholds"]["stderr_factor"]
     s2 = randfield.sigma2(spec)
@@ -814,7 +829,6 @@ def _run_field_stats(config, workers):
                 res.checks.append(_mean_check(f"{label}[{eps!r}]", st[name], target, sf))
     res.checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
     res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
-    return res
 
 
 # fields every Helmholtz-family kind shares (the 2D kind drops a_star)
@@ -850,14 +864,12 @@ HELM_DEFAULTS = {
 }
 
 
-def _run_helmholtz_corrector(config, workers):
-    res, rep = _ensemble_result(config, workers)
-    for k, eps in enumerate(rep.spec.epsilon_list):
-        prob = _helm_problem(config, eps)
+def _grade_helmholtz_corrector(config, res, rep):
+    for k in range(len(rep.spec.epsilon_list)):
+        prob, mset = rep.states[k]["problem"], rep.states[k]["moment_set"]
         if config["probes"]:
             _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
         if config["moments"]:
-            mset = _moment_set(prob, config["moments"])
             _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, mset))
     fit = _grade_norm_slope(res, rep)
     if fit is not None:
@@ -873,7 +885,6 @@ def _run_helmholtz_corrector(config, workers):
             )
         )
     _grade_truncation(res, rep)
-    return res
 
 
 HELM2D_DEFAULTS = {
@@ -886,16 +897,13 @@ HELM2D_DEFAULTS = {
 }
 
 
-def _run_helmholtz_moments_2d(config, workers):
-    res, rep = _ensemble_result(config, workers)
+def _grade_helmholtz_moments_2d(config, res, rep):
     spec = randfield.MAProcessSpec.from_json(config["field"])
     res.tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
-    for k, eps in enumerate(rep.spec.epsilon_list):
-        prob = _helm_problem(config, eps, dimension=2)
-        mset = _moment_set(prob, config["moments"])
-        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(prob, mset))
+    for k in range(len(rep.spec.epsilon_list)):
+        st = rep.states[k]
+        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
     _grade_truncation(res, rep)
-    return res
 
 
 _DEF_TRIPLE = {
@@ -932,11 +940,10 @@ ELLIPTIC_DEFAULTS = {
 }
 
 
-def _run_elliptic_corrector(config, workers):
-    res, rep = _ensemble_result(config, workers)
-    for k, eps in enumerate(rep.spec.epsilon_list):
+def _grade_elliptic_corrector(config, res, rep):
+    for k in range(len(rep.spec.epsilon_list)):
         if config["probes"]:
-            law = elliptic.limit_law(_elliptic_problem(config, eps), x_nodes=config["probes"])
+            law = elliptic.limit_law(rep.states[k]["problem"], x_nodes=config["probes"])
             if k == 0:
                 res.tables["rho_jk"] = law.rho_jk.tolist()
                 res.tables["sigma_b"] = law.sigma_b.tolist()
@@ -945,7 +952,6 @@ def _run_elliptic_corrector(config, workers):
             _grade_probes(res, rep, k, law.variance_fn)
     _grade_norm_slope(res, rep)
     _grade_truncation(res, rep)
-    return res
 
 
 SPECTRAL_DEFAULTS = {
@@ -963,13 +969,12 @@ SPECTRAL_DEFAULTS = {
 }
 
 
-def _run_spectral_corrector(config, workers):
-    res, rep = _ensemble_result(config, workers)
+def _grade_spectral_corrector(config, res, rep):
     th = config["thresholds"]
     s2 = randfield.sigma2(randfield.MAProcessSpec.from_json(config["field"]))
     eps_last = rep.spec.epsilon_list[-1]
-    mesh = aligned_mesh(eps_last, config["nodes_per_eps"])
     k_last = len(rep.spec.epsilon_list) - 1
+    mesh = rep.states[k_last]["problem"].mesh
     st = rep.stats[k_last]
     a_star, q0 = config["a_star"], config["q0"]
     for n in config["modes"]:
@@ -1001,7 +1006,6 @@ def _run_spectral_corrector(config, workers):
     res.checks.extend(
         _count_fraction_check("match_flags", rep, "count_flagged", th["flag_frac_max"])
     )
-    return res
 
 
 HEAT_DEFAULTS = {
@@ -1016,8 +1020,7 @@ HEAT_DEFAULTS = {
 }
 
 
-def _run_heat_corrector(config, workers):
-    res, rep = _ensemble_result(config, workers)
+def _grade_heat_corrector(config, res, rep):
     fit = _norm_slope(rep, functional="heat_gap")
     if fit is not None:
         res.tables["heat_gap_fit"] = fit.to_dict()
@@ -1034,7 +1037,6 @@ def _run_heat_corrector(config, workers):
         if "heat_direct" in st:
             scale = math.sqrt(max(st["heat_direct"].variance, 0.0))
             res.rows.append((repr(eps), "heat_gap", "rms_direct", float(scale)))
-    return res
 
 
 SCALING_DEFAULTS = {
@@ -1130,18 +1132,10 @@ def _run_periodic_compare(config, workers):
     th = config["thresholds"]
     # random-potential contrast: a helmholtz-corrector ensemble with no
     # probes or moments
-    contrast = {
-        **config["random"],
-        "kind": "helmholtz-corrector",
-        "seed": config["seed"],
-        "a_star": config["a_star"],
-        "q0": config["q0"],
-        "f": config["f"],
-        "alpha": 0.0,
-        "probes": [],
-        "moments": [],
-    }
+    contrast = dict(config["random"], kind="helmholtz-corrector", alpha=0.0, probes=[], moments=[],
+                    **{key: config[key] for key in ("seed", "a_star", "q0", "f")})
     rep = _run_ensemble(contrast, workers)
+    rep.states.clear()  # no target reads them
     res = ExperimentResult("periodic-compare", config, {"random": rep}, {}, [], [])
     # single-mode cell corrector amplitude
     cell = Mesh1D(config["cell_nodes"])
@@ -1229,7 +1223,7 @@ KINDS = {
             "field-stats",
             "Moving-average field statistics against closed-form covariances.",
             FIELD_STATS_DEFAULTS,
-            _run_field_stats,
+            _graded(_grade_field_stats),
             {
                 **_ENSEMBLE_RULES,
                 "field": _FIELD_SPEC,
@@ -1242,7 +1236,7 @@ KINDS = {
             "helmholtz-corrector",
             "1D Helmholtz corrector ensemble: scaling, pointwise law, moments.",
             HELM_DEFAULTS,
-            _run_helmholtz_corrector,
+            _graded(_grade_helmholtz_corrector),
             {
                 **_HELM_RULES,
                 "a_star": _POSITIVE,
@@ -1256,7 +1250,7 @@ KINDS = {
             "helmholtz-moments-2d",
             "2D Helmholtz moment functionals against the limit covariance.",
             HELM2D_DEFAULTS,
-            _run_helmholtz_moments_2d,
+            _graded(_grade_helmholtz_moments_2d),
             {
                 **_HELM_RULES,
                 "moments": partial(_profile_list, options=_PROFILES_2D, nonempty=True),
@@ -1268,7 +1262,7 @@ KINDS = {
             "elliptic-corrector",
             "1D divergence-form corrector ensemble against the three-driver law.",
             ELLIPTIC_DEFAULTS,
-            _run_elliptic_corrector,
+            _graded(_grade_elliptic_corrector),
             {
                 **_ENSEMBLE_RULES,
                 "triple": partial(_spec, cls=randfield.CorrelatedTripleSpec),
@@ -1288,7 +1282,7 @@ KINDS = {
             "spectral-corrector",
             "Eigenvalue and eigenvector corrector ensembles for the 1D operator.",
             SPECTRAL_DEFAULTS,
-            _run_spectral_corrector,
+            _graded(_grade_spectral_corrector),
             {
                 **_HELM_RULES,
                 "a_star": _POSITIVE,
@@ -1303,7 +1297,7 @@ KINDS = {
             "heat-corrector",
             "Heat semigroup corrector: direct difference vs two-term surrogate.",
             HEAT_DEFAULTS,
-            _run_heat_corrector,
+            _graded(_grade_heat_corrector),
             {
                 **_HELM_RULES,
                 "a_star": _POSITIVE,
@@ -1341,8 +1335,8 @@ KINDS = {
                 "q0": _NONNEG,
                 "f": _PROFILE,
                 "periodic_epsilon_list": _eps_list,
-                "nodes_per_eps_periodic": partial(_integer, lo=8),
-                "cell_nodes": partial(_integer, lo=16),
+                "nodes_per_eps_periodic": partial(_integer, lo=8, hi=MAX_NODES),
+                "cell_nodes": partial(_integer, lo=16, hi=MAX_NODES),
                 "random.field": _FIELD_SPEC,
                 "random.epsilon_list": _eps_list,
                 "random.n_real": _N_REAL,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn
@@ -191,21 +190,6 @@ class DiscreteGreenOperator:
         out = np.zeros(self.mesh.n_nodes)
         out[1:-1], _ = dpbtrs(self._factor, np.asarray(f)[1:-1], lower=0)
         return out
-
-
-def discrete_green_operator(mesh: Mesh1D, a_star: float, q0: float) -> DiscreteGreenOperator:
-    """Inverse of the three-point discretization of -a* u'' + q0 u.
-
-    The operator is deterministic, so it is factored once per process and
-    shared by every caller with the same mesh size and coefficients.
-    """
-    return _cached_fd_operator(mesh.n_nodes, a_star, q0)
-
-
-@lru_cache(maxsize=8)
-def _cached_fd_operator(n_nodes: int, a_star: float, q0: float):
-    mesh = Mesh1D(n_nodes)
-    return DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, a_star, q0))
 
 
 def fd_eigenvalue(mesh: Mesh1D, a_star: float, q0: float, k: int) -> float:

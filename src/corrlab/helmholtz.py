@@ -20,18 +20,19 @@ any of these names times the 2D path alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import randfield
 from .greens import (
+    DiscreteGreenOperator,
     GreenKernel1D,
     Mesh1D,
     Mesh2D,
     apply_green_2d,
     cumulative_trapezoid,
-    discrete_green_operator,
     eval_green_1d,
     fd_green_norm,
     fd_matrix_banded,
@@ -46,7 +47,7 @@ class _Dimension:
     """The pieces of a Helmholtz problem that depend on its dimension."""
 
     d: int
-    apply_green: object  # (problem, v) -> G v
+    green: object  # problem -> the function v -> G v
     green_norm: object  # problem -> closed-form bound on the norm of G
     sample: object  # (problem, seed) -> unscaled field at the nodes
     sigma2: object  # field spec -> integrated correlation of the field
@@ -89,9 +90,17 @@ class HelmholtzProblem:
         if not np.all(np.isfinite(self.f)):
             raise ValueError("f must be finite")
 
-    def apply_green(self, v: np.ndarray) -> np.ndarray:
-        """Unperturbed solution operator G."""
-        return self._dim.apply_green(self, v)
+    @cached_property
+    def apply_green(self):
+        """Unperturbed solution operator G, a function of v factored on first use."""
+        return self._dim.green(self)
+
+    @cached_property
+    def u0(self) -> np.ndarray:
+        """Unperturbed solution u0 = G f, solved once per problem; read-only."""
+        u0 = self.apply_green(self.f)
+        u0.flags.writeable = False
+        return u0
 
     @property
     def green_norm(self) -> float:
@@ -129,18 +138,13 @@ class Solution:
     q_values: np.ndarray
 
 
-def homogenized_solve(problem: HelmholtzProblem) -> np.ndarray:
-    """Unperturbed solution u0 = G f."""
-    return problem.apply_green(problem.f)
-
-
 def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) -> Solution:
     """Solve the perturbed problem by the safeguarded fixed-point iteration."""
     q = problem.sample_potential(seed)
     res = neumann_solve(
         problem.apply_green,
         q,
-        problem.f,
+        problem.u0,
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
@@ -183,8 +187,7 @@ def leading_corrector(problem: HelmholtzProblem, seed: int) -> np.ndarray:
     the limiting variance law independent of alpha.
     """
     q = problem.sample_potential(seed)
-    u0 = homogenized_solve(problem)
-    return -problem.apply_green(q * u0) / problem.corrector_scale
+    return -problem.apply_green(q * problem.u0) / problem.corrector_scale
 
 
 def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None) -> np.ndarray:
@@ -194,7 +197,7 @@ def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None) -> np.ndarray:
     """
     mesh = problem.mesh
     xs = mesh.nodes if x_nodes is None else np.asarray(x_nodes, dtype=float)
-    u0 = homogenized_solve(problem)
+    u0 = problem.u0
     g = eval_green_1d(GreenKernel1D(problem.a_star, problem.q0), xs[:, None], mesh.nodes[None, :])
     return problem.sigma2 * ((g * g) @ (mesh.quad_weights * u0 * u0))
 
@@ -220,9 +223,8 @@ def moment_functionals(
 
 def moment_covariance(problem: HelmholtzProblem, moments: MomentSet) -> np.ndarray:
     """Limit covariance Sigma_jk = sigma^2 int m_j m_k, m_k = -(G M_k) u0."""
-    u0 = homogenized_solve(problem)
     w = problem.mesh.quad_weights
-    ms = [-problem.apply_green(m) * u0 for m in moments.functions]
+    ms = [-problem.apply_green(m) * problem.u0 for m in moments.functions]
     k = len(ms)
     s2 = problem.sigma2
     out = np.empty((k, k))
@@ -265,14 +267,14 @@ def sigma2_separable_2d(spec: MAProcessSpec) -> float:
 _DIMENSIONS = {
     Mesh1D: _Dimension(
         1,
-        lambda p, v: discrete_green_operator(p.mesh, p.a_star, p.q0).apply(v),
+        lambda p: DiscreteGreenOperator(p.mesh, fd_matrix_banded(p.mesh, p.a_star, p.q0)).apply,
         lambda p: fd_green_norm(p.mesh, p.a_star, p.q0),
         lambda p, seed: randfield.sample_at(p.field_spec, p.epsilon, p.mesh.nodes, seed),
         sigma2,
     ),
     Mesh2D: _Dimension(
         2,
-        lambda p, v: apply_green_2d(p.mesh, p.q0, v),
+        lambda p: lambda v: apply_green_2d(p.mesh, p.q0, v),
         lambda p: green_norm_2d(p.q0),
         lambda p, seed: randfield.sample_2d(p.field_spec, p.epsilon, p.mesh, seed),
         sigma2_separable_2d,

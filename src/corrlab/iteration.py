@@ -65,13 +65,13 @@ def estimate_composed_norm(apply_green, q: np.ndarray, shape) -> float:
 def neumann_solve(
     apply_green,
     q: np.ndarray,
-    f: np.ndarray,
+    u0: np.ndarray,
     quad_weights: np.ndarray,
     tol: float = 1e-10,
     truncation_rho: float = 0.5,
     green_norm: float | None = None,
 ) -> FixedPointResult:
-    """Run the safeguarded twice-iterated fixed point.
+    """Run the safeguarded twice-iterated fixed point from u0 = G f.
 
     `green_norm`, when given, must bound the Euclidean operator norm of
     `apply_green` from above; it lets the safeguard skip the power iteration
@@ -82,24 +82,15 @@ def neumann_solve(
     contraction factor rho < 1 the distance to the fixed point is bounded by
     residual * rho / (1 - rho), so tol is effectively an absolute tolerance.
     """
-    f = np.asarray(f, dtype=float)
-    u0 = apply_green(f)
     estimate = math.inf
     if green_norm is not None:
         estimate = (green_norm * float(np.max(np.abs(q)))) ** 2
     certified = estimate <= truncation_rho * (1.0 - CERTIFY_MARGIN)
     if not certified:
-        estimate = estimate_composed_norm(apply_green, q, f.shape)
+        estimate = estimate_composed_norm(apply_green, q, u0.shape)
     if estimate > truncation_rho:
-        return FixedPointResult(
-            u=u0.copy(),
-            u0=u0,
-            iterations=0,
-            residual=0.0,
-            op_norm_estimate=estimate,
-            truncated=True,
-            residual_history=(),
-        )
+        return FixedPointResult(u=u0.copy(), u0=u0, iterations=0, residual=0.0,
+                                op_norm_estimate=estimate, truncated=True, residual_history=())
     g = u0 - apply_green(q * u0)
     u = u0.copy()
     history = []
@@ -110,16 +101,9 @@ def neumann_solve(
         history.append(residual)
         u = u_next
         if residual <= tol:
-            return FixedPointResult(
-                u=u,
-                u0=u0,
-                iterations=it,
-                residual=residual,
-                op_norm_estimate=estimate,
-                truncated=False,
-                residual_history=tuple(history),
-                certified=certified,
-            )
+            return FixedPointResult(u=u, u0=u0, iterations=it, residual=residual,
+                                    op_norm_estimate=estimate, truncated=False,
+                                    residual_history=tuple(history), certified=certified)
     raise RuntimeError(
         f"fixed point did not converge in {MAX_ITERATIONS} iterations "
         f"(last residual {residual:.3e}, norm estimate {estimate:.3f})"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -156,25 +155,24 @@ def _spectrum(nu, v, mesh: Mesh1D, reference: Spectrum | None, certified: bool) 
     return Spectrum(1.0 / nu, u, certified)
 
 
-@dataclass(frozen=True)
-class _Reference:
-    """Pairs of the unperturbed FD matrix, shared read-only.
+@dataclass
+class _Reference(Spectrum):
+    """Pairs of the unperturbed FD matrix, read-only, with what seeds and
+    brackets a realization's RQI: the interior unit rows `v`, the diagonal
+    `d` Weyl's inequality compares against, and the n_max + 1 window
+    centres (the reference eigenvalues, then the closed-form next one)."""
 
-    The interior unit rows `v` seed every realization's RQI; `d` is the
-    diagonal Weyl's inequality compares against, and `centres` the n_max + 1
-    window centres: the reference eigenvalues, then the closed-form next one.
+    v: np.ndarray = None
+    d: np.ndarray = None
+    centres: np.ndarray = None
+
+
+def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
+    """Eigenpairs of the unperturbed FD matrix; corrector reference spectrum.
+
+    Its arrays are read-only: every realization of a prepared state shares it.
     """
-
-    spectrum: Spectrum
-    v: np.ndarray
-    d: np.ndarray
-    centres: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _cached_reference(n_nodes: int, a_star: float, q0: float, n_max: int) -> _Reference:
-    mesh = Mesh1D(n_nodes)
-    if n_max > n_nodes - 2:
+    if n_max > mesh.n_nodes - 2:
         raise ValueError("n_max exceeds the number of interior nodes")
     ab = fd_matrix_banded(mesh, a_star, q0)
     d, e = ab[1], ab[0, 1:]
@@ -182,38 +180,34 @@ def _cached_reference(n_nodes: int, a_star: float, q0: float, n_max: int) -> _Re
     s = np.sin(np.arange(1, n_max + 1)[:, None] * math.pi * mesh.nodes[1:-1])
     seeds = s / np.sqrt(np.sum(s * s, axis=1))[:, None]
     # window n_max + 1 bounds the pairs from above; past the last mode it is empty
-    exact = np.array([fd_eigenvalue(mesh, a_star, q0, k) if k < n_nodes - 1 else math.inf
+    exact = np.array([fd_eigenvalue(mesh, a_star, q0, k) if k < mesh.n_nodes - 1 else math.inf
                       for k in range(1, n_max + 2)])
     pairs = _certified_pairs(d, e, seeds, exact, 0.0)
     certified = pairs is not None
     if not certified:  # e.g. a top mode of a small mesh whose shift is an exact eigenvalue
         pairs = _bisection_pairs(d, e, n_max)
     nu, v = pairs
-    ref = _Reference(_spectrum(nu, v, mesh, None, certified), v, d, np.append(nu, exact[-1]))
-    # every realization with these coefficients shares this record
-    for arr in (ref.spectrum.lam, ref.spectrum.u, v, d, ref.centres):
+    spec = _spectrum(nu, v, mesh, None, certified)
+    ref = _Reference(spec.lam, spec.u, certified, v, d, np.append(nu, exact[-1]))
+    for arr in (ref.lam, ref.u, v, d, ref.centres):
         arr.flags.writeable = False
     return ref
 
 
-def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
-    """Eigenpairs of the unperturbed FD matrix; corrector reference spectrum."""
-    return _cached_reference(mesh.n_nodes, a_star, q0, n_max).spectrum
-
-
-def perturbed_spectrum(problem: HelmholtzProblem, seed: int, n_max: int, reference=None) -> Spectrum:
+def perturbed_spectrum(problem: HelmholtzProblem, seed: int, n_max: int, reference) -> Spectrum:
     """Lowest n_max inverse-operator eigenpairs of P + q_eps for one realization.
 
-    RQI runs from the cached unperturbed pairs.  Weyl's inequality puts the
-    k-th eigenvalue within max|q| of the k-th unperturbed one, which
-    certifies each pair's index; if any pair fails its window, the whole
-    realization is solved by bisection instead (`certified` False).
+    RQI runs from the pairs of `reference`, the `discrete_unperturbed_spectrum`
+    of the problem's mesh and coefficients.  Weyl's inequality puts the k-th
+    eigenvalue within max|q| of the k-th unperturbed one, which certifies
+    each pair's index; if any pair fails its window, the whole realization is
+    solved by bisection instead (`certified` False).
     """
     mesh = problem.mesh
-    ref = _cached_reference(mesh.n_nodes, problem.a_star, problem.q0, n_max)
     ab = fd_matrix_banded(mesh, problem.a_star, problem.q0 + problem.sample_potential(seed))
     d, e = ab[1], ab[0, 1:]
-    pairs = _certified_pairs(d, e, ref.v, ref.centres, float(np.max(np.abs(d - ref.d))))
+    spread = float(np.max(np.abs(d - reference.d)))
+    pairs = _certified_pairs(d, e, reference.v, reference.centres, spread)
     if pairs is None:
         return _spectrum(*_bisection_pairs(d, e, n_max), mesh, reference, False)
     return _spectrum(*pairs, mesh, reference, True)
@@ -323,9 +317,11 @@ class SpectralRealization:
         return direct, surrogate
 
 
-def spectral_realization(problem: HelmholtzProblem, seed: int, n_max: int) -> SpectralRealization:
-    """Solve, match, and wrap one realization's spectra."""
-    reference = discrete_unperturbed_spectrum(problem.mesh, problem.a_star, problem.q0, n_max)
+def spectral_realization(problem: HelmholtzProblem, seed: int, n_max: int, reference=None):
+    """Solve, match, and wrap one realization's spectra against `reference`,
+    the problem's `discrete_unperturbed_spectrum` (built here if not given)."""
+    if reference is None:
+        reference = discrete_unperturbed_spectrum(problem.mesh, problem.a_star, problem.q0, n_max)
     perturbed = perturbed_spectrum(problem, seed, n_max, reference)
     return SpectralRealization(problem, reference, perturbed, match_eigenpairs(reference, perturbed))
 

@@ -8,8 +8,8 @@ import scipy.stats
 
 from corrlab import ensemble
 from corrlab.ensemble import (
-    CHUNK_SIZE,
     EnsembleSpec,
+    _chunk_size,
     derive_seed,
     ks_critical,
     ks_statistic,
@@ -87,10 +87,75 @@ def test_run_serial_statistics():
 
 
 def test_run_worker_count_invariance():
-    spec = EnsembleSpec(5, 3 * CHUNK_SIZE + 7, (0.1, 0.05), "toy", {})
+    spec = EnsembleSpec(5, 103, (0.1, 0.05), "toy", {})
     rep1 = run(spec, workers=1)
     rep2 = run(spec, workers=2)
     assert rep1.to_json_dict() == rep2.to_json_dict()
+
+
+def test_partial_chunks_and_scattered_failures_do_not_depend_on_workers():
+    """47 realizations leave a short last chunk at 1, 2 and 3 workers; the
+    failing seeds fall in several chunks of every epsilon."""
+    spec = EnsembleSpec(13, 47, (0.2, 0.1, 0.05), "toy", {"fail_below": 1})
+    reports = {w: run(spec, workers=w) for w in (1, 2, 3)}
+    for w, rep in reports.items():
+        size = _chunk_size(spec.n_real, w)
+        assert spec.n_real % size != 0
+        hit = {(k, j // size) for k, j, _, _ in rep.failures}
+        assert {k for k, _ in hit} == {0, 1, 2} and len(hit) > 3
+        assert rep.to_json_dict() == reports[1].to_json_dict()
+        assert rep.samples == reports[1].samples
+
+
+def test_one_pool_per_run(monkeypatch):
+    built = []
+
+    class CountingPool(ensemble.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+    spec = EnsembleSpec(2, 30, (0.4, 0.2, 0.1, 0.05), "toy", {})
+    assert run(spec, workers=2).to_json_dict() == run(spec).to_json_dict()
+    assert len(built) == 1
+
+
+PREPARED = []
+
+
+def _prepare_toy(params, epsilon):
+    PREPARED.append(epsilon)
+    if epsilon == params.get("bad_epsilon"):
+        raise ValueError(f"no state at {epsilon}")
+    return dict(params, scale=1.0 / epsilon)
+
+
+register_task("toy-prepared", _toy_task, _prepare_toy)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prepare_runs_once_per_epsilon_and_feeds_every_task(workers):
+    PREPARED.clear()
+    rep = run(EnsembleSpec(6, 40, (0.5, 0.25), "toy-prepared", {}), workers=workers)
+    assert PREPARED == [0.5, 0.25]
+    plain = run(EnsembleSpec(6, 40, (0.5, 0.25), "toy", {}))
+    for k, eps in enumerate((0.5, 0.25)):
+        assert rep.states[k]["scale"] == 1.0 / eps
+        # value = scale * epsilon * x: the task saw the prepared scale
+        want = [v / eps for v in plain.samples[k]["value"]]
+        assert rep.samples[k]["value"] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_prepare_fails_every_realization_at_its_epsilon(workers):
+    spec = EnsembleSpec(6, 10, (0.5, 0.25, 0.125), "toy-prepared", {"bad_epsilon": 0.25})
+    rep = run(spec, workers=workers)
+    assert [c["count_failed"] for c in rep.counts] == [0, 10, 0]
+    assert rep.failures == [(1, j, derive_seed(6, 1, j), "ValueError: no state at 0.25") for j in range(10)]
+    assert rep.stats[1] == {} and rep.stats[0]["value"].n == 10
+    assert rep.status == "error"
+    assert isinstance(rep.states[1], ValueError)
 
 
 def test_run_records_failures_in_order():

@@ -9,6 +9,7 @@ import pytest
 from corrlab import ensemble
 from corrlab.experiments import (
     KINDS,
+    MAX_NODES,
     ConfigError,
     aligned_mesh,
     describe_kinds,
@@ -99,6 +100,22 @@ def test_validate_config_type_and_range_errors():
          "field", "amplitude must be finite"),
         ({"kind": "helmholtz-moments-2d", "f": "parabola"},
          "f", "2D sources must be one of ['one', 'sine']"),
+        # at most MAX_NODES mesh nodes per realization, and no overflow on the way
+        ({"kind": "helmholtz-corrector", "epsilon_list": [1e-320]},
+         "epsilon_list", "epsilon 1e-320 at 8 nodes per epsilon needs over 4194304 mesh nodes"),
+        ({"kind": "helmholtz-corrector", "epsilon_list": [2e-8]},
+         "epsilon_list", "epsilon 2e-08 at 8 nodes per epsilon needs over"),
+        ({"kind": "elliptic-corrector", "epsilon_list": [0.02, 1e-6]}, "epsilon_list", "epsilon 1e-06"),
+        ({"kind": "helmholtz-moments-2d", "epsilon_list": [0.0625, 0.003]}, "epsilon_list", "epsilon 0.003"),
+        ({"kind": "spectral-corrector", "epsilon_list": [0.0005], "n_pairs": 300},
+         "epsilon_list", "needs over 4194304 mesh nodes per realization"),
+        ({"kind": "heat-corrector", "epsilon_list": [0.0005], "n_pairs": 300}, "epsilon_list", "needs over"),
+        ({"kind": "periodic-compare", "periodic_epsilon_list": [0.0625, 0.03125, 1e-5]},
+         "periodic_epsilon_list", "at 64 nodes per epsilon needs over"),
+        ({"kind": "periodic-compare", "random": {"epsilon_list": [0.02, 1e-9]}},
+         "random.epsilon_list", "needs over"),
+        ({"kind": "helmholtz-corrector", "nodes_per_eps": MAX_NODES + 1}, "nodes_per_eps", "must be <="),
+        ({"kind": "periodic-compare", "cell_nodes": MAX_NODES + 1}, "cell_nodes", "must be <="),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
@@ -126,6 +143,16 @@ def test_mesh_preconditions_accept_aligned_probes():
     )
     validate_config({"kind": "spectral-corrector", "epsilon_list": [0.5],
                      "nodes_per_eps": 2, "n_pairs": 3, "modes": [1, 2]})
+
+
+@pytest.mark.parametrize("kind, cells", [("helmholtz-corrector", MAX_NODES - 1), ("helmholtz-moments-2d", 2047)])
+def test_node_budget_admits_a_mesh_of_exactly_max_nodes(kind, cells):
+    """MAX_NODES nodes (2048^2 in 2D) validate; one more cell does not."""
+    probes = {"probes": []} if kind == "helmholtz-corrector" else {}
+    validate_config({"kind": kind, "epsilon_list": [8 / cells], **probes})
+    with pytest.raises(ConfigError) as err:
+        validate_config({"kind": kind, "epsilon_list": [8 / (cells + 1)], **probes})
+    assert err.value.field == "epsilon_list"
 
 
 def test_validate_config_round_trip_idempotent():
@@ -267,3 +294,24 @@ def test_field_stats_with_every_realization_failed_reports_error(monkeypatch):
     assert "sampler down" in message
     assert "[ERROR] main: 4 failed realizations" in res.summary_text()
     assert "# status=error" in res.to_csv()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_prepare_reports_error_without_grading(monkeypatch, workers):
+    """A prepare that raises fails every realization at its epsilon; the
+    runner skips the targets and the report carries the message."""
+    prepare = ensemble.PREPARE["helmholtz-corrector"]
+
+    def broken(params, epsilon):
+        if epsilon == 0.01:
+            raise RuntimeError("no mesh today")
+        return prepare(params, epsilon)
+
+    monkeypatch.setitem(ensemble.PREPARE, "helmholtz-corrector", broken)
+    res = run_experiment({"kind": "helmholtz-corrector", "n_real": 6, "epsilon_list": [0.02, 0.01]}, workers)
+    rep = res.ensembles["main"]
+    assert res.status == "error" and res.checks == []
+    assert [c["count_failed"] for c in rep.counts] == [0, 6]
+    assert rep.states == []
+    assert res.first_failure()[1] == "RuntimeError: no mesh today"
+    assert "[ERROR] main: 6 failed realizations" in res.summary_text()

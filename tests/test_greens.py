@@ -12,7 +12,6 @@ from corrlab.greens import (
     Mesh1D,
     Mesh2D,
     apply_green_2d,
-    discrete_green_operator,
     eval_green_1d,
     fd_matrix_banded,
     green_partials_1d,
@@ -134,7 +133,7 @@ def test_nystrom_mesh_length_must_match():
 
 def test_discrete_operator_is_exact_inverse():
     mesh = Mesh1D(n_nodes=41)
-    op = discrete_green_operator(mesh, 1.5, 0.7)
+    op = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.5, 0.7))
     rng = np.random.Generator(np.random.PCG64(1))
     f = rng.normal(size=mesh.n_nodes)
     u = op.apply(f)
@@ -143,16 +142,6 @@ def test_discrete_operator_is_exact_inverse():
     h2 = mesh.h * mesh.h
     res = -1.5 * (u[2:] - 2 * u[1:-1] + u[:-2]) / h2 + 0.7 * u[1:-1]
     assert np.max(np.abs(res - f[1:-1])) < 1e-9
-
-
-def test_discrete_operator_is_factored_once_per_coefficients():
-    mesh = Mesh1D(n_nodes=41)
-    op = discrete_green_operator(mesh, 1.5, 0.7)
-    assert discrete_green_operator(Mesh1D(n_nodes=41), 1.5, 0.7) is op
-    assert discrete_green_operator(mesh, 1.5, 0.8) is not op
-    fresh = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.5, 0.7))
-    f = np.sin(3.0 * mesh.nodes)
-    assert np.array_equal(op.apply(f), fresh.apply(f))
 
 
 def test_discrete_operator_variable_potential_and_indefinite():
@@ -175,7 +164,7 @@ def test_discrete_converges_to_kernel():
     errs = []
     for n in (33, 65, 129):
         mesh = Mesh1D(n_nodes=n)
-        op = discrete_green_operator(mesh, 1.0, 4.0)
+        op = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.0, 4.0))
         j = (n - 1) // 2
         f = np.zeros(n)
         f[j] = 1.0 / mesh.h

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from corrlab.greens import Mesh1D, Mesh2D
+from corrlab.greens import DiscreteGreenOperator, Mesh1D, Mesh2D, fd_matrix_banded
 from corrlab.helmholtz import (
     HelmholtzProblem,
     MomentSet,
@@ -13,7 +13,6 @@ from corrlab.helmholtz import (
     corrector_law_1d,
     direct_solve_fd,
     dirichlet_solve_fd,
-    homogenized_solve,
     leading_corrector,
     moment_covariance,
     moment_covariance_2d,
@@ -50,10 +49,29 @@ def _problem(n_nodes=801, epsilon=0.01, q0=0.0, alpha=0.0):
 
 def test_homogenized_solution_is_parabola():
     p = _problem(n_nodes=101)
-    u0 = homogenized_solve(p)
+    u0 = p.u0
     # the 3-point stencil is exact for the quadratic x(1-x)/2
     want = p.mesh.nodes * (1.0 - p.mesh.nodes) / 2.0
     assert np.max(np.abs(u0 - want)) < 1e-12
+
+
+def test_problem_factors_its_green_operator_once(monkeypatch):
+    """A problem's FD operator is factored on first use and u0 = G f solved
+    once; realizations sharing the problem reuse both."""
+    factored = []
+    init = DiscreteGreenOperator.__post_init__
+    monkeypatch.setattr(DiscreteGreenOperator, "__post_init__", lambda op: factored.append(op) or init(op))
+    mesh = Mesh1D(n_nodes=41)
+    p = HelmholtzProblem(mesh, 1.5, 0.7, SPEC, np.ones(mesh.n_nodes), 0.1)
+    assert factored == []
+    f = np.sin(3.0 * mesh.nodes)
+    first, u0 = p.apply_green(f), p.u0
+    assert np.array_equal(p.apply_green(f), first) and p.u0 is u0
+    perturbed_solve(p, seed=3)
+    assert len(factored) == 1
+    fresh = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.5, 0.7))
+    assert np.array_equal(first, fresh.apply(f)) and np.array_equal(u0, fresh.apply(p.f))
+    assert not u0.flags.writeable
 
 
 def test_perturbed_solve_matches_direct_fd():
@@ -227,7 +245,7 @@ def test_moment_covariance_2d_sine_mode():
     m = np.sin(math.pi * X) * np.sin(math.pi * Y)
     cov = moment_covariance_2d(p, MomentSet(functions=(m,)))
     # G m = m / (2 pi^2); Sigma = sigma^2 int (m u0)^2 / (2 pi^2)^2
-    u0 = homogenized_solve(p)
+    u0 = p.u0
     w = p.mesh.quad_weights
     want = float(np.sum(w * (m * u0) ** 2)) / (2 * math.pi**2) ** 2
     assert cov[0, 0] == pytest.approx(want, rel=1e-10)

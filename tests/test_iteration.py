@@ -48,7 +48,7 @@ def test_converges_to_perturbed_solution():
     """Fixed point solves (-u'' + q u = f) for a mild constant potential."""
     q = np.full(MESH.n_nodes, 2.0)
     f = np.sin(math.pi * MESH.nodes)
-    res = neumann_solve(_apply, q, f, MESH.quad_weights, tol=1e-12)
+    res = neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-12)
     assert not res.truncated
     assert res.residual <= 1e-12
     # analytic solution for constant q: sin mode with shifted eigenvalue
@@ -61,7 +61,7 @@ def test_converges_to_perturbed_solution():
 def test_residual_history_contracts():
     q = np.full(MESH.n_nodes, 3.0)
     f = np.ones(MESH.n_nodes)
-    res = neumann_solve(_apply, q, f, MESH.quad_weights, tol=1e-12)
+    res = neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-12)
     hist = res.residual_history
     assert len(hist) == res.iterations
     assert hist[-1] <= 1e-12
@@ -82,13 +82,13 @@ def test_truncation_flag_returns_unperturbed():
     # q large enough that ||G q G q|| estimate clears the 0.5 default
     q = np.full(MESH.n_nodes, 9.0)
     f = np.sin(math.pi * MESH.nodes)
-    res = neumann_solve(_apply, q, f, MESH.quad_weights)
+    res = neumann_solve(_apply, q, _apply(f), MESH.quad_weights)
     assert res.truncated
     assert res.iterations == 0
     assert res.residual_history == ()
     assert np.array_equal(res.u, res.u0)
     # raising the threshold lets the same problem iterate
-    res2 = neumann_solve(_apply, q, f, MESH.quad_weights, truncation_rho=0.9)
+    res2 = neumann_solve(_apply, q, _apply(f), MESH.quad_weights, truncation_rho=0.9)
     assert not res2.truncated
     assert res2.iterations > 0
 
@@ -96,7 +96,7 @@ def test_truncation_flag_returns_unperturbed():
 def test_zero_potential_converges_immediately():
     q = np.zeros(MESH.n_nodes)
     f = np.ones(MESH.n_nodes)
-    res = neumann_solve(_apply, q, f, MESH.quad_weights)
+    res = neumann_solve(_apply, q, _apply(f), MESH.quad_weights)
     assert res.iterations == 1
     assert np.array_equal(res.u, res.u0)
     assert res.op_norm_estimate == 0.0
@@ -109,14 +109,14 @@ def test_nonconvergence_raises(monkeypatch):
     q = np.full(MESH.n_nodes, 9.0)
     f = np.ones(MESH.n_nodes)
     with pytest.raises(RuntimeError, match="did not converge in 5 iterations"):
-        neumann_solve(_apply, q, f, MESH.quad_weights, tol=1e-300, truncation_rho=0.99)
+        neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-300, truncation_rho=0.99)
 
 
 def test_sign_indefinite_potential():
     """Oscillating q converges and matches a dense direct solve."""
     q = 4.0 * np.sin(2 * math.pi * MESH.nodes)
     f = MESH.nodes * (1.0 - MESH.nodes)
-    res = neumann_solve(_apply, q, f, MESH.quad_weights, tol=1e-12)
+    res = neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-12)
     assert not res.truncated
     ident = np.eye(MESH.n_nodes)
     dense = np.linalg.solve(ident + OP.matrix * q[None, :], OP.apply(f))
@@ -137,7 +137,7 @@ def _fd_case(seed, amp, eps):
     mesh = Mesh1D(n_nodes=101)
     spec = MAProcessSpec(weights=FIELD_WEIGHTS, amplitude=amp)
     p = HelmholtzProblem(mesh, 1.0, 0.5, spec, np.ones(mesh.n_nodes), eps)
-    return p.apply_green, p.sample_potential(seed), p.green_norm, p.f, mesh.quad_weights
+    return p.apply_green, p.sample_potential(seed), p.green_norm, p.u0, mesh.quad_weights
 
 
 def _elliptic_case(seed, amp, eps):
@@ -146,15 +146,15 @@ def _elliptic_case(seed, amp, eps):
     p = EllipticProblem1D(mesh, spec, 0.5, 1.0, np.ones(mesh.n_nodes), eps)
     fields = sample_fields(p, seed)
     apply_g, green_norm = transformed_green(p, coefficient_values(p, fields[CH_B]))
-    rhs = (p.rho_bar + fields[CH_RHO]) * p.f
-    return apply_g, tilde_q(p, fields), green_norm, rhs, mesh.quad_weights
+    u0 = apply_g((p.rho_bar + fields[CH_RHO]) * p.f)
+    return apply_g, tilde_q(p, fields), green_norm, u0, mesh.quad_weights
 
 
 def _case_2d(seed, amp, eps):
     mesh = Mesh2D(n_nodes=17)
     spec = MAProcessSpec(weights=FIELD_WEIGHTS, amplitude=amp)
     p = HelmholtzProblem(mesh, 1.0, 0.5, spec, np.ones((17, 17)), eps)
-    return p.apply_green, p.sample_potential(seed), p.green_norm, p.f, mesh.quad_weights
+    return p.apply_green, p.sample_potential(seed), p.green_norm, p.u0, mesh.quad_weights
 
 
 CASES = {"fd": _fd_case, "elliptic": _elliptic_case, "2d": _case_2d}
@@ -197,9 +197,9 @@ def test_certified_bound_dominates_power_estimate(kernel, seed, amp, eps):
 @given(**CASE_ARGS)
 @_with_examples
 def test_green_norm_leaves_the_solve_unchanged(kernel, seed, amp, eps):
-    apply_g, q, green_norm, rhs, weights = CASES[kernel](seed, amp, eps)
-    plain = neumann_solve(apply_g, q, rhs, weights)
-    fast = neumann_solve(apply_g, q, rhs, weights, green_norm=green_norm)
+    apply_g, q, green_norm, u0, weights = CASES[kernel](seed, amp, eps)
+    plain = neumann_solve(apply_g, q, u0, weights)
+    fast = neumann_solve(apply_g, q, u0, weights, green_norm=green_norm)
     assert np.array_equal(fast.u, plain.u)
     assert (fast.iterations, fast.truncated) == (plain.iterations, plain.truncated)
     assert not plain.certified
@@ -214,12 +214,12 @@ def test_green_norm_leaves_the_solve_unchanged(kernel, seed, amp, eps):
 @pytest.mark.parametrize("case", CERTIFIED + BOUND_PAST_THRESHOLD + TRUNCATING)
 def test_regime_examples(case):
     """The fixed examples above reach every regime of the safeguard."""
-    apply_g, q, green_norm, rhs, weights = CASES[case[0]](*case[1:])
-    res = neumann_solve(apply_g, q, rhs, weights, green_norm=green_norm)
+    apply_g, q, green_norm, u0, weights = CASES[case[0]](*case[1:])
+    res = neumann_solve(apply_g, q, u0, weights, green_norm=green_norm)
     assert res.certified == (case in CERTIFIED)
     assert res.truncated == (case in TRUNCATING)
     if case in TRUNCATING:
-        plain = neumann_solve(apply_g, q, rhs, weights)
+        plain = neumann_solve(apply_g, q, u0, weights)
         assert plain.truncated
         assert res.op_norm_estimate == plain.op_norm_estimate > 0.5
         assert np.array_equal(res.u, res.u0)

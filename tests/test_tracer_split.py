@@ -3,7 +3,9 @@
 `perfbench/tracer.py` wraps corrlab names by attribute lookup, and a missing
 name fails the whole benchmark run.  The 2D Helmholtz path shares its code
 with the 1D path but keeps its own names, so a traced pass must see the 2D
-names only in the 2D experiment and the 1D solve only in 1D tasks.
+names only in the 2D experiment and the 1D solve only in 1D tasks.  State
+prepared once per epsilon stays out of the tasks: no Helmholtz task factors
+an operator, and each reference spectrum is built once per epsilon.
 """
 
 import importlib.util
@@ -70,12 +72,14 @@ def test_every_wrapped_name_resolves():
         assert callable(ensemble.REGISTRY[kind]), kind
 
 
-def test_traced_fixedpoint_pass_keeps_the_2d_names_on_the_2d_path():
+def _traced_pass(workload):
+    """Spans of one traced workers=1 pass of `workload` at n_real 4, with the
+    experiment kind and the realization task (if any) around each span."""
     tracing = _load("tracer")
     workloads = _load("workloads")
     configs = [
         experiments.validate_config(dict(raw, n_real=4))
-        for raw in workloads.configs("fixedpoint", 7)
+        for raw in workloads.configs(workload, 7)
     ]
     tr = tracing.Tracer()
     tracing.install(tr)
@@ -86,7 +90,6 @@ def test_traced_fixedpoint_pass_keeps_the_2d_names_on_the_2d_path():
     finally:
         tr.uninstall()
 
-    # the experiment and the realization task (if any) around each span
     experiment, task = [None] * len(tr.spans), [None] * len(tr.spans)
     for i, (name, _, _, parent, tag) in enumerate(tr.spans):
         if parent >= 0:
@@ -95,14 +98,34 @@ def test_traced_fixedpoint_pass_keeps_the_2d_names_on_the_2d_path():
             experiment[i] = tag
         elif name.startswith(tracing.TASK + "."):
             task[i] = name[len(tracing.TASK) + 1 :]
+    return configs, tr.spans, experiment, task
 
-    seen = {name for name, *_ in tr.spans}
+
+def test_traced_fixedpoint_pass_keeps_the_2d_names_on_the_2d_path():
+    _, spans, experiment, task = _traced_pass("fixedpoint")
+    seen = {name for name, *_ in spans}
     for name in ONLY_2D + ONLY_1D:
         assert name in seen, name
-    for i, (name, *_) in enumerate(tr.spans):
+    factored = set()
+    for i, (name, *_) in enumerate(spans):
         if name in ONLY_2D:
             assert experiment[i] == KIND_2D and task[i] in (None, KIND_2D), (name, task[i])
         if name in ONLY_1D:
             assert experiment[i] == "helmholtz-corrector", (name, experiment[i])
         if name == "helmholtz.perturbed_solve":
             assert task[i] == "helmholtz-corrector", task[i]
+        if name == "greens.factor":
+            factored.add((experiment[i], task[i]))
+    # the Helmholtz FD operator is factored once per epsilon, before any
+    # realization; only the elliptic tasks factor their own operators
+    assert ("helmholtz-corrector", None) in factored
+    assert {t for _, t in factored} == {None, "elliptic-corrector"}
+
+
+def test_traced_eigen_pass_builds_each_reference_once_per_epsilon_outside_tasks():
+    configs, spans, experiment, task = _traced_pass("eigen")
+    built = [i for i, (name, *_) in enumerate(spans) if name == "spectral.discrete_unperturbed_spectrum"]
+    assert all(task[i] is None for i in built)
+    for config in configs:
+        count = sum(experiment[i] == config["kind"] for i in built)
+        assert count == len(config["epsilon_list"]), config["kind"]
