@@ -865,8 +865,8 @@ HELM_DEFAULTS = {
 
 
 def _grade_helmholtz_corrector(config, res, rep):
-    for k in range(len(rep.spec.epsilon_list)):
-        prob, mset = rep.states[k]["problem"], rep.states[k]["moment_set"]
+    for k, st in enumerate(rep.states):
+        prob, mset = st["problem"], st["moment_set"]
         if config["probes"]:
             _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
         if config["moments"]:
@@ -900,8 +900,7 @@ HELM2D_DEFAULTS = {
 def _grade_helmholtz_moments_2d(config, res, rep):
     spec = randfield.MAProcessSpec.from_json(config["field"])
     res.tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
-    for k in range(len(rep.spec.epsilon_list)):
-        st = rep.states[k]
+    for k, st in enumerate(rep.states):
         _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
     _grade_truncation(res, rep)
 
@@ -941,9 +940,9 @@ ELLIPTIC_DEFAULTS = {
 
 
 def _grade_elliptic_corrector(config, res, rep):
-    for k in range(len(rep.spec.epsilon_list)):
+    for k, st in enumerate(rep.states):
         if config["probes"]:
-            law = elliptic.limit_law(rep.states[k]["problem"], x_nodes=config["probes"])
+            law = elliptic.limit_law(st["problem"], x_nodes=config["probes"])
             if k == 0:
                 res.tables["rho_jk"] = law.rho_jk.tolist()
                 res.tables["sigma_b"] = law.sigma_b.tolist()
@@ -974,7 +973,7 @@ def _grade_spectral_corrector(config, res, rep):
     s2 = randfield.sigma2(randfield.MAProcessSpec.from_json(config["field"]))
     eps_last = rep.spec.epsilon_list[-1]
     k_last = len(rep.spec.epsilon_list) - 1
-    mesh = rep.states[k_last]["problem"].mesh
+    mesh = rep.states[-1]["problem"].mesh
     st = rep.stats[k_last]
     a_star, q0 = config["a_star"], config["q0"]
     for n in config["modes"]:
