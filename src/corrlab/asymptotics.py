@@ -7,10 +7,11 @@ H(x) = |x|^{2-d} 1(|x| <= alpha) reduces to the radial Fourier quadrature
                  rho^{d-1} drho,
 
 with the transform convention fhat(xi) = int e^{-i xi.x} f(x) dx.  The
-profile Hhat is itself a radial (Hankel-type) quadrature with Bessel
-kernels evaluated in-module by power series and the large-argument
-asymptotic form.  Scaling in eps follows eps^d for d <= 3, eps^4 |ln eps|
-at d = 4, and eps^4 for d >= 5.
+profile Hhat is itself a radial (Hankel-type) quadrature with the Bessel
+kernel J_{d/2-1}: closed forms at the half orders, scipy's fixed-order
+routines otherwise (`BESSEL_J`).  Every reduction is a numpy sum, so no
+value depends on the BLAS thread count.  Scaling in eps follows eps^d for
+d <= 3, eps^4 |ln eps| at d = 4, and eps^4 for d >= 5.
 """
 
 from __future__ import annotations
@@ -19,93 +20,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-_HALF_ORDERS = (-0.5, 0.5, 1.5)
-_INT_ORDERS = (0.0, 1.0, 2.0)
-_SERIES_SWITCH = 16.0
+# J_{d/2-1}, the Bessel kernel of the radial transform in dimension d; the
+# half orders by their closed forms, the others by scipy's fixed-order routines
+BESSEL_J = {
+    1: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.cos(x),
+    2: scipy.special.j0,
+    3: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x),
+    4: scipy.special.j1,
+    5: lambda x: np.sqrt(2.0 * x / np.pi) * scipy.special.spherical_jn(1, x),
+    6: lambda x: scipy.special.jv(2.0, x),
+}
 
 
-def bessel_j(nu: float, x) -> np.ndarray:
-    """Bessel J_nu for the orders arising from dimensions 1..6.
-
-    Half-integer orders use their closed trigonometric forms; integer orders
-    use the ascending power series for x <= 16 and the Hankel asymptotic
-    expansion beyond.
-    """
-    nu = float(nu)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    if nu in _HALF_ORDERS:
-        out = _bessel_half(nu, x)
-    elif nu in _INT_ORDERS:
-        out = np.empty_like(x)
-        small = x <= _SERIES_SWITCH
-        if np.any(small):
-            out[small] = _bessel_series(int(nu), x[small])
-        if np.any(~small):
-            out[~small] = _bessel_asymptotic(int(nu), x[~small])
-    else:
-        raise ValueError(f"unsupported order {nu}")
-    return float(out[0]) if scalar else out
-
-
-def _bessel_half(nu: float, x: np.ndarray) -> np.ndarray:
-    # sin(x)/x - cos(x) cancels catastrophically below ~1e-3, so the 3/2
-    # order switches to its two-term ascending series there
-    tiny = x < 1e-3
-    xs = np.where(tiny, 1.0, x)
-    amp = np.sqrt(2.0 / (np.pi * xs))
-    if nu == -0.5:
-        out = amp * np.cos(xs)
-        out[tiny] = np.sqrt(2.0 / (np.pi * np.maximum(x[tiny], 1e-300))) * np.cos(x[tiny])
-    elif nu == 0.5:
-        out = amp * np.sin(xs)
-        out[tiny] = np.sqrt(2.0 / np.pi) * np.sqrt(x[tiny]) * (1.0 - x[tiny] ** 2 / 6.0)
-    else:  # 1.5
-        out = amp * (np.sin(xs) / xs - np.cos(xs))
-        xt = x[tiny]
-        out[tiny] = np.sqrt(2.0 / np.pi) * xt**1.5 / 3.0 * (1.0 - 0.1 * xt * xt)
-    return out
-
-
-def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
-    half = 0.5 * x
-    term = half**n / math.factorial(n)
-    total = term.copy()
-    hsq = half * half
-    for k in range(1, 80):
-        term = -term * hsq / (k * (k + n))
-        total += term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(total)), 1e-300):
-            break
-    return total
-
-
-def _bessel_asymptotic(n: int, x: np.ndarray) -> np.ndarray:
-    mu = 4.0 * n * n
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    best = np.inf
-    for j in range(1, 12):
-        term = term * (mu - (2 * j - 1) ** 2) * inv8x / j
-        mag = np.max(np.abs(term))
-        if mag >= best:
-            break
-        best = mag
-        sign = -1.0 if (j // 2) % 2 == 1 else 1.0
-        if j % 2 == 0:
-            p += sign * term
-        else:
-            q += sign * term
-    omega = x - 0.5 * n * math.pi - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(omega) - q * np.sin(omega))
+def _gl16(lo: np.ndarray, hi: np.ndarray):
+    """Composite GL16 nodes and weights over the panels [lo_i, hi_i], panel by panel."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _GL_NODES).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
 
 
 def surface_area(d: int) -> float:
@@ -141,15 +75,6 @@ class RadialSetup:
             raise ValueError("alpha must be positive")
         self._grid = None  # lazily built master quadrature table
 
-    @property
-    def bessel_order(self) -> float:
-        return self.dimension / 2.0 - 1.0
-
-    @property
-    def r_power(self) -> float:
-        """Power of r in the profile integrand J_nu(rho r) r^{2 - d/2}."""
-        return 2.0 - self.dimension / 2.0
-
 
 def profile_at_zero(setup: RadialSetup) -> float:
     """Hhat(0) = volume integral of the kernel = S_{d-1} alpha^2 / 2."""
@@ -157,15 +82,12 @@ def profile_at_zero(setup: RadialSetup) -> float:
 
 
 def _profile_quadrature(setup: RadialSetup, rho: float, n_panels: int) -> float:
-    """Composite GL16 evaluation of the radial profile integral at one rho."""
-    edges = np.linspace(0.0, setup.alpha, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = bessel_j(setup.bessel_order, rho * r) * r**setup.r_power
-    integral = float(np.dot(w, vals))
+    """Composite GL16 evaluation of the radial profile integral at one rho:
+    int_0^alpha J_{d/2-1}(rho r) r^{2-d/2} dr, scaled to Hhat(rho)."""
     d = setup.dimension
+    edges = np.linspace(0.0, setup.alpha, n_panels + 1)
+    r, w = _gl16(edges[:-1], edges[1:])
+    integral = float(np.sum(w * BESSEL_J[d](rho * r) * r ** (2.0 - d / 2.0)))
     return (2.0 * math.pi) ** (d / 2.0) * rho ** (1.0 - d / 2.0) * integral
 
 
@@ -192,6 +114,17 @@ def radial_profile(setup: RadialSetup):
     return profile
 
 
+def _grid_panels(alpha: float, rho_max: float) -> float:
+    """Panels of width pi/(4 alpha) that reach rho_max; a float, inf past its range."""
+    width = math.pi / (4.0 * alpha)
+    return max(8.0, float(np.ceil(rho_max / width))) if width > 0.0 else math.inf
+
+
+def grid_size(alpha: float, s_max: float, epsilon: float) -> float:
+    """Bessel values `variance_fourier(epsilon)` evaluates: 16 gap nodes per rho node, 16 per panel."""
+    return 256.0 * _grid_panels(alpha, s_max / epsilon)
+
+
 def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     """Master quadrature table for the variance integral.
 
@@ -203,21 +136,14 @@ def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     """
     d = setup.dimension
     width = math.pi / (4.0 * setup.alpha)
-    n_panels = max(8, int(math.ceil(rho_max / width)))
+    n_panels = int(_grid_panels(setup.alpha, rho_max))
     edges = np.linspace(0.0, n_panels * width, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
     # panels and their GL nodes ascend, so rho is globally ascending
-    rho = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    rho, w = _gl16(edges[:-1], edges[1:])
     # cumulative K over the gap grid u_i = rho_i * alpha
     u = rho * setup.alpha
-    starts = np.concatenate(([0.0], u[:-1]))
-    gmid = 0.5 * (starts + u)
-    ghalf = 0.5 * (u - starts)
-    t = (gmid[:, None] + ghalf[:, None] * _GL_NODES[None, :]).ravel()
-    gw = (ghalf[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = bessel_j(setup.bessel_order, t) * np.maximum(t, 1e-300) ** setup.r_power
+    t, gw = _gl16(np.concatenate(([0.0], u[:-1])), u)
+    vals = BESSEL_J[d](t) * np.maximum(t, 1e-300) ** (2.0 - d / 2.0)
     gap_integrals = (gw * vals).reshape(len(u), 16).sum(axis=1)
     k_cum = np.cumsum(gap_integrals)
     hhat = (2.0 * math.pi) ** (d / 2.0) * k_cum / (rho * rho)
@@ -241,9 +167,9 @@ def variance_fourier(setup: RadialSetup, epsilon: float) -> float:
         rho, w, core = grid["rho"], grid["w"], grid["hsq_pow"]
         mask = rho <= s_max / epsilon
         f = core[mask] * epsilon**d * gaussian_rhat(epsilon * rho[mask])
-        total = float(np.dot(w[mask], f))
+        total = float(np.sum(w[mask] * f))
         tail_mask = rho[mask] > 0.9 * s_max / epsilon
-        tail = float(np.dot(w[mask][tail_mask], f[tail_mask]))
+        tail = float(np.sum(w[mask][tail_mask] * f[tail_mask]))
         if abs(tail) <= 1e-10 * max(abs(total), 1e-300):
             return (2.0 * math.pi) ** (-d) * surface_area(d) * total
         s_max *= 2.0
@@ -263,14 +189,10 @@ def quartic_tail_integral(setup: RadialSetup) -> float:
     if setup.dimension < 5:
         raise ValueError("the quartic tail integral requires d >= 5")
     d = setup.dimension
-    n_panels = 64
-    edges = np.linspace(0.0, setup.s_max, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    edges = np.linspace(0.0, setup.s_max, 65)  # 64 panels
+    s, w = _gl16(edges[:-1], edges[1:])
     vals = gaussian_rhat(s) * s ** (d - 5)
-    return surface_area(d) * float(np.dot(w, vals))
+    return surface_area(d) * float(np.sum(w * vals))
 
 
 @dataclass

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 runtime failure (a realization raised, or a graded
 check failed), 2 invalid config. Reports land in the output directory as
 report.csv, report.json, and summary.txt; reruns with the same config are
-byte-identical regardless of worker count.
+byte-identical regardless of worker count and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 def _single_threaded_blas():
     # worker processes each run one realization; nested BLAS threading only
-    # adds nondeterministic scheduling overhead
+    # oversubscribes the cores (the reports do not depend on it)
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

@@ -166,7 +166,8 @@ def _dimensions(val, key):
 
 
 # mesh nodes one realization may hold: n in 1D, n^2 in 2D, n_pairs * n for
-# the eigenvector rows of the spectral and heat kinds (32 MB per array)
+# the eigenvector rows of the spectral and heat kinds (32 MB per array); also
+# the Bessel values of a scaling-study quadrature grid
 MAX_NODES = 1 << 22
 
 
@@ -316,12 +317,25 @@ def _scaling_eps_key(cfg: dict, d: int) -> str:
 
 
 def _check_scaling(cfg: dict):
-    """The epsilon lists the runner fits must suit `asymptotics.scaling_study`."""
+    """The epsilon lists the runner fits must suit `asymptotics.scaling_study` and
+    keep its grid within MAX_NODES Bessel values.  An oversized grid is the list's
+    fault, or alpha's (at the default s_max), then s_max's, at the default list."""
+    alpha, s_max = cfg["alpha"], cfg["s_max"]
+    eps0 = min(SCALING_DEFAULTS["epsilon_list"])
     for key in sorted({_scaling_eps_key(cfg, d) for d in cfg["dimensions"]}):
         try:
             asymptotics.check_scaling_epsilons(cfg[key])
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
+        eps = min(cfg[key])
+        size = asymptotics.grid_size(alpha, s_max, eps)
+        if size > MAX_NODES:
+            if asymptotics.grid_size(alpha, SCALING_DEFAULTS["s_max"], eps0) > MAX_NODES:
+                key = "alpha"
+            elif asymptotics.grid_size(alpha, s_max, eps0) > MAX_NODES:
+                key = "s_max"
+            grid = f"{size:.3g} Bessel values in the quadrature grid, over {MAX_NODES}"
+            raise ConfigError(key, f"epsilon {eps!r} at alpha {alpha!r}, s_max {s_max!r} needs {grid}")
 
 
 def _check_periodic(cfg: dict):

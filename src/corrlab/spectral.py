@@ -69,15 +69,18 @@ def _rayleigh(d: np.ndarray, e: np.ndarray, v: np.ndarray):
     return theta, np.sqrt((tv * tv).sum(axis=1))
 
 
-def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, tol: float):
+def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, ulp: float):
     """Rayleigh-quotient iteration on the tridiagonal (d, e) from each unit row of seeds.
 
-    The rows step together; a row whose residual is at most tol is left
-    alone, so a seed that already meets tol comes back unchanged.  Returns
-    (theta, v, residual) once every residual is at most tol, or None when a
+    The rows step together until each residual is at most tol =
+    _RESIDUAL_TOL ulp, with ulp >= u ||T||_inf; a seed that already meets
+    tol comes back unchanged.  A shift that is an eigenvalue to working
+    precision meets an exact zero pivot, and that solve is retried once with
+    the shift moved by ulp.  Returns (theta, v, residual), or None when a
     solve fails, a step raises a residual, or _RQI_STEPS steps do not reach
     tol.
     """
+    tol = _RESIDUAL_TOL * ulp
     v = seeds.copy()
     theta, res = _rayleigh(d, e, v)
     for _ in range(_RQI_STEPS):
@@ -87,6 +90,8 @@ def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, tol: float):
         w = np.empty((todo.size, v.shape[1]))
         for i, k in enumerate(todo):
             *_, w[i], info = dgtsv(e, d - theta[k], e, v[k], overwrite_d=1)
+            if info > 0:
+                *_, w[i], info = dgtsv(e, d - (theta[k] + ulp), e, v[k], overwrite_d=1)
             if info != 0:
                 return None
         w /= np.sqrt((w * w).sum(axis=1))[:, None]
@@ -110,10 +115,10 @@ def _certified_pairs(d, e, seeds, centres, spread):
     when the windows touch or any pair fails.
     """
     ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
-    radius, tol = spread + _WINDOW_SLACK * ulp, _RESIDUAL_TOL * ulp  # ulp >= u ||T||_inf
+    radius = spread + _WINDOW_SLACK * ulp  # ulp >= u ||T||_inf
     if np.any(np.diff(centres) <= 2.0 * radius):
         return None
-    pairs = _rqi(d, e, seeds, tol)
+    pairs = _rqi(d, e, seeds, ulp)
     if pairs is None:
         return None
     theta, v, res = pairs
@@ -184,7 +189,7 @@ def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max:
                       for k in range(1, n_max + 2)])
     pairs = _certified_pairs(d, e, seeds, exact, 0.0)
     certified = pairs is not None
-    if not certified:  # e.g. a top mode of a small mesh whose shift is an exact eigenvalue
+    if not certified:
         pairs = _bisection_pairs(d, e, n_max)
     nu, v = pairs
     spec = _spectrum(nu, v, mesh, None, certified)

@@ -1,4 +1,4 @@
-"""Bessel evaluation, radial profiles, and the dimension-dependent variance."""
+"""The Bessel kernel table, radial profiles, and the dimension-dependent variance."""
 
 import math
 
@@ -8,10 +8,11 @@ import scipy.integrate
 import scipy.special
 
 from corrlab.asymptotics import (
+    BESSEL_J,
     RadialSetup,
-    bessel_j,
     gaussian_r,
     gaussian_rhat,
+    grid_size,
     profile_at_zero,
     quartic_tail_integral,
     radial_profile,
@@ -21,33 +22,21 @@ from corrlab.asymptotics import (
     variance_fourier,
 )
 
-ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 XS = np.array([1e-9, 1e-4, 0.5, 3.0, 15.9, 16.1, 50.0, 200.0])
 
 
 def test_bessel_matches_scipy():
-    # worst case ~1e-10 relative right at the series/asymptotic switch (x = 16)
-    for nu in ORDERS:
-        got = bessel_j(nu, XS)
-        want = scipy.special.jv(nu, XS)
-        assert np.allclose(got, want, rtol=5e-10, atol=1e-13), nu
-    # scalar in, scalar out
-    assert isinstance(bessel_j(1.0, 2.0), float)
-    with pytest.raises(ValueError):
-        bessel_j(0.25, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(1.0, -1.0)
+    """BESSEL_J[d] is J_{d/2-1} for every supported dimension."""
+    assert sorted(BESSEL_J) == list(range(1, 7))
+    for d, bessel in BESSEL_J.items():
+        want = scipy.special.jv(d / 2.0 - 1.0, XS)
+        assert np.allclose(bessel(XS), want, rtol=1e-13, atol=1e-15), d
 
 
-def test_bessel_recurrence_at_tiny_argument():
-    # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x), stable down to 1e-9
-    x = 1e-9
-    lhs = bessel_j(-0.5, x) + bessel_j(1.5, x)
-    rhs = (2 * 0.5 / x) * bessel_j(0.5, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
-    lhs_i = bessel_j(0.0, x) + bessel_j(2.0, x)
-    rhs_i = (2 * 1.0 / x) * bessel_j(1.0, x)
-    assert lhs_i == pytest.approx(rhs_i, rel=1e-9)
+def test_grid_size_counts_the_bessel_values_of_the_master_grid():
+    setup = RadialSetup(dimension=3)
+    variance_fourier(setup, 0.0056)
+    assert setup._grid["rho"].size * 16 == grid_size(1.0, 13.0, 0.0056) == 756_736
 
 
 def test_surface_area_frozen():

@@ -1,13 +1,11 @@
 """Golden reports: every experiment kind at a small size, compared byte for byte.
 
-One child interpreter runs each config through the command line entry point
-at one and two workers, with BLAS pinned to one thread before numpy loads
-(the deterministic quadratures of scaling-study change in the last digits
-with the BLAS thread count).  Each report.csv, report.json and summary.txt
-must equal the file under tests/golden/<kind>/.  Several kinds grade `fail`
-at these sizes; the FAIL lines are part of the recorded behaviour.  The
-eigen kinds reduce with numpy sums and LAPACK tridiagonal solves only, so a
-second child renders them with BLAS at two threads against the same files.
+Two child interpreters run each config through the command line entry point
+at one and two workers, one with BLAS at one thread and one with BLAS at two
+threads.  Each report.csv, report.json and summary.txt of both must equal the
+file under tests/golden/<kind>/: a report depends on its config alone, not on
+the worker count or the BLAS thread count.  Several kinds grade `fail` at
+these sizes; the FAIL lines are part of the recorded behaviour.
 
     python tests/test_golden.py OUT_DIR [KIND ...]
 
@@ -58,7 +56,6 @@ BLAS_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-BLAS_INDEPENDENT = ("spectral-corrector", "heat-corrector")
 
 
 def render_all(out: Path, kinds=tuple(CONFIGS)) -> None:
@@ -77,10 +74,10 @@ def render_all(out: Path, kinds=tuple(CONFIGS)) -> None:
                 raise SystemExit(f"{kind}: corrlab run exited {code}")
 
 
-def _render(out: Path, blas_threads: str, kinds=()) -> Path:
+def _render(out: Path, blas_threads: str) -> Path:
     env = dict(os.environ, **{var: blas_threads for var in BLAS_VARS})
     proc = subprocess.run(
-        [sys.executable, __file__, str(out), *kinds],
+        [sys.executable, __file__, str(out)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
@@ -94,7 +91,7 @@ def rendered(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def rendered_blas2(tmp_path_factory):
-    return _render(tmp_path_factory.mktemp("golden-blas2"), "2", BLAS_INDEPENDENT)
+    return _render(tmp_path_factory.mktemp("golden-blas2"), "2")
 
 
 def _assert_golden(rendered: Path, kind: str, workers: int):
@@ -111,8 +108,8 @@ def test_report_bytes_match_golden(kind, workers, rendered):
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-@pytest.mark.parametrize("kind", BLAS_INDEPENDENT)
-def test_eigen_report_bytes_match_golden_at_two_blas_threads(kind, workers, rendered_blas2):
+@pytest.mark.parametrize("kind", list(CONFIGS))
+def test_report_bytes_match_golden_at_two_blas_threads(kind, workers, rendered_blas2):
     _assert_golden(rendered_blas2, kind, workers)
 
 

@@ -13,6 +13,7 @@ from corrlab.helmholtz import HelmholtzProblem
 from corrlab.randfield import MAProcessSpec
 from corrlab.spectral import (
     MatchResult,
+    _bisection_pairs,
     Spectrum,
     discrete_unperturbed_spectrum,
     eigenvalue_corrector_covariance,
@@ -224,7 +225,7 @@ def test_certified_spectrum_matches_bisection(seed, amplitude, n_nodes, n_max, q
         assert np.allclose(1.0 / got.lam, 1.0 / lam, rtol=1e-9, atol=0.0)
         for k in range(n_max):
             assert np.max(np.abs(got.u[k] - u[k])) <= 1e-8 * np.max(np.abs(u[k]))
-    else:  # e.g. a shift equal to an eigenvalue in floating point: the step is refused
+    else:  # a window miss: the realization is solved by bisection
         assert np.array_equal(got.lam, lam) and np.array_equal(got.u, u)
 
 
@@ -267,3 +268,15 @@ def test_discrete_spectrum_of_every_interior_mode(n_nodes):
     got = perturbed_spectrum(p, 2, n_max, spec)
     lam, _ = _bisection(p, 2, n_max, spec)
     assert np.allclose(got.lam, lam, rtol=1e-9, atol=0.0)
+
+
+def test_exact_zero_pivot_keeps_the_reference_certified():
+    """At 58 nodes the top Rayleigh shift is an eigenvalue to working precision,
+    so dgtsv meets an exact zero pivot; the solve retried one ulp away certifies it."""
+    mesh = Mesh1D(58)
+    ref = discrete_unperturbed_spectrum(mesh, 1.0, 1.0, 56)
+    assert ref.certified
+    ab = fd_matrix_banded(mesh, 1.0, 1.0)
+    nu, v = _bisection_pairs(ab[1], ab[0, 1:], 56)
+    assert np.allclose(1.0 / ref.lam, nu, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.abs(np.sum(v * ref.v, axis=1)), 1.0, rtol=0.0, atol=1e-12)
