@@ -8,8 +8,8 @@ H(x) = |x|^{2-d} 1(|x| <= alpha) reduces to the radial Fourier quadrature
 
 with the transform convention fhat(xi) = int e^{-i xi.x} f(x) dx.  The
 profile Hhat is itself a radial (Hankel-type) quadrature with the Bessel
-kernel J_{d/2-1}: closed forms at the half orders, scipy's fixed-order
-routines otherwise (`BESSEL_J`).  Every reduction is a numpy sum, so no
+kernel J_{d/2-1} (`BESSEL_J`: closed forms at d = 1, 3, scipy's
+fixed-order routines otherwise).  Every reduction is a numpy sum, so no
 value depends on the BLAS thread count.  Scaling in eps follows eps^d for
 d <= 3, eps^4 |ln eps| at d = 4, and eps^4 for d >= 5.
 """
@@ -24,8 +24,9 @@ import scipy.special
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# J_{d/2-1}, the Bessel kernel of the radial transform in dimension d; the
-# half orders by their closed forms, the others by scipy's fixed-order routines
+# J_{d/2-1}, the Bessel kernel of the radial transform in dimension d: closed
+# forms at d = 1, 3, scipy's fixed-order j0, j1 and spherical j_1 at d = 2, 4,
+# 5 (the general jv is several times slower there), and jv at d = 6
 BESSEL_J = {
     1: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.cos(x),
     2: scipy.special.j0,
