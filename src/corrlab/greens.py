@@ -5,13 +5,15 @@ with one-sided partial derivatives in x, y, and the interval length L.  Two
 discrete realizations of the solution operator are provided: a quadrature
 (Nystrom) matrix built from the kernel, and the exact inverse of the
 three-point finite-difference matrix applied through a prefactored banded
-Cholesky solve.  A sine-spectral operator covers the 2D unit square.
+Cholesky solve.  A sine-spectral operator covers the 2D unit square; its
+eigenvalue table is built once per mesh size and q0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn
@@ -205,6 +207,17 @@ def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
     return 1.0 / fd_eigenvalue(mesh, a_star, q0, 1)
 
 
+@lru_cache(maxsize=4)
+def sine_eigenvalues_2d(n_nodes: int, q0: float) -> np.ndarray:
+    """Eigenvalues (j^2 + k^2) pi^2 + q0 of -Laplace + q0 for the sine modes
+    j, k = 1 .. n_nodes - 2 of the unit square; built once per (mesh, q0)
+    and returned read-only."""
+    j = np.arange(1, n_nodes - 1)
+    lam = (j[:, None] ** 2 + j[None, :] ** 2) * math.pi**2 + q0
+    lam.flags.writeable = False
+    return lam
+
+
 def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:
     """Sine-spectral solve of -Laplace u + q0 u = f on the unit square.
 
@@ -217,9 +230,7 @@ def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:
     n = mesh2d.n_nodes - 1
     interior = np.asarray(f, dtype=float)[1:-1, 1:-1]
     coef = dstn(interior, type=1) / (n * n)
-    j = np.arange(1, n)
-    lam = (j[:, None] ** 2 + j[None, :] ** 2) * math.pi**2 + q0
-    coef = coef / lam
+    coef = coef / sine_eigenvalues_2d(mesh2d.n_nodes, q0)
     out = np.zeros((mesh2d.n_nodes, mesh2d.n_nodes))
     out[1:-1, 1:-1] = dstn(coef, type=1) / 4.0
     return out

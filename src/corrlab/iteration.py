@@ -13,6 +13,10 @@ operator.  When the bound is absent or too large, ||G q G q|| is estimated
 by power iteration from a fixed deterministic start vector.  A power
 estimate never exceeds the norm it estimates, so the truncation decision is
 the same on both paths.
+
+A solve that is not truncated makes 2 * iterations applies of G, plus
+2 * POWER_STEPS when the norm is estimated.  The first step starts at u = u0,
+so the G(q u0) that forms G f - G q G f = u0 - G(q u0) is also its inner apply.
 """
 
 from __future__ import annotations
@@ -91,12 +95,14 @@ def neumann_solve(
     if estimate > truncation_rho:
         return FixedPointResult(u=u0.copy(), u0=u0, iterations=0, residual=0.0,
                                 op_norm_estimate=estimate, truncated=True, residual_history=())
-    g = u0 - apply_green(q * u0)
-    u = u0.copy()
+    # G(q u) for the next step; the first step starts at u = u0, so g's apply serves it
+    gqu = apply_green(q * u0)
+    g = u0 - gqu
+    u = u0
     history = []
     residual = math.inf
     for it in range(1, MAX_ITERATIONS + 1):
-        u_next = g + apply_green(q * apply_green(q * u))
+        u_next = g + apply_green(q * gqu)
         residual = _weighted_norm(u_next - u, quad_weights)
         history.append(residual)
         u = u_next
@@ -104,6 +110,7 @@ def neumann_solve(
             return FixedPointResult(u=u, u0=u0, iterations=it, residual=residual,
                                     op_norm_estimate=estimate, truncated=False,
                                     residual_history=tuple(history), certified=certified)
+        gqu = apply_green(q * u)
     raise RuntimeError(
         f"fixed point did not converge in {MAX_ITERATIONS} iterations "
         f"(last residual {residual:.3e}, norm estimate {estimate:.3f})"

@@ -127,6 +127,9 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "scaling-study", "s_max": 1e308}, "s_max", "needs inf Bessel values"),
         ({"kind": "scaling-study", "epsilon_list": [1e-3, 1e-300, 1e-310, 1e-320]},
          "epsilon_list", "epsilon 1e-320 at alpha 1.0, s_max 13.0 needs inf Bessel values"),
+        # an s_max below 8 fails variance_fourier's tail test instead
+        ({"kind": "scaling-study", "s_max": 0.1, "dimensions": [1]}, "s_max", "must be >= 8.0"),
+        ({"kind": "scaling-study", "s_max": 7.99}, "s_max", "must be >= 8.0"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
@@ -245,6 +248,10 @@ def test_amplitude_zero_field_statistics_vanish():
     for name, st in res.ensembles["main"].stats[0].items():
         assert st.mean == 0.0
         assert st.variance == 0.0
+
+
+def test_scaling_study_admits_s_max_from_eight():
+    assert validate_config({"kind": "scaling-study", "s_max": 8})["s_max"] == 8
 
 
 def test_scaling_study_experiment_runs_clean():

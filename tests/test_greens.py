@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from corrlab.greens import (
     DiscreteGreenOperator,
@@ -15,6 +16,7 @@ from corrlab.greens import (
     eval_green_1d,
     fd_matrix_banded,
     green_partials_1d,
+    sine_eigenvalues_2d,
 )
 
 K0 = GreenKernel1D(a_star=1.0, q0=0.0)
@@ -197,3 +199,26 @@ def test_apply_green_2d_boundary_zero():
     u = apply_green_2d(mesh, 1.0, f)
     assert np.allclose(u[0, :], 0.0) and np.allclose(u[-1, :], 0.0)
     assert np.allclose(u[:, 0], 0.0) and np.allclose(u[:, -1], 0.0)
+
+
+@pytest.mark.parametrize("n_nodes", [9, 129])
+@pytest.mark.parametrize("q0", [0.0, 2.5])
+def test_apply_green_2d_table_matches_the_inline_formula_bit_for_bit(n_nodes, q0):
+    """The eigenvalue table built once per (mesh, q0) gives the bits of the
+    table built inline on every call, and nothing can write to it."""
+    mesh = Mesh2D(n_nodes=n_nodes)
+    rng = np.random.Generator(np.random.PCG64(n_nodes))
+    f = rng.normal(size=(n_nodes, n_nodes))
+    n = n_nodes - 1
+    j = np.arange(1, n)
+    lam = (j[:, None] ** 2 + j[None, :] ** 2) * math.pi**2 + q0
+    want = np.zeros((n_nodes, n_nodes))
+    want[1:-1, 1:-1] = dstn(dstn(f[1:-1, 1:-1], type=1) / (n * n) / lam, type=1) / 4.0
+    for _ in range(2):  # the first call builds the table, the second reads it
+        assert np.array_equal(apply_green_2d(mesh, q0, f), want)
+    table = sine_eigenvalues_2d(n_nodes, q0)
+    assert table is sine_eigenvalues_2d(n_nodes, q0)
+    assert np.array_equal(table, lam)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0

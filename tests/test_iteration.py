@@ -31,6 +31,7 @@ from corrlab.helmholtz import HelmholtzProblem
 from corrlab.iteration import (
     CERTIFY_MARGIN,
     MAX_ITERATIONS,
+    POWER_STEPS,
     estimate_composed_norm,
     neumann_solve,
 )
@@ -223,6 +224,45 @@ def test_regime_examples(case):
         assert plain.truncated
         assert res.op_norm_estimate == plain.op_norm_estimate > 0.5
         assert np.array_equal(res.u, res.u0)
+
+
+def _reference_recurrence(apply_g, q, u0, weights, tol=1e-10):
+    """The fixed point as the recurrence reads, three applies in the first step."""
+    g = u0 - apply_g(q * u0)
+    u = u0.copy()
+    for it in range(1, MAX_ITERATIONS + 1):
+        u_next = g + apply_g(q * apply_g(q * u))
+        step = u_next - u
+        u = u_next
+        if math.sqrt(max(float(np.sum(weights * step * step)), 0.0)) <= tol:
+            return u, it
+    raise AssertionError("reference recurrence did not converge")
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["with-bound", "power-estimate"])
+@pytest.mark.parametrize("case", CERTIFIED + BOUND_PAST_THRESHOLD + TRUNCATING)
+def test_apply_count_and_bits_against_the_reference_recurrence(case, bounded):
+    """A solve makes 2 * iterations applies, plus 2 * POWER_STEPS when the
+    norm is estimated and none after a truncating safeguard; its iterate has
+    the bits of the recurrence that recomputes G(q u0) in its first step."""
+    apply_g, q, green_norm, u0, weights = CASES[case[0]](*case[1:])
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return apply_g(v)
+
+    res = neumann_solve(counted, q, u0, weights, green_norm=green_norm if bounded else None)
+    power = 0 if res.certified else 2 * POWER_STEPS
+    assert res.certified == (bounded and case in CERTIFIED)
+    if res.truncated:
+        assert len(calls) == power
+        assert np.array_equal(res.u, u0)
+        return
+    assert len(calls) == 2 * res.iterations + power
+    u, iterations = _reference_recurrence(apply_g, q, u0, weights)
+    assert res.iterations == iterations
+    assert np.array_equal(res.u, u)
 
 
 def test_closed_form_norms_match_dense_operators():
