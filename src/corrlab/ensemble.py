@@ -41,6 +41,9 @@ KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 # fewest (epsilon, value) points a log-log slope fit accepts
 MIN_FIT_POINTS = 3
 
+# realizations per epsilon: derive_seed keeps 32 bits for the realization index
+MAX_REALIZATIONS = 1 << 32
+
 
 def register_task(name: str, fn, prepare=None) -> None:
     """Register fn(state, epsilon, seed) and its prepare(params, epsilon) -> state."""
@@ -61,7 +64,7 @@ def derive_seed(experiment_seed: int, eps_index: int, real_index: int) -> int:
     the finalizer is a bijection, so seeds within one experiment are pairwise
     distinct.
     """
-    if real_index >= (1 << 32) or eps_index >= (1 << 31):
+    if real_index >= MAX_REALIZATIONS or eps_index >= (1 << 31):
         raise ValueError("index out of the collision-free range")
     k = (eps_index << 32) | real_index
     return _mix64((experiment_seed + _GAMMA * (k + 1)) & _M64)
@@ -76,8 +79,8 @@ class EnsembleSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_real < 2:
-            raise ValueError("n_real must be at least 2")
+        if not 2 <= self.n_real <= MAX_REALIZATIONS:
+            raise ValueError(f"n_real must lie in 2..{MAX_REALIZATIONS}")
         eps = tuple(float(e) for e in self.epsilon_list)
         if any(e <= 0 for e in eps):
             raise ValueError("epsilon values must be positive")

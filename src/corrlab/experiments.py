@@ -5,10 +5,11 @@ side computations, then grades the outcome against thresholds carried in the
 config itself. Threshold defaults equal the package acceptance values, so CI
 can drive the acceptance suite through `run_experiment` directly.
 
-A kind is one spec: its defaults, a table of field rules, an optional check
-of the rules that span fields, and a runner. Every leaf of the defaults is
-validated, by its table rule or else by the type of its default value, and
-the mesh each epsilon implies is checked too, so a config that passes
+A kind is one spec: its defaults, the field rules that are its own, an
+optional check of the rules that span fields, and a runner. Every leaf of
+the defaults is validated, by the kind's rule for its path, else by the one
+rule for its field name, else by the type of its default value, and the
+mesh each epsilon implies is checked too, so a config that passes
 validation does not fail in its realizations for a config reason.
 """
 
@@ -180,41 +181,66 @@ def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
     return n
 
 
-# a leaf without a table rule is checked by the type of its default value
-_BY_TYPE = {bool: _boolean, int: _integer, float: _number}
-
-_SEED = partial(_integer, lo=0)
-_N_REAL = partial(_integer, lo=2)
 _NONNEG = partial(_number, lo=0)
 _POSITIVE = partial(_number, lo=0, lo_open=True)
-_OPEN_UNIT = partial(_number, lo=0, hi=1, lo_open=True, hi_open=True)
 _MODE_COUNT = partial(_integer, lo=1)
-_KS_LEVEL = partial(_choice, options=tuple(ensemble.KS_COEFF))
-_FIELD_SPEC = partial(_spec, cls=randfield.MAProcessSpec)
 _PROFILES = ("one", "sine", "parabola")
 _PROFILES_2D = ("one", "sine")
 _PROFILE = partial(_choice, options=_PROFILES)
-_NODES_PER_EPS = partial(_integer, lo=2, hi=MAX_NODES)
 _FOURIER_PAIR = "must be two distinct modes in 1..n_pairs"
 
+# the rule of a config field by its name, in every kind and at any depth
+_BY_NAME = {
+    "seed": partial(_integer, lo=0),
+    "n_real": partial(_integer, lo=2, hi=ensemble.MAX_REALIZATIONS),
+    "epsilon_list": _eps_list,
+    "epsilon_list_d4": _optional_eps_list,
+    "periodic_epsilon_list": _eps_list,
+    "dimensions": _dimensions,
+    "field": partial(_spec, cls=randfield.MAProcessSpec),
+    "triple": partial(_spec, cls=randfield.CorrelatedTripleSpec),
+    "a_star": _POSITIVE,
+    "a_base": _POSITIVE,
+    "rho_bar": _POSITIVE,
+    "q0": _NONNEG,
+    "f": _PROFILE,
+    "v0": _PROFILE,
+    "truncation_rho": partial(_number, lo=0, hi=1, lo_open=True, hi_open=True),
+    "nodes_per_eps": partial(_integer, lo=2, hi=MAX_NODES),
+    "nodes_per_eps_periodic": partial(_integer, lo=8, hi=MAX_NODES),
+    "cell_nodes": partial(_integer, lo=16, hi=MAX_NODES),
+    "tol": _POSITIVE,
+    "probes": _probe_list,
+    "n_pairs": _MODE_COUNT,
+    "mode": _MODE_COUNT,
+    "modes": partial(_list, message="must be a nonempty list of mode indices"),
+    "fourier_pair": partial(_list, message=_FOURIER_PAIR),
+    "time": _NONNEG,
+    "epsilon_const": _POSITIVE,
+    "stderr_factor": _POSITIVE,
+    "ks_level": partial(_choice, options=tuple(ensemble.KS_COEFF)),
+    "quartic_constant": _POSITIVE,
+}
 
-def _rules(defaults: dict, table: dict) -> dict:
-    """Rule per validated path: the table's rules in table order, then every
-    other leaf of `defaults` in order, checked by the type of its default.
+# a leaf no rule names is checked by the type of its default value
+_BY_TYPE = {bool: _boolean, int: _integer, float: _number}
 
-    A table path names a leaf or a whole spec object (`field`, `triple`).
+
+def _rules(defaults: dict, own: dict) -> dict:
+    """Rule per validated path, in the order of `defaults`: the kind's `own`
+    rule for the path, else the rule for its field name, else the type of
+    its default.  A dict with a rule is one spec object (`field`, `triple`).
     """
-    rules = dict(table)
+    rules = {}
 
     def walk(node, prefix):
         for key, dval in node.items():
             path = prefix + key
-            if path in rules:
-                continue
-            if isinstance(dval, dict):
+            rule = own.get(path) or _BY_NAME.get(key)
+            if rule is None and isinstance(dval, dict):
                 walk(dval, path + ".")
             else:
-                rules[path] = _BY_TYPE[type(dval)]
+                rules[path] = rule or _BY_TYPE[type(dval)]
 
     walk(defaults, "")
     return rules
@@ -546,7 +572,7 @@ class Check:
 class ExperimentResult:
     kind: str
     config: dict
-    ensembles: dict  # section name -> EnsembleReport, insertion-ordered
+    ensembles: dict  # section name -> EnsembleReport: at most one
     tables: dict  # deterministic scalar/fit payload for the JSON report
     rows: list  # extra CSV rows: (label, functional, statistic, value)
     checks: list
@@ -586,18 +612,16 @@ class ExperimentResult:
         lines = self._provenance()
         lines.append(f"# status={self.status}")
         lines.append("epsilon,functional,statistic,value")
-        multi = len(self.ensembles) > 1
-        for section, rep in self.ensembles.items():
-            prefix = f"{section}." if multi else ""
+        for rep in self.ensembles.values():
             for k, eps in enumerate(rep.spec.epsilon_list):
                 for name, st in sorted(rep.stats[k].items()):
                     for stat_name, value in st.to_dict().items():
-                        lines.append(f"{eps!r},{prefix}{name},{stat_name},{value!r}")
+                        lines.append(f"{eps!r},{name},{stat_name},{value!r}")
                 for cname, cval in sorted(rep.counts[k].items()):
-                    lines.append(f"{eps!r},{prefix}{cname},count,{cval}")
+                    lines.append(f"{eps!r},{cname},count,{cval}")
             for fit_name, fit in sorted(rep.scaling_fits.items()):
                 for stat_name, value in sorted(fit.items()):
-                    lines.append(f"fit,{prefix}{fit_name},{stat_name},{value!r}")
+                    lines.append(f"fit,{fit_name},{stat_name},{value!r}")
         for label, name, stat_name, value in self.rows:
             val = repr(float(value)) if isinstance(value, float) else value
             lines.append(f"{label},{name},{stat_name},{val}")
@@ -657,14 +681,6 @@ def _within(name: str, label: str, value, target, tol) -> Check:
         err <= tol,
         f"{label}={value:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
     )
-
-
-def _mean_check(name: str, st, target: float, factor: float) -> Check:
-    return _within(name, "mean", st.mean, target, factor * st.stderr_mean)
-
-
-def _var_check(name: str, st, target: float, factor: float) -> Check:
-    return _within(name, "var", st.variance, target, factor * st.stderr_variance)
 
 
 def _grade_cov(res, samples: dict, a: str, b: str, name: str, target: float):
@@ -735,17 +751,16 @@ def _count_fraction_check(name, rep, counter: str, frac_max: float) -> list:
     return checks
 
 
-def _norm_slope(rep, functional: str = "norm_sq"):
-    """Log-log fit of the ensemble mean of one functional across epsilon."""
+def _norm_slope(res, rep, functional: str, table: str):
+    """Log-log fit of the ensemble mean of one functional across epsilon, stored
+    in the report's scaling fits and as the result's `table`; None if unfit."""
     eps = rep.spec.epsilon_list
-    means = [
-        rep.stats[k][functional].mean if functional in rep.stats[k] else 0.0
-        for k in range(len(eps))
-    ]
+    means = [st[functional].mean if functional in st else 0.0 for st in rep.stats]
     if len(eps) < ensemble.MIN_FIT_POINTS or any(m <= 0 for m in means):
         return None
     fit = ensemble.loglog_slope(list(zip(eps, means)))
     rep.scaling_fits[f"{functional}_mean"] = fit.to_dict()
+    res.tables[table] = fit.to_dict()
     return fit
 
 
@@ -755,9 +770,10 @@ def _grade_variance(res, eps, st, name, target, label, key, mean=False):
     sf = res.config["thresholds"]["stderr_factor"]
     res.rows.append((repr(eps), name, "analytic_variance", float(target)))
     if name in st:
-        res.checks.append(_var_check(f"{label}_var[{key}]", st[name], target, sf))
+        s = st[name]
+        res.checks.append(_within(f"{label}_var[{key}]", "var", s.variance, target, sf * s.stderr_variance))
         if mean:
-            res.checks.append(_mean_check(f"{label}_mean[{key}]", st[name], 0.0, sf))
+            res.checks.append(_within(f"{label}_mean[{key}]", "mean", s.mean, 0.0, sf * s.stderr_mean))
 
 
 def _grade_probes(res, rep, k: int, variances: np.ndarray):
@@ -785,9 +801,8 @@ def _grade_moments(res, rep, k: int, cov):
 
 def _grade_norm_slope(res, rep):
     th = res.config["thresholds"]
-    fit = _norm_slope(rep)
+    fit = _norm_slope(res, rep, "norm_sq", "norm_sq_fit")
     if fit is not None:
-        res.tables["norm_sq_fit"] = fit.to_dict()
         res.checks.append(_slope_in("norm_sq_slope", fit.slope, th["slope_lo"], th["slope_hi"]))
     return fit
 
@@ -829,7 +844,7 @@ FIELD_STATS_DEFAULTS = {
 
 
 def _grade_field_stats(config, res, rep):
-    spec = randfield.MAProcessSpec.from_json(config["field"])
+    spec = rep.states[0]["spec"]
     sf = config["thresholds"]["stderr_factor"]
     s2 = randfield.sigma2(spec)
     r0 = randfield.correlation(spec, 0.0)
@@ -840,7 +855,8 @@ def _grade_field_stats(config, res, rep):
         ):
             res.rows.append((repr(eps), name, "analytic", float(target)))
             if name in st:
-                res.checks.append(_mean_check(f"{label}[{eps!r}]", st[name], target, sf))
+                s = st[name]
+                res.checks.append(_within(f"{label}[{eps!r}]", "mean", s.mean, target, sf * s.stderr_mean))
     res.checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
     res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
 
@@ -912,8 +928,7 @@ HELM2D_DEFAULTS = {
 
 
 def _grade_helmholtz_moments_2d(config, res, rep):
-    spec = randfield.MAProcessSpec.from_json(config["field"])
-    res.tables["sigma2_separable"] = helmholtz.sigma2_separable_2d(spec)
+    res.tables["sigma2_separable"] = rep.states[0]["problem"].sigma2
     for k, st in enumerate(rep.states):
         _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
     _grade_truncation(res, rep)
@@ -984,12 +999,10 @@ SPECTRAL_DEFAULTS = {
 
 def _grade_spectral_corrector(config, res, rep):
     th = config["thresholds"]
-    s2 = randfield.sigma2(randfield.MAProcessSpec.from_json(config["field"]))
+    prob = rep.states[-1]["problem"]
+    mesh, a_star, q0, s2 = prob.mesh, prob.a_star, prob.q0, prob.sigma2
     eps_last = rep.spec.epsilon_list[-1]
-    k_last = len(rep.spec.epsilon_list) - 1
-    mesh = rep.states[-1]["problem"].mesh
-    st = rep.stats[k_last]
-    a_star, q0 = config["a_star"], config["q0"]
+    st = rep.stats[-1]
     for n in config["modes"]:
         target = spectral.inverse_corrector_covariance(mesh, s2, n, n)
         _grade_variance(res, eps_last, st, f"inv_eig_{n}", target, "inv_eig", n)
@@ -998,7 +1011,7 @@ def _grade_spectral_corrector(config, res, rep):
     if len(config["modes"]) >= 2:
         n, m = config["modes"][0], config["modes"][1]
         target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, m)
-        _grade_cov(res, rep.samples[k_last], f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
+        _grade_cov(res, rep.samples[-1], f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
         res.rows.append(
             (repr(eps_last), f"eig_{n}_{m}", "analytic_covariance", float(target))
         )
@@ -1010,12 +1023,9 @@ def _grade_spectral_corrector(config, res, rep):
         if key in st:
             res.checks.extend(_normality_checks(key, st[key], th))
     for n in config["modes"]:
-        fit = _norm_slope(rep, functional=f"defect_{n}")
+        fit = _norm_slope(res, rep, f"defect_{n}", f"defect_{n}_fit")
         if fit is not None:
-            res.tables[f"defect_{n}_fit"] = fit.to_dict()
-            res.checks.append(
-                _slope_min(f"defect_slope[{n}]", fit.slope, th["defect_slope_min"])
-            )
+            res.checks.append(_slope_min(f"defect_slope[{n}]", fit.slope, th["defect_slope_min"]))
     res.checks.extend(
         _count_fraction_check("match_flags", rep, "count_flagged", th["flag_frac_max"])
     )
@@ -1034,16 +1044,11 @@ HEAT_DEFAULTS = {
 
 
 def _grade_heat_corrector(config, res, rep):
-    fit = _norm_slope(rep, functional="heat_gap")
+    fit = _norm_slope(res, rep, "heat_gap", "heat_gap_fit")
     if fit is not None:
-        res.tables["heat_gap_fit"] = fit.to_dict()
-        res.checks.append(
-            _slope_min("gap_slope", fit.slope, config["thresholds"]["gap_slope_min"])
-        )
+        res.checks.append(_slope_min("gap_slope", fit.slope, config["thresholds"]["gap_slope_min"]))
     else:
-        res.checks.append(
-            Check("gap_slope", True, "skipped: needs 3 epsilon values and positive gaps")
-        )
+        res.checks.append(Check("gap_slope", True, "skipped: needs 3 epsilon values and positive gaps"))
     # context scale: gap means are read against the direct corrector spread
     for k, eps in enumerate(rep.spec.epsilon_list):
         st = rep.stats[k]
@@ -1188,15 +1193,11 @@ def _run_periodic_compare(config, workers):
     res.checks.append(
         _slope_near("periodic_slope", fit.slope, th["periodic_slope"], th["periodic_slope_tol"])
     )
-    fit2 = _norm_slope(rep)
-    if fit2 is not None:
-        res.tables["random_norm_sq_fit"] = fit2.to_dict()
+    fit = _norm_slope(res, rep, "norm_sq", "random_norm_sq_fit")
+    if fit is not None:
         # ||u_eps - u0|| slope is half the slope of the squared-norm mean
-        res.checks.append(
-            _slope_in(
-                "random_slope", 0.5 * fit2.slope, th["random_slope_lo"], th["random_slope_hi"]
-            )
-        )
+        slope = 0.5 * fit.slope
+        res.checks.append(_slope_in("random_slope", slope, th["random_slope_lo"], th["random_slope_hi"]))
     return res
 
 
@@ -1209,9 +1210,10 @@ class ExperimentKind:
     description: str
     defaults: dict
     runner: object
-    # dotted path -> rule(value, path), in validation order; a path names a
-    # leaf of `defaults` or a whole spec object.  Construction adds a rule
-    # by default type for every leaf the table leaves out.
+    # dotted path -> rule(value, path), in the order of `defaults`; a path
+    # names a leaf or a whole spec object.  Given as the kind's own rules,
+    # the paths whose rule differs from _BY_NAME; construction resolves the
+    # rest by name or by default type.
     fields: dict
     # rules that span fields, run after every field rule passed
     cross: object = None
@@ -1220,19 +1222,7 @@ class ExperimentKind:
         object.__setattr__(self, "fields", _rules(self.defaults, self.fields))
 
 
-_ENSEMBLE_RULES = {"seed": _SEED, "n_real": _N_REAL, "epsilon_list": _eps_list}
-
-_HELM_RULES = {
-    **_ENSEMBLE_RULES,
-    "field": _FIELD_SPEC,
-    "q0": _NONNEG,
-    "f": _PROFILE,
-    "alpha": partial(_number, lo=0, hi=0.25, hi_open=True),
-    "truncation_rho": _OPEN_UNIT,
-    "nodes_per_eps": _NODES_PER_EPS,
-    "tol": _POSITIVE,
-    "thresholds.stderr_factor": _POSITIVE,
-}
+_HELM_ALPHA = partial(_number, lo=0, hi=0.25, hi_open=True)
 
 KINDS = {
     k.name: k
@@ -1242,12 +1232,7 @@ KINDS = {
             "Moving-average field statistics against closed-form covariances.",
             FIELD_STATS_DEFAULTS,
             _graded(_grade_field_stats),
-            {
-                **_ENSEMBLE_RULES,
-                "field": _FIELD_SPEC,
-                "probe": _number,
-                "thresholds.stderr_factor": _POSITIVE,
-            },
+            {},
             _check_field_stats,
         ),
         ExperimentKind(
@@ -1255,13 +1240,7 @@ KINDS = {
             "1D Helmholtz corrector ensemble: scaling, pointwise law, moments.",
             HELM_DEFAULTS,
             _graded(_grade_helmholtz_corrector),
-            {
-                **_HELM_RULES,
-                "a_star": _POSITIVE,
-                "probes": _probe_list,
-                "moments": partial(_profile_list, options=_PROFILES),
-                "thresholds.ks_level": _KS_LEVEL,
-            },
+            {"alpha": _HELM_ALPHA, "moments": partial(_profile_list, options=_PROFILES)},
             _check_mesh,
         ),
         ExperimentKind(
@@ -1269,11 +1248,7 @@ KINDS = {
             "2D Helmholtz moment functionals against the limit covariance.",
             HELM2D_DEFAULTS,
             _graded(_grade_helmholtz_moments_2d),
-            {
-                **_HELM_RULES,
-                "moments": partial(_profile_list, options=_PROFILES_2D, nonempty=True),
-                "thresholds.ks_level": _KS_LEVEL,
-            },
+            {"alpha": _HELM_ALPHA, "moments": partial(_profile_list, options=_PROFILES_2D, nonempty=True)},
             _check_2d,
         ),
         ExperimentKind(
@@ -1281,19 +1256,7 @@ KINDS = {
             "1D divergence-form corrector ensemble against the three-driver law.",
             ELLIPTIC_DEFAULTS,
             _graded(_grade_elliptic_corrector),
-            {
-                **_ENSEMBLE_RULES,
-                "triple": partial(_spec, cls=randfield.CorrelatedTripleSpec),
-                "a_base": _POSITIVE,
-                "q0": _NONNEG,
-                "rho_bar": _POSITIVE,
-                "f": _PROFILE,
-                "truncation_rho": _OPEN_UNIT,
-                "nodes_per_eps": _NODES_PER_EPS,
-                "tol": _POSITIVE,
-                "probes": _probe_list,
-                "thresholds.stderr_factor": _POSITIVE,
-            },
+            {},
             _check_elliptic,
         ),
         ExperimentKind(
@@ -1301,14 +1264,7 @@ KINDS = {
             "Eigenvalue and eigenvector corrector ensembles for the 1D operator.",
             SPECTRAL_DEFAULTS,
             _graded(_grade_spectral_corrector),
-            {
-                **_HELM_RULES,
-                "a_star": _POSITIVE,
-                "n_pairs": _MODE_COUNT,
-                "modes": partial(_list, message="must be a nonempty list of mode indices"),
-                "fourier_pair": partial(_list, message=_FOURIER_PAIR),
-                "thresholds.ks_level": _KS_LEVEL,
-            },
+            {"alpha": _HELM_ALPHA},
             _check_spectral,
         ),
         ExperimentKind(
@@ -1316,15 +1272,7 @@ KINDS = {
             "Heat semigroup corrector: direct difference vs two-term surrogate.",
             HEAT_DEFAULTS,
             _graded(_grade_heat_corrector),
-            {
-                **_HELM_RULES,
-                "a_star": _POSITIVE,
-                "n_pairs": _MODE_COUNT,
-                "mode": _MODE_COUNT,
-                "time": _NONNEG,
-                "epsilon_const": _POSITIVE,
-                "v0": _PROFILE,
-            },
+            {"alpha": _HELM_ALPHA},
             _check_heat,
         ),
         ExperimentKind(
@@ -1332,14 +1280,7 @@ KINDS = {
             "Deterministic variance-vs-epsilon exponents across dimensions 1..6.",
             SCALING_DEFAULTS,
             _run_scaling_study,
-            {
-                "dimensions": _dimensions,
-                "alpha": _POSITIVE,
-                "s_max": partial(_number, lo=S_MAX_MIN),
-                "epsilon_list": _eps_list,
-                "epsilon_list_d4": _optional_eps_list,
-                "thresholds.quartic_constant": _POSITIVE,
-            },
+            {"alpha": _POSITIVE, "s_max": partial(_number, lo=S_MAX_MIN)},
             _check_scaling,
         ),
         ExperimentKind(
@@ -1347,21 +1288,7 @@ KINDS = {
             "Periodic single-mode corrector vs the random-field scaling contrast.",
             PERIODIC_DEFAULTS,
             _run_periodic_compare,
-            {
-                "seed": _SEED,
-                "a_star": _POSITIVE,
-                "q0": _NONNEG,
-                "f": _PROFILE,
-                "periodic_epsilon_list": _eps_list,
-                "nodes_per_eps_periodic": partial(_integer, lo=8, hi=MAX_NODES),
-                "cell_nodes": partial(_integer, lo=16, hi=MAX_NODES),
-                "random.field": _FIELD_SPEC,
-                "random.epsilon_list": _eps_list,
-                "random.n_real": _N_REAL,
-                "random.nodes_per_eps": _NODES_PER_EPS,
-                "random.tol": _POSITIVE,
-                "random.truncation_rho": _OPEN_UNIT,
-            },
+            {},
             _check_periodic,
         ),
     )

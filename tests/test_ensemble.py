@@ -56,6 +56,10 @@ def test_spec_validation():
         EnsembleSpec(1, 10, (0.1, 0.1), "toy")  # ties
     with pytest.raises(ValueError):
         EnsembleSpec(1, 10, (0.1, -0.05), "toy")
+    EnsembleSpec(1, 2**32, (0.1,), "toy")  # derive_seed's realization indices
+    for n_real in (2**32 + 1, 10**300):
+        with pytest.raises(ValueError, match="n_real"):
+            EnsembleSpec(1, n_real, (0.1,), "toy")
     spec = EnsembleSpec(1, 10, [0.2, 0.1], "toy")
     assert spec.epsilon_list == (0.2, 0.1)
     with pytest.raises(KeyError):

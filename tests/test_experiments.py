@@ -116,6 +116,10 @@ def test_validate_config_type_and_range_errors():
          "random.epsilon_list", "needs over"),
         ({"kind": "helmholtz-corrector", "nodes_per_eps": MAX_NODES + 1}, "nodes_per_eps", "must be <="),
         ({"kind": "periodic-compare", "cell_nodes": MAX_NODES + 1}, "cell_nodes", "must be <="),
+        # at most 2^32 realizations, the indices derive_seed holds; never run
+        ({"kind": "field-stats", "n_real": 2**32 + 1}, "n_real", "must be <= 4294967296"),
+        ({"kind": "heat-corrector", "n_real": 10**300}, "n_real", "must be <= 4294967296"),
+        ({"kind": "periodic-compare", "random": {"n_real": 2**32 + 1}}, "random.n_real", "must be <= 4294967296"),
         # at most MAX_NODES Bessel values in a scaling-study quadrature grid
         ({"kind": "scaling-study", "epsilon_list": [1e-3, 1e-4, 1e-5, 1e-6]}, "epsilon_list",
          "epsilon 1e-06 at alpha 1.0, s_max 13.0 needs 4.24e+09 Bessel values in the quadrature grid, over 4194304"),
@@ -167,6 +171,13 @@ def test_node_budget_admits_a_mesh_of_exactly_max_nodes(kind, cells):
     with pytest.raises(ConfigError) as err:
         validate_config({"kind": kind, "epsilon_list": [8 / (cells + 1)], **probes})
     assert err.value.field == "epsilon_list"
+
+
+def test_n_real_admits_the_whole_seed_range():
+    """derive_seed holds 32 bits of realization index, so 2^32 realizations
+    validate (the rejections above take one more).  No such config is run."""
+    validate_config({"kind": "field-stats", "n_real": 2**32})
+    validate_config({"kind": "periodic-compare", "random": {"n_real": 2**32}})
 
 
 def test_validate_config_round_trip_idempotent():

@@ -1,11 +1,13 @@
-"""Property tests: sampler bounds and reproducibility, seed injectivity, fuzzed field-stats runs."""
+"""Property tests: sampler bounds and reproducibility, seed injectivity, fuzzed
+field-stats runs, and the fixed points against their direct solves."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlab import randfield
+from corrlab import elliptic, helmholtz, randfield
 from corrlab.ensemble import derive_seed
+from corrlab.greens import Mesh1D
 from corrlab.experiments import ConfigError, run_experiment, validate_config
 from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec, MarginalDist
 
@@ -65,3 +67,46 @@ def test_fuzzed_field_stats_config_fails_validation_or_runs_every_realization(ra
         return
     res = run_experiment(config)
     assert res.first_failure() is None and res.status in ("ok", "fail")
+
+
+FIXED_POINT_TOL = 1e-12  # the iteration's tolerance; the routes must agree to 1e-8
+SOLVES = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+MESH = st.integers(11, 401).map(Mesh1D)
+SEED = st.integers(0, 2**63)
+EPSILON = st.floats(1e-3, 1.0)
+
+
+@SOLVES
+@given(mesh=MESH, a_star=st.floats(0.1, 5.0), q0=st.floats(0.0, 10.0), w=WEIGHTS, m=MARGINALS,
+       amp=W, eps=EPSILON, seed=SEED)
+def test_helmholtz_fixed_point_equals_the_direct_solve(mesh, a_star, q0, w, m, amp, eps, seed):
+    spec = MAProcessSpec(tuple(w), MarginalDist.from_json(m), amp)
+    prob = helmholtz.HelmholtzProblem(mesh, a_star, q0, spec, np.ones(mesh.n_nodes), eps)
+    sol = helmholtz.perturbed_solve(prob, seed, tol=FIXED_POINT_TOL)
+    if sol.truncated:  # the safeguard returned u0: no fixed point to compare
+        return
+    assert np.max(np.abs(sol.u_eps - helmholtz.direct_solve_fd(prob, sol.q_values))) < 1e-8
+
+
+def _amplitude(triple, j, bound):
+    """The amplitude that gives component j of `triple` the sup bound `bound`."""
+    unit = triple.marginal.abs_bound * float(np.sum(np.abs(triple.weights[j])))
+    return bound / unit if unit > 0 else 0.0
+
+
+FRACTION = st.floats(0.0, 0.95)  # of the bound a b or delta-rho component must stay below
+
+
+@SOLVES
+@given(mesh=MESH, a_base=st.floats(0.1, 5.0), q0=st.floats(0.0, 10.0), rho_bar=st.floats(0.1, 5.0),
+       triple=triples(), b=FRACTION, drho=FRACTION, eps=EPSILON, seed=SEED)
+def test_elliptic_fixed_point_equals_the_direct_solve(mesh, a_base, q0, rho_bar, triple, b, drho, eps, seed):
+    amps = (_amplitude(triple, elliptic.CH_B, b), _amplitude(triple, elliptic.CH_RHO, drho * rho_bar),
+            triple.amplitudes[elliptic.CH_Q])
+    spec = CorrelatedTripleSpec(triple.weights, triple.marginal, amps)
+    prob = elliptic.EllipticProblem1D(mesh, spec, q0, rho_bar, np.ones(mesh.n_nodes), eps, a_base=a_base)
+    sol = elliptic.solve_transformed(prob, seed, tol=FIXED_POINT_TOL)
+    if sol.truncated:
+        return
+    direct = elliptic.direct_solve_conservative(prob, elliptic.sample_fields(prob, seed))
+    assert np.max(np.abs(sol.u_eps - direct)) < 1e-8
