@@ -243,6 +243,7 @@ def _rules(defaults: dict, own: dict) -> dict:
                 rules[path] = rule or _BY_TYPE[type(dval)]
 
     walk(defaults, "")
+    assert own.keys() <= rules.keys(), f"no default at {sorted(own.keys() - rules.keys())}"
     return rules
 
 

@@ -116,10 +116,6 @@ def test_validate_config_type_and_range_errors():
          "random.epsilon_list", "needs over"),
         ({"kind": "helmholtz-corrector", "nodes_per_eps": MAX_NODES + 1}, "nodes_per_eps", "must be <="),
         ({"kind": "periodic-compare", "cell_nodes": MAX_NODES + 1}, "cell_nodes", "must be <="),
-        # at most 2^32 realizations, the indices derive_seed holds; never run
-        ({"kind": "field-stats", "n_real": 2**32 + 1}, "n_real", "must be <= 4294967296"),
-        ({"kind": "heat-corrector", "n_real": 10**300}, "n_real", "must be <= 4294967296"),
-        ({"kind": "periodic-compare", "random": {"n_real": 2**32 + 1}}, "random.n_real", "must be <= 4294967296"),
         # at most MAX_NODES Bessel values in a scaling-study quadrature grid
         ({"kind": "scaling-study", "epsilon_list": [1e-3, 1e-4, 1e-5, 1e-6]}, "epsilon_list",
          "epsilon 1e-06 at alpha 1.0, s_max 13.0 needs 4.24e+09 Bessel values in the quadrature grid, over 4194304"),
@@ -134,6 +130,10 @@ def test_validate_config_type_and_range_errors():
         # an s_max below 8 fails variance_fourier's tail test instead
         ({"kind": "scaling-study", "s_max": 0.1, "dimensions": [1]}, "s_max", "must be >= 8.0"),
         ({"kind": "scaling-study", "s_max": 7.99}, "s_max", "must be >= 8.0"),
+        # at most 2^32 realizations, the indices derive_seed holds; never run
+        ({"kind": "field-stats", "n_real": 2**32 + 1}, "n_real", "must be <= 4294967296"),
+        ({"kind": "heat-corrector", "n_real": 10**300}, "n_real", "must be <= 4294967296"),
+        ({"kind": "periodic-compare", "random": {"n_real": 2**32 + 1}}, "random.n_real", "must be <= 4294967296"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
