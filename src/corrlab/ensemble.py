@@ -8,10 +8,11 @@ then starts one process pool for the whole run.  Its forked workers inherit
 the states, so a work item is only (epsilon index, first realization,
 count): a chunk of ceil(n_real / (4 workers)) realizations, whose seeds the
 worker derives from the experiment seed and the (epsilon index, realization
-index) pair by a splitmix64-style hash.  Each epsilon is aggregated as soon
-as its chunks are in, in realization-index order with exact (fsum)
-summation, so reports are byte-identical for any worker count.  If a
-prepare raises, every realization at its epsilon fails with its message.
+index) pair by a splitmix64-style hash.  A chunk returns one list per
+functional (its columns) and its failures; the parent extends its lists
+chunk by chunk and aggregates each epsilon once its last chunk is in, with
+exact (fsum) summation, so reports are byte-identical for any worker count.
+If a prepare raises, every realization at its epsilon fails with its message.
 
 Keys returned by a task that start with "count_" are aggregated by summation
 only (diagnostic counters such as truncation flags); all other keys receive
@@ -116,10 +117,10 @@ class EnsembleReport:
     # (eps_index, real_index, seed, message) per failed realization
     failures: list
     status: str
-    # per-realization samples, kept for scaling fits and downstream checks
+    # samples[eps_index][functional] -> values in realization order, for the
+    # covariance checks; counters are in `counts` only
     samples: list
     scaling_fits: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
     # prepared state per epsilon, or the exception its prepare raised, for
     # the runner's targets; no report serializes it
     states: list = field(default_factory=list)
@@ -144,22 +145,29 @@ class EnsembleReport:
             "per_epsilon": blocks,
             "failures": [list(f) for f in self.failures],
             "scaling_fits": {k: dict(sorted(v.items())) for k, v in sorted(self.scaling_fits.items())},
-            "meta": dict(sorted(self.meta.items())),
+            "meta": {},
         }
 
 
 def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: int):
-    """Realizations start..start+count-1 at epsilon index k; never raises,
-    returns (ok, functionals or message) per realization."""
-    state, eps, out = states[k], spec.epsilon_list[k], []
-    if isinstance(state, Exception):  # its prepare failed, so does every realization
-        return [(False, f"{type(state).__name__}: {state}")] * count
+    """Realizations start..start+count-1 at epsilon index k; never raises.
+    Returns (columns, failures): name -> values in realization order, and
+    (k, j, seed, message) per failed realization."""
+    state, eps, cols, failed = states[k], spec.epsilon_list[k], {}, []
     for j in range(start, start + count):
+        seed = derive_seed(spec.experiment_seed, k, j)
+        if isinstance(state, Exception):  # its prepare failed, so does every realization
+            failed.append((k, j, seed, f"{type(state).__name__}: {state}"))
+            continue
         try:
-            out.append((True, fn(state, eps, derive_seed(spec.experiment_seed, k, j))))
+            row = fn(state, eps, seed)
+            vals = [float(v) for v in row.values()]  # all or none join the columns
         except Exception as exc:  # recorded, not propagated
-            out.append((False, f"{type(exc).__name__}: {exc}"))
-    return out
+            failed.append((k, j, seed, f"{type(exc).__name__}: {exc}"))
+            continue
+        for name, val in zip(row, vals):
+            cols.setdefault(name, []).append(val)
+    return cols, failed
 
 
 _WORK = None  # (fn, spec, states) of the run a pool worker serves
@@ -178,8 +186,9 @@ def _moments(values) -> FunctionalStats:
     n = len(values)
     mean = math.fsum(values) / n
     d = [v - mean for v in values]
-    m2 = math.fsum(x * x for x in d) / n
-    var = math.fsum(x * x for x in d) / (n - 1) if n > 1 else 0.0
+    ss = math.fsum(x * x for x in d)
+    m2 = ss / n
+    var = ss / (n - 1) if n > 1 else 0.0
     # below m2 ~ 1e-162 the shape moments underflow: treated as degenerate
     if m2 * m2 > 0.0 and n > 3:
         m3 = math.fsum(x * x * x for x in d) / n
@@ -229,36 +238,27 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
     size = _chunk_size(spec.n_real, workers)
     starts = range(0, spec.n_real, size)
     items = [(k, j, min(size, spec.n_real - j)) for k in range(len(spec.epsilon_list)) for j in starts]
-    all_stats, all_counts, all_samples, failures, outcomes = [], [], [], [], []
+    all_stats, all_counts, all_samples, failures = [], [], [], []
+    values: dict = {}
     # forked workers inherit the states, which need not pickle; only items are sent
     pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker, (work,)) if workers > 1 else None
     with pool or nullcontext():
         chunks = pool.map(_pool_chunk, items) if pool else (_run_chunk(*work, *item) for item in items)
-        for i, chunk in enumerate(chunks, 1):
-            outcomes += chunk
-            if i % len(starts):
+        for (k, j, count), (cols, failed) in zip(items, chunks):
+            for name, col in cols.items():
+                values.setdefault(name, []).extend(col)
+            failures += failed
+            if j + count < spec.n_real:
                 continue
             # the last chunk of epsilon k is in: aggregate in realization order
-            k = len(all_stats)
-            values: dict = {}
-            counters: dict = {"count_failed": 0}
-            for j, (ok, payload) in enumerate(outcomes):
-                if not ok:
-                    counters["count_failed"] += 1
-                    failures.append((k, j, derive_seed(spec.experiment_seed, k, j), payload))
-                    continue
-                for name, val in payload.items():
-                    if name.startswith("count_"):
-                        counters[name] = counters.get(name, 0) + int(val)
-                    else:
-                        values.setdefault(name, []).append(float(val))
-            outcomes = []
+            counters = {"count_failed": sum(f[0] == k for f in failures)}
+            for name in [name for name in values if name.startswith("count_")]:
+                counters[name] = sum(map(int, values.pop(name)))
             all_counts.append(counters)
             all_samples.append(values)
-            all_stats.append({name: _moments(vals) for name, vals in values.items() if vals})
-    n_total = len(spec.epsilon_list) * spec.n_real
-    n_failed = sum(c["count_failed"] for c in all_counts)
-    status = "ok" if n_failed <= 0.01 * n_total else "error"
+            all_stats.append({name: _moments(vals) for name, vals in values.items()})
+            values = {}
+    status = "ok" if len(failures) <= 0.01 * len(spec.epsilon_list) * spec.n_real else "error"
     return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_samples,
                           states=work[2])
 

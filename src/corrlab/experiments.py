@@ -684,20 +684,17 @@ def _within(name: str, label: str, value, target, tol) -> Check:
     )
 
 
-def _grade_cov(res, samples: dict, a: str, b: str, name: str, target: float):
-    """Covariance check of functionals a and b, when more than 3 were sampled."""
-    xs, ys = samples.get(a, []), samples.get(b, [])
-    if len(xs) <= 3:
+def _grade_cov(res, rep, k: int, a: str, b: str, name: str, target: float):
+    """Covariance check of functionals a and b at epsilon k, when more than 3
+    were sampled; n, means and variances are the engine's."""
+    st = rep.stats[k]
+    if a not in st or st[a].n <= 3:
         return
-    x, y = np.asarray(xs), np.asarray(ys)
-    n = x.size
-    mx, my = float(np.mean(x)), float(np.mean(y))
-    cov = float(np.sum((x - mx) * (y - my)) / (n - 1))
-    vx = float(np.sum((x - mx) ** 2) / (n - 1))
-    vy = float(np.sum((y - my) ** 2) / (n - 1))
-    se = math.sqrt(max(vx * vy + cov * cov, 0.0) / max(n - 1, 1))
-    tol = res.config["thresholds"]["stderr_factor"] * se
-    res.checks.append(_within(name, "cov", cov, target, tol))
+    sa, sb, n = st[a], st[b], st[a].n
+    xs, ys = rep.samples[k][a], rep.samples[k][b]
+    cov = math.fsum((x - sa.mean) * (y - sb.mean) for x, y in zip(xs, ys)) / (n - 1)
+    se = math.sqrt((sa.variance * sb.variance + cov * cov) / (n - 1))
+    res.checks.append(_within(name, "cov", cov, target, res.config["thresholds"]["stderr_factor"] * se))
 
 
 def _slope_in(name: str, slope: float, lo, hi) -> Check:
@@ -794,7 +791,7 @@ def _grade_moments(res, rep, k: int, cov):
         _grade_variance(res, eps, st, f"moment_{i}", cov[i, i], "moment", key, mean=True)
     for i, j in itertools.combinations(range(len(cov)), 2):
         name = f"moment_cov[{i}{j},{eps!r}]"
-        _grade_cov(res, rep.samples[k], f"moment_{i}", f"moment_{j}", name, cov[i, j])
+        _grade_cov(res, rep, k, f"moment_{i}", f"moment_{j}", name, cov[i, j])
     if res.config["normality_checks"] and "moment_0" in st:
         th = res.config["thresholds"]
         res.checks.extend(_normality_checks(f"moment_0[{eps!r}]", st["moment_0"], th))
@@ -1012,7 +1009,7 @@ def _grade_spectral_corrector(config, res, rep):
     if len(config["modes"]) >= 2:
         n, m = config["modes"][0], config["modes"][1]
         target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, m)
-        _grade_cov(res, rep.samples[-1], f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
+        _grade_cov(res, rep, -1, f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
         res.rows.append(
             (repr(eps_last), f"eig_{n}_{m}", "analytic_covariance", float(target))
         )
@@ -1217,7 +1214,7 @@ class ExperimentKind:
     # rest by name or by default type.
     fields: dict
     # rules that span fields, run after every field rule passed
-    cross: object = None
+    cross: object
 
     def __post_init__(self):
         object.__setattr__(self, "fields", _rules(self.defaults, self.fields))
@@ -1313,8 +1310,7 @@ def validate_config(raw: dict) -> dict:
     full.update(_merge(spec.defaults, body))
     for path, rule in spec.fields.items():
         rule(_get(full, path), path)
-    if spec.cross is not None:
-        spec.cross(full)
+    spec.cross(full)
     return full
 
 

@@ -1,10 +1,13 @@
 """Seed derivation, ensemble execution, and the statistics toolkit."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from corrlab import ensemble
 from corrlab.ensemble import (
@@ -109,6 +112,9 @@ def test_partial_chunks_and_scattered_failures_do_not_depend_on_workers():
         assert {k for k, _ in hit} == {0, 1, 2} and len(hit) > 3
         assert rep.to_json_dict() == reports[1].to_json_dict()
         assert rep.samples == reports[1].samples
+        assert rep.counts == reports[1].counts and rep.failures == reports[1].failures
+        for k in range(len(spec.epsilon_list)):
+            assert not [name for name in [*rep.samples[k], *rep.stats[k]] if name.startswith("count_")]
 
 
 def test_one_pool_per_run(monkeypatch):
@@ -178,6 +184,22 @@ def test_run_records_failures_in_order():
     assert rep.stats[0]["value"].n == 50 - len(rep.failures)
 
 
+def _half_numeric(params, epsilon, seed):
+    return {"a": 1.0, "b": "n/a" if seed % 3 == 0 else 2.0}
+
+
+register_task("half-numeric", _half_numeric)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_value_that_is_no_float_fails_its_whole_realization(workers):
+    rep = run(EnsembleSpec(2, 30, (0.1,), "half-numeric"), workers=workers)
+    bad = [j for j in range(30) if derive_seed(2, 0, j) % 3 == 0]
+    assert bad and [f[1] for f in rep.failures] == bad
+    assert rep.failures[0][3] == "ValueError: could not convert string to float: 'n/a'"
+    assert len(rep.samples[0]["a"]) == len(rep.samples[0]["b"]) == 30 - len(bad)
+
+
 def test_failure_budget_boundary():
     # exactly 1% failures stays ok
     def one_fail(params, epsilon, seed):
@@ -227,6 +249,47 @@ def test_normality_stats_gaussian_and_errors():
     # so does one whose shape moments underflow (m2 ~ 1e-274 here)
     tiny = ensemble._moments([0.0, 1e-137, 2e-137, 3e-137])
     assert tiny.variance > 0.0 and tiny.skewness == 0.0
+
+
+def _moments_with_two_sums(values):
+    """_moments as written with one fsum for m2 and another for the variance."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    d = [v - mean for v in values]
+    m2 = math.fsum(x * x for x in d) / n
+    var = math.fsum(x * x for x in d) / (n - 1) if n > 1 else 0.0
+    if m2 * m2 > 0.0 and n > 3:
+        m3 = math.fsum(x * x * x for x in d) / n
+        m4 = math.fsum(x * x * x * x for x in d) / n
+        g1 = m3 / m2**1.5
+        g2 = m4 / (m2 * m2) - 3.0
+        skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+        kurt = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+        ks = ks_statistic(values, mean, math.sqrt(m2))
+    else:
+        skew = kurt = ks = 0.0
+    return (
+        n, mean, var, skew, kurt, ks,
+        math.sqrt(var / n) if n > 0 else 0.0,
+        var * math.sqrt(2.0 / (n - 1)) if n > 1 else 0.0,
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    hst.lists(hst.floats(-1e3, 1e3), min_size=1, max_size=40),
+    hst.sampled_from([1.0, 1e-137, 1e-300, 1e30]),
+)
+@example([2.5], 1.0)
+@example([1.0, -3.0], 1.0)
+@example([0.5, 0.25, -1.0], 1.0)
+@example([0.0, 1.0, 2.0, 3.0], 1.0)
+@example([0.7] * 4, 1.0)
+@example([0.7] * 50, 1.0)
+@example([0.0, 1.0, 2.0, 3.0], 1e-137)
+def test_moments_match_the_two_sum_formulas_bit_for_bit(values, scale):
+    values = [v * scale for v in values]
+    assert astuple(ensemble._moments(values)) == _moments_with_two_sums(values)
 
 
 def test_loglog_slope_exact_recovery():

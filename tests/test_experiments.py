@@ -1,16 +1,19 @@
 """Experiment catalog: config validation, grading, and report layout."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from corrlab import ensemble
+from corrlab import ensemble, experiments
 from corrlab.experiments import (
     KINDS,
     MAX_NODES,
+    Check,
     ConfigError,
+    ExperimentResult,
     aligned_mesh,
     describe_kinds,
     run_experiment,
@@ -344,3 +347,32 @@ def test_failed_prepare_reports_error_without_grading(monkeypatch, workers):
     assert rep.states == []
     assert res.first_failure()[1] == "RuntimeError: no mesh today"
     assert "[ERROR] main: 6 failed realizations" in res.summary_text()
+
+
+def _correlated_pair(params, epsilon, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x, z = rng.normal(size=2)
+    return {"x": x, "y": 0.6 * x + 0.8 * z}
+
+
+@pytest.mark.parametrize("n_real", [3, 4, 300])
+def test_grade_cov_forms_the_cross_moment_on_the_engine_moments(monkeypatch, n_real):
+    """The covariance check's value is the sample covariance and its tolerance
+    stderr_factor times sqrt((vx vy + cov^2) / (n - 1)); under 4 samples it is skipped."""
+    monkeypatch.setitem(ensemble.REGISTRY, "correlated-pair", _correlated_pair)
+    rep = ensemble.run(ensemble.EnsembleSpec(5, n_real, (0.1,), "correlated-pair"))
+    seen = []
+    monkeypatch.setattr(experiments, "_within", lambda *args: seen.append(args) or Check(args[0], True, ""))
+    res = ExperimentResult("pair", {"thresholds": {"stderr_factor": 4.0}}, {}, {}, [], [])
+    experiments._grade_cov(res, rep, 0, "x", "y", "cov[xy]", 0.6)
+    if n_real < 4:
+        assert res.checks == [] and seen == []
+        return
+    [(name, label, cov, target, tol)] = seen
+    assert (name, label, target) == ("cov[xy]", "cov", 0.6)
+    x, y = np.asarray(rep.samples[0]["x"]), np.asarray(rep.samples[0]["y"])
+    want = float(np.cov(x, y, ddof=1)[0, 1])
+    assert cov == pytest.approx(want, rel=1e-12)
+    vx, vy = rep.stats[0]["x"].variance, rep.stats[0]["y"].variance
+    assert tol == 4.0 * math.sqrt((vx * vy + cov * cov) / (n_real - 1))
+    assert [c.name for c in res.checks] == ["cov[xy]"]
