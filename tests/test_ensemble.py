@@ -252,7 +252,8 @@ def test_normality_stats_gaussian_and_errors():
 
 
 def _moments_with_two_sums(values):
-    """_moments as written with one fsum for m2 and another for the variance."""
+    """Reference for every field of _moments, with m2 and the variance each
+    taken from its own fsum of squared deviations."""
     n = len(values)
     mean = math.fsum(values) / n
     d = [v - mean for v in values]
