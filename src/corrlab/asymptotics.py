@@ -20,20 +20,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _special(name: str, *orders):
+    """scipy.special's `name` at fixed `orders`, imported when first called, so
+    validation reads `grid_size` and `check_scaling_epsilons` without scipy."""
+
+    def fn(x):
+        import scipy.special
+
+        return getattr(scipy.special, name)(*orders, x)
+
+    return fn
+
+
+_SPHERICAL_J1 = _special("spherical_jn", 1)
 
 # J_{d/2-1}, the Bessel kernel of the radial transform in dimension d: closed
 # forms at d = 1, 3, scipy's fixed-order j0, j1 and spherical j_1 at d = 2, 4,
 # 5 (the general jv is several times slower there), and jv at d = 6
 BESSEL_J = {
     1: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.cos(x),
-    2: scipy.special.j0,
+    2: _special("j0"),
     3: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x),
-    4: scipy.special.j1,
-    5: lambda x: np.sqrt(2.0 * x / np.pi) * scipy.special.spherical_jn(1, x),
-    6: lambda x: scipy.special.jv(2.0, x),
+    4: _special("j1"),
+    5: lambda x: np.sqrt(2.0 * x / np.pi) * _SPHERICAL_J1(x),
+    6: _special("jv", 2.0),
 }
 
 

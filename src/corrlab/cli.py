@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str):
-    from .experiments import ConfigError
+    from .catalog import ConfigError
 
     try:
         text = Path(path).read_text()
@@ -62,10 +62,11 @@ def main(argv=None) -> int:
     _single_threaded_blas()
     args = _build_parser().parse_args(argv)
 
-    from . import experiments
+    # the catalog loads no numpy; the numerics load only for a valid config
+    from . import catalog
 
     if args.command == "list":
-        sys.stdout.write(experiments.describe_kinds())
+        sys.stdout.write(catalog.describe_kinds())
         return 0
 
     if args.workers < 1:
@@ -74,8 +75,13 @@ def main(argv=None) -> int:
 
     try:
         # validation raises ConfigError before any realization runs
-        result = experiments.run_experiment(_load_config(args.config), args.workers)
-    except experiments.ConfigError as exc:
+        config = catalog.validate_config(_load_config(args.config))
+        from . import experiments
+
+        # run_experiment validates the merged config again: idempotent, and
+        # cheap beside the imports it follows
+        result = experiments.run_experiment(config, args.workers)
+    except catalog.ConfigError as exc:
         sys.stderr.write(f"invalid config: {exc}\n")
         return 2
     except Exception as exc:

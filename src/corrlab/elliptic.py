@@ -23,14 +23,12 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import randfield
+from .catalog import CH_B, CH_Q, CH_RHO, node_indices
 from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d
-from .greens import cumulative_trapezoid, fd_green_norm, green_partials_1d, node_indices
+from .greens import cumulative_trapezoid, fd_green_norm, green_partials_1d
 from .helmholtz import Solution, dirichlet_solve_fd
 from .iteration import neumann_solve
 from .randfield import CorrelatedTripleSpec
-
-# channel layout of the driving triple
-CH_B, CH_RHO, CH_Q = 0, 1, 2
 
 
 @dataclass(eq=False)

@@ -26,24 +26,19 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
+from operator import mul
 
 import numpy as np
 from scipy.special import ndtr
+
+# stated in the catalog, which validates configs against them without numpy
+from .catalog import KS_COEFF, MAX_REALIZATIONS, MIN_FIT_POINTS
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 REGISTRY: dict = {}
 PREPARE: dict = {}
-
-# asymptotic KS critical-value coefficients by significance level
-KS_COEFF = {0.05: 1.358, 0.01: 1.628}
-
-# fewest (epsilon, value) points a log-log slope fit accepts
-MIN_FIT_POINTS = 3
-
-# realizations per epsilon: derive_seed keeps 32 bits for the realization index
-MAX_REALIZATIONS = 1 << 32
 
 
 def register_task(name: str, fn, prepare=None) -> None:
@@ -183,16 +178,21 @@ def _pool_chunk(item):
 
 
 def _moments(values) -> FunctionalStats:
+    """Moments of one functional in realization order.  fsum is exact only for
+    the terms it is given, so each power keeps its association: the cube is
+    (x*x)*x and the quartic ((x*x)*x)*x, each list of terms built once."""
     n = len(values)
     mean = math.fsum(values) / n
     d = [v - mean for v in values]
-    ss = math.fsum(x * x for x in d)
+    sq = list(map(mul, d, d))
+    ss = math.fsum(sq)
     m2 = ss / n
     var = ss / (n - 1) if n > 1 else 0.0
     # below m2 ~ 1e-162 the shape moments underflow: treated as degenerate
     if m2 * m2 > 0.0 and n > 3:
-        m3 = math.fsum(x * x * x for x in d) / n
-        m4 = math.fsum(x * x * x * x for x in d) / n
+        cube = list(map(mul, sq, d))
+        m3 = math.fsum(cube) / n
+        m4 = math.fsum(map(mul, cube, d)) / n
         g1 = m3 / m2**1.5
         g2 = m4 / (m2 * m2) - 3.0
         skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)

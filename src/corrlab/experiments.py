@@ -1,21 +1,21 @@
-"""Experiment catalog: validated configs, realization tasks, report grading.
+"""Experiment runners: realization tasks, report grading and reports.
 
-Each experiment kind maps one JSON config to ensemble runs and deterministic
-side computations, then grades the outcome against thresholds carried in the
-config itself. Threshold defaults equal the package acceptance values, so CI
-can drive the acceptance suite through `run_experiment` directly.
+Each experiment kind maps one validated config (see `catalog`) to ensemble
+runs and deterministic side computations, then grades the outcome against
+thresholds carried in the config itself.  Threshold defaults equal the
+package acceptance values, so CI can drive the acceptance suite through
+`run_experiment` directly.
 
-A kind is one spec: its defaults, the field rules that are its own, an
-optional check of the rules that span fields, and a runner. Every leaf of
-the defaults is validated, by the kind's rule for its path, else by the one
-rule for its field name, else by the type of its default value, and the
-mesh each epsilon implies is checked too, so a config that passes
-validation does not fail in its realizations for a config reason.
+Only `ensemble` and `randfield`, which field-stats runs, are imported here
+at the top.  A kind that solves imports its solver modules (`greens`,
+`helmholtz`, `elliptic`, `spectral`, `asymptotics`) in its own prepare,
+task and grader, and calls through the module at call time, so each path
+loads only the code it runs and a wrapper set on a module name still sees
+every call.  Importing this module registers all six ensemble tasks.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -25,354 +25,12 @@ from functools import partial
 
 import numpy as np
 
-from . import asymptotics, elliptic, ensemble, helmholtz, randfield, spectral
-from .greens import Mesh1D, Mesh2D, node_indices
+from . import ensemble, randfield
+from .catalog import aligned_cells, field_stats_reach, node_indices, scaling_eps_key
+# the catalog names callers reach through this module; run_experiment raises ConfigError
+from .catalog import KINDS, ConfigError, validate_config  # noqa: F401
 
 VERSION = "corrlab-0.1.0"
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; `field` names the offending entry."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"config field {field_name!r}: {message}")
-        self.field = field_name
-
-
-# --- config validation rules: rule(value, dotted path) raises ConfigError ---
-
-
-def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
-    out = {}
-    for key, dval in defaults.items():
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict) and isinstance(uval, dict):
-                out[key] = _merge(dval, uval, prefix + key + ".")
-            else:
-                out[key] = uval
-        else:
-            # kinds share default sub-objects; a config never aliases them
-            out[key] = copy.deepcopy(dval)
-    for key in user:
-        if key not in defaults:
-            raise ConfigError(prefix + key, "unknown field")
-    return out
-
-
-def _get(cfg: dict, path: str):
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(cfg, dict):
-            raise ConfigError(".".join(parts[:i]), "must be an object")
-        cfg = cfg[part]
-    return cfg
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _as_float(val):
-    """A JSON number as a float (inf if too large), None for anything else."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return None
-    try:
-        return float(val)
-    except OverflowError:
-        return math.inf
-
-
-def _number(val, key, lo=None, hi=None, lo_open=False, hi_open=False):
-    val = _as_float(val)
-    if val is None:
-        raise ConfigError(key, "must be a number")
-    if not math.isfinite(val):
-        raise ConfigError(key, "must be finite")
-    if lo is not None and (val < lo or (lo_open and val == lo)):
-        raise ConfigError(key, f"must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and (val > hi or (hi_open and val == hi)):
-        raise ConfigError(key, f"must be {'<' if hi_open else '<='} {hi}")
-
-
-def _integer(val, key, lo=None, hi=None):
-    if not _is_int(val):
-        raise ConfigError(key, "must be an integer")
-    if lo is not None and val < lo:
-        raise ConfigError(key, f"must be >= {lo}")
-    if hi is not None and val > hi:
-        raise ConfigError(key, f"must be <= {hi}")
-
-
-def _boolean(val, key):
-    if not isinstance(val, bool):
-        raise ConfigError(key, "must be a boolean")
-
-
-def _numbers(val, key, nonempty: bool) -> list:
-    if not isinstance(val, list) or (nonempty and not val):
-        raise ConfigError(key, "must be a nonempty list" if nonempty else "must be a list")
-    xs = [_as_float(x) for x in val]
-    if any(x is None for x in xs):
-        raise ConfigError(key, "entries must be numbers")
-    return xs
-
-
-def _eps_list(val, key):
-    eps = _numbers(val, key, nonempty=True)
-    if not all(math.isfinite(e) and e > 0 for e in eps):
-        raise ConfigError(key, "epsilon values must be positive")
-    if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
-        raise ConfigError(key, "must be strictly decreasing")
-
-
-def _optional_eps_list(val, key):
-    if val:
-        _eps_list(val, key)
-
-
-def _choice(val, key, options):
-    if val not in options:
-        raise ConfigError(key, f"must be one of {sorted(options)}")
-
-
-def _spec(val, key, cls):
-    try:
-        cls.from_json(val)
-    except Exception as exc:
-        raise ConfigError(key, str(exc)) from exc
-
-
-def _probe_list(val, key):
-    if not all(0.0 < x < 1.0 for x in _numbers(val, key, nonempty=False)):
-        raise ConfigError(key, "probe points must lie inside (0, 1)")
-
-
-def _profile_list(val, key, options, nonempty=False):
-    if nonempty and not val:
-        raise ConfigError(key, "need at least one moment profile")
-    if not isinstance(val, list) or any(mk not in options for mk in val):
-        raise ConfigError(key, f"must use profiles from {sorted(options)}")
-
-
-def _list(val, key, message):
-    if not isinstance(val, list) or not val:
-        raise ConfigError(key, message)
-
-
-def _dimensions(val, key):
-    _list(val, key, "must be a nonempty list")
-    if any(not _is_int(d) or not 1 <= d <= 6 for d in val):
-        raise ConfigError(key, "dimensions must be integers in 1..6")
-
-
-# mesh nodes one realization may hold: n in 1D, n^2 in 2D, n_pairs * n for
-# the eigenvector rows of the spectral and heat kinds (32 MB per array); also
-# the Bessel values of a scaling-study quadrature grid
-MAX_NODES = 1 << 22
-
-
-def _aligned_cells(epsilon: float, nodes_per_eps: int) -> int:
-    """Cell count with h = epsilon / nodes_per_eps (rounded up if not integral)."""
-    cells = nodes_per_eps / epsilon
-    n = int(round(cells))
-    if abs(cells - n) > 1e-9 * max(1.0, cells):
-        n = int(math.ceil(cells))
-    return n
-
-
-_NONNEG = partial(_number, lo=0)
-_POSITIVE = partial(_number, lo=0, lo_open=True)
-_MODE_COUNT = partial(_integer, lo=1)
-_PROFILES = ("one", "sine", "parabola")
-_PROFILES_2D = ("one", "sine")
-_PROFILE = partial(_choice, options=_PROFILES)
-_FOURIER_PAIR = "must be two distinct modes in 1..n_pairs"
-
-# the rule of a config field by its name, in every kind and at any depth
-_BY_NAME = {
-    "seed": partial(_integer, lo=0),
-    "n_real": partial(_integer, lo=2, hi=ensemble.MAX_REALIZATIONS),
-    "epsilon_list": _eps_list,
-    "epsilon_list_d4": _optional_eps_list,
-    "periodic_epsilon_list": _eps_list,
-    "dimensions": _dimensions,
-    "field": partial(_spec, cls=randfield.MAProcessSpec),
-    "triple": partial(_spec, cls=randfield.CorrelatedTripleSpec),
-    "a_star": _POSITIVE,
-    "a_base": _POSITIVE,
-    "rho_bar": _POSITIVE,
-    "q0": _NONNEG,
-    "f": _PROFILE,
-    "v0": _PROFILE,
-    "truncation_rho": partial(_number, lo=0, hi=1, lo_open=True, hi_open=True),
-    "nodes_per_eps": partial(_integer, lo=2, hi=MAX_NODES),
-    "nodes_per_eps_periodic": partial(_integer, lo=8, hi=MAX_NODES),
-    "cell_nodes": partial(_integer, lo=16, hi=MAX_NODES),
-    "tol": _POSITIVE,
-    "probes": _probe_list,
-    "n_pairs": _MODE_COUNT,
-    "mode": _MODE_COUNT,
-    "modes": partial(_list, message="must be a nonempty list of mode indices"),
-    "fourier_pair": partial(_list, message=_FOURIER_PAIR),
-    "time": _NONNEG,
-    "epsilon_const": _POSITIVE,
-    "stderr_factor": _POSITIVE,
-    "ks_level": partial(_choice, options=tuple(ensemble.KS_COEFF)),
-    "quartic_constant": _POSITIVE,
-}
-
-# a leaf no rule names is checked by the type of its default value
-_BY_TYPE = {bool: _boolean, int: _integer, float: _number}
-
-
-def _rules(defaults: dict, own: dict) -> dict:
-    """Rule per validated path, in the order of `defaults`: the kind's `own`
-    rule for the path, else the rule for its field name, else the type of
-    its default.  A dict with a rule is one spec object (`field`, `triple`).
-    """
-    rules = {}
-
-    def walk(node, prefix):
-        for key, dval in node.items():
-            path = prefix + key
-            rule = own.get(path) or _BY_NAME.get(key)
-            if rule is None and isinstance(dval, dict):
-                walk(dval, path + ".")
-            else:
-                rules[path] = rule or _BY_TYPE[type(dval)]
-
-    walk(defaults, "")
-    assert own.keys() <= rules.keys(), f"no default at {sorted(own.keys() - rules.keys())}"
-    return rules
-
-
-def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str):
-    """ConfigError `key` unless the sampler's lattice takes the points in [lo, hi] at eps.
-
-    Scalar arithmetic: an out-of-range bound becomes inf, never an overflow warning.
-    """
-    try:  # the phase adds less than 1 to every coordinate
-        randfield.lattice_sites(lo / eps, hi / eps + 1.0, randfield.lag_window(spec))
-    except ValueError as exc:
-        raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
-
-
-def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1):
-    """Mesh preconditions at every epsilon, from the node count alone.
-
-    The mesh needs 3 nodes and at most MAX_NODES per realization, the field
-    (or triple) beside `eps_key`, if any, must sample the unit interval
-    within the lattice limits, the config's probes must be nodes, and its
-    n_pairs eigenpairs must fit in the interior nodes.
-    """
-    scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
-    raw = scope.get("triple", scope.get("field"))
-    cls = randfield.CorrelatedTripleSpec if "triple" in scope else randfield.MAProcessSpec
-    spec = raw and cls.from_json(raw)
-    npe = _get(cfg, npe_key)
-    for eps in _get(cfg, eps_key):
-        over = f"at {npe} nodes per epsilon needs over {MAX_NODES} mesh nodes per realization"
-        if npe / eps > MAX_NODES:  # checked first: _aligned_cells would overflow
-            raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
-        cells = _aligned_cells(eps, npe)
-        if cells < 2:
-            raise ConfigError(eps_key, f"epsilon {eps!r} leaves fewer than 3 mesh nodes")
-        if spec:
-            _check_lattice(eps_key, spec, 0.0, 1.0, eps, "on the unit interval")
-        try:
-            node_indices(1.0 / cells, cfg.get("probes", ()))
-        except ValueError as exc:
-            raise ConfigError("probes", f"{exc} at epsilon {eps!r}") from None
-        if cfg.get("n_pairs", 0) > cells - 1:
-            interior = f"the {cells - 1} interior nodes at epsilon {eps!r}"
-            raise ConfigError("n_pairs", f"exceeds {interior}")
-        if (cells + 1) ** dimension * cfg.get("n_pairs", 1) > MAX_NODES:
-            raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
-
-
-def _check_elliptic(cfg: dict):
-    spec = randfield.CorrelatedTripleSpec.from_json(cfg["triple"])
-    if spec.component_bound(elliptic.CH_B) >= 1.0:
-        raise ConfigError("triple", "b-component bound must stay below 1")
-    if spec.component_bound(elliptic.CH_RHO) >= cfg["rho_bar"]:
-        raise ConfigError("triple", "drho-component bound must stay below rho_bar")
-    _check_mesh(cfg)
-
-
-def _check_spectral(cfg: dict):
-    n_pairs = cfg["n_pairs"]
-
-    def is_mode(n):
-        return _is_int(n) and 1 <= n <= n_pairs
-
-    if not all(map(is_mode, cfg["modes"])):
-        raise ConfigError("modes", f"mode indices must lie in 1..{n_pairs}")
-    fp = cfg["fourier_pair"]
-    if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
-        raise ConfigError("fourier_pair", _FOURIER_PAIR)
-    _check_mesh(cfg)
-
-
-def _check_heat(cfg: dict):
-    if cfg["mode"] > cfg["n_pairs"]:
-        raise ConfigError("mode", "must not exceed n_pairs")
-    _check_mesh(cfg)
-
-
-def _check_2d(cfg: dict):
-    if cfg["f"] not in _PROFILES_2D:
-        raise ConfigError("f", f"2D sources must be one of {sorted(_PROFILES_2D)}")
-    _check_mesh(cfg, dimension=2)
-
-
-def _check_field_stats(cfg: dict):
-    """The points a realization samples fit the lattice at every epsilon."""
-    spec, probe = randfield.MAProcessSpec.from_json(cfg["field"]), cfg["probe"]
-    # the mesh kinds sample the unit interval: inside it, epsilon is at fault
-    key = "probe" if abs(probe) > 1.0 else "epsilon_list"
-    reach = _field_stats_reach(spec)
-    for eps in cfg["epsilon_list"]:
-        # the ends of the prepared points, without building the array
-        lo, hi = probe - eps * reach, probe + eps * reach
-        _check_lattice(key, spec, lo, hi, eps, f"for probe {probe!r}")
-
-
-def _scaling_eps_key(cfg: dict, d: int) -> str:
-    """The epsilon list scaling-study fits in dimension d."""
-    return "epsilon_list_d4" if d == 4 and cfg["epsilon_list_d4"] else "epsilon_list"
-
-
-def _check_scaling(cfg: dict):
-    """The epsilon lists the runner fits must suit `asymptotics.scaling_study` and
-    keep its grid within MAX_NODES Bessel values.  An oversized grid is the list's
-    fault, or alpha's (at the default s_max), then s_max's, at the default list."""
-    alpha, s_max = cfg["alpha"], cfg["s_max"]
-    eps0 = min(SCALING_DEFAULTS["epsilon_list"])
-    for key in sorted({_scaling_eps_key(cfg, d) for d in cfg["dimensions"]}):
-        try:
-            asymptotics.check_scaling_epsilons(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-        eps = min(cfg[key])
-        size = asymptotics.grid_size(alpha, s_max, eps)
-        if size > MAX_NODES:
-            if asymptotics.grid_size(alpha, SCALING_DEFAULTS["s_max"], eps0) > MAX_NODES:
-                key = "alpha"
-            elif asymptotics.grid_size(alpha, s_max, eps0) > MAX_NODES:
-                key = "s_max"
-            grid = f"{size:.3g} Bessel values in the quadrature grid, over {MAX_NODES}"
-            raise ConfigError(key, f"epsilon {eps!r} at alpha {alpha!r}, s_max {s_max!r} needs {grid}")
-
-
-def _check_periodic(cfg: dict):
-    if len(cfg["periodic_epsilon_list"]) < ensemble.MIN_FIT_POINTS:
-        raise ConfigError(
-            "periodic_epsilon_list",
-            f"need at least {ensemble.MIN_FIT_POINTS} epsilon values for the slope fit",
-        )
-    _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
-    _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
 
 
 def source_profile(kind: str, x: np.ndarray) -> np.ndarray:
@@ -387,14 +45,16 @@ def source_profile(kind: str, x: np.ndarray) -> np.ndarray:
 
 
 def mesh_profile(kind: str, mesh) -> np.ndarray:
-    """A named profile at the nodes of a mesh: p(x), or p(x) p(y) on a Mesh2D."""
+    """A named profile at the nodes of a mesh: p(x), or p(x) p(y) on a 2D mesh."""
     p = source_profile(kind, mesh.nodes)
-    return np.outer(p, p) if isinstance(mesh, Mesh2D) else p
+    return np.outer(p, p) if mesh.quad_weights.ndim == 2 else p
 
 
-def aligned_mesh(epsilon: float, nodes_per_eps: int) -> Mesh1D:
-    """Mesh with h = epsilon / nodes_per_eps (rounded up if not integral)."""
-    return Mesh1D(_aligned_cells(epsilon, nodes_per_eps) + 1)
+def aligned_mesh(epsilon: float, nodes_per_eps: int):
+    """Mesh1D with h = epsilon / nodes_per_eps (rounded up if not integral)."""
+    from .greens import Mesh1D
+
+    return Mesh1D(aligned_cells(epsilon, nodes_per_eps) + 1)
 
 
 def _probe_name(x: float) -> str:
@@ -406,15 +66,11 @@ def _probe_name(x: float) -> str:
 # A kind's prepare(params, epsilon) runs once per run and epsilon, before any
 # realization; its task(state, epsilon, seed) then does only per-seed work.
 # A state is the params plus what every realization shares, and the runner's
-# targets read the same states from the ensemble report.
+# targets read the same states from the ensemble report.  The prepares run
+# in the parent, so a forked worker inherits every module its task imports.
 
 
 _LAG_STEPS = 8  # field-stats lag subdivisions per lattice unit
-
-
-def _field_stats_reach(spec) -> int:
-    """The mixing range in whole lattice cells."""
-    return int(math.ceil(randfield.mixing_range(spec)))
 
 
 def _prepare_field_stats(params: dict, epsilon: float) -> dict:
@@ -422,7 +78,7 @@ def _prepare_field_stats(params: dict, epsilon: float) -> dict:
     the probe +- the mixing range in steps of epsilon / _LAG_STEPS, the
     probe in the middle."""
     spec = randfield.MAProcessSpec.from_json(params["field"])
-    steps = _LAG_STEPS * _field_stats_reach(spec)
+    steps = _LAG_STEPS * field_stats_reach(spec)
     points = params["probe"] + epsilon * (np.arange(-steps, steps + 1) / _LAG_STEPS)
     return dict(params, spec=spec, points=points, bound=spec.abs_bound + 1e-12)
 
@@ -442,9 +98,12 @@ def field_stats_task(state: dict, epsilon: float, seed: int) -> dict:
     }
 
 
-def _helm_problem(params: dict, epsilon: float, dimension: int = 1) -> helmholtz.HelmholtzProblem:
-    """The Helmholtz problem of a config at one epsilon; 2D configs have a* = 1."""
-    cells = _aligned_cells(epsilon, params["nodes_per_eps"])
+def _helm_problem(params: dict, epsilon: float, dimension: int = 1):
+    """The HelmholtzProblem of a config at one epsilon; 2D configs have a* = 1."""
+    from . import helmholtz
+    from .greens import Mesh1D, Mesh2D
+
+    cells = aligned_cells(epsilon, params["nodes_per_eps"])
     mesh = Mesh2D(cells + 1) if dimension == 2 else Mesh1D(cells + 1)
     spec, f = randfield.MAProcessSpec.from_json(params["field"]), mesh_profile(params["f"], mesh)
     return helmholtz.HelmholtzProblem(mesh, params.get("a_star", 1.0), params["q0"], spec, f, epsilon,
@@ -453,6 +112,8 @@ def _helm_problem(params: dict, epsilon: float, dimension: int = 1) -> helmholtz
 
 def _prepare_helmholtz(params: dict, epsilon: float, dimension: int = 1) -> dict:
     """The problem, its G factored and u0 = G f solved, and the moment test functions."""
+    from . import helmholtz
+
     prob = _helm_problem(params, epsilon, dimension)
     prob.u0  # computed here, once, for every realization
     mset = helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in params["moments"]))
@@ -460,6 +121,8 @@ def _prepare_helmholtz(params: dict, epsilon: float, dimension: int = 1) -> dict
 
 
 def _prepare_elliptic(params: dict, epsilon: float) -> dict:
+    from . import elliptic
+
     mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
     spec = randfield.CorrelatedTripleSpec.from_json(params["triple"])
     f = source_profile(params["f"], mesh.nodes)
@@ -471,6 +134,8 @@ def _prepare_elliptic(params: dict, epsilon: float) -> dict:
 
 def _prepare_spectral(params: dict, epsilon: float) -> dict:
     """The problem, its reference spectrum, and (heat) the initial data."""
+    from . import spectral
+
     prob = _helm_problem(params, epsilon)
     ref = spectral.discrete_unperturbed_spectrum(prob.mesh, prob.a_star, prob.q0, params["n_pairs"])
     state = dict(params, problem=prob, reference=ref)
@@ -495,6 +160,8 @@ def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
 
 
 def helmholtz_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    from . import helmholtz
+
     prob = state["problem"]
     sol = helmholtz.perturbed_solve(prob, seed, tol=state["tol"])
     moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
@@ -502,6 +169,8 @@ def helmholtz_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 
 
 def helmholtz_moments_2d_task(state: dict, epsilon: float, seed: int) -> dict:
+    from . import helmholtz
+
     prob = state["problem"]
     sol = helmholtz.perturbed_solve_2d(prob, seed, tol=state["tol"])
     moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
@@ -509,12 +178,16 @@ def helmholtz_moments_2d_task(state: dict, epsilon: float, seed: int) -> dict:
 
 
 def elliptic_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    from . import elliptic
+
     prob = state["problem"]
     sol = elliptic.solve_transformed(prob, seed, tol=state["tol"])
     return _solve_record(prob.mesh, sol, elliptic.corrector(prob, sol), state["probes"])
 
 
 def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    from . import spectral
+
     sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
     out = {"count_flagged": float(sr.match.any_violation)}
     for n in state["modes"]:
@@ -527,6 +200,8 @@ def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 
 
 def heat_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
+    from . import spectral
+
     sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
     args = state["mode"], state["time"], state["v0_values"], state["epsilon_const"]
     direct, surrogate = sr.heat_corrector(*args)
@@ -829,18 +504,6 @@ def _graded(grade):
 # --- experiment kinds ---
 
 
-_DEF_FIELD = {"weights": [0.5, 0.5], "marginal": "rademacher", "amplitude": 1.0}
-
-FIELD_STATS_DEFAULTS = {
-    "seed": 20260817,
-    "n_real": 400,
-    "epsilon_list": [0.1],
-    "field": _DEF_FIELD,
-    "probe": 0.3,
-    "thresholds": {"stderr_factor": 4.0},
-}
-
-
 def _grade_field_stats(config, res, rep):
     spec = rep.states[0]["spec"]
     sf = config["thresholds"]["stderr_factor"]
@@ -859,40 +522,9 @@ def _grade_field_stats(config, res, rep):
     res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
 
 
-# fields every Helmholtz-family kind shares (the 2D kind drops a_star)
-_HELM_BASE = {
-    "seed": 20260817,
-    "n_real": 200,
-    "epsilon_list": [0.02, 0.01],
-    "field": _DEF_FIELD,
-    "a_star": 1.0,
-    "q0": 0.0,
-    "f": "one",
-    "alpha": 0.0,
-    "truncation_rho": 0.5,
-    "nodes_per_eps": 8,
-    "tol": 1e-10,
-}
-
-_NORMALITY = {"skew_max": 0.15, "kurt_max": 0.3, "ks_level": 0.01}
-
-HELM_DEFAULTS = {
-    **_HELM_BASE,
-    "probes": [0.25, 0.5, 0.75],
-    "moments": ["one"],
-    "normality_checks": False,
-    "thresholds": {
-        "stderr_factor": 4.0,
-        "slope_lo": 0.85,
-        "slope_hi": 1.15,
-        "exponent_tol": 0.1,
-        **_NORMALITY,
-        "trunc_frac_max": 0.01,
-    },
-}
-
-
 def _grade_helmholtz_corrector(config, res, rep):
+    from . import helmholtz
+
     for k, st in enumerate(rep.states):
         prob, mset = st["problem"], st["moment_set"]
         if config["probes"]:
@@ -915,58 +547,18 @@ def _grade_helmholtz_corrector(config, res, rep):
     _grade_truncation(res, rep)
 
 
-HELM2D_DEFAULTS = {
-    **{k: v for k, v in _HELM_BASE.items() if k != "a_star"},
-    "n_real": 128,
-    "epsilon_list": [0.0625],
-    "moments": ["one", "sine"],
-    "normality_checks": False,
-    "thresholds": {"stderr_factor": 4.0, **_NORMALITY, "trunc_frac_max": 0.01},
-}
-
-
 def _grade_helmholtz_moments_2d(config, res, rep):
+    from . import helmholtz
+
     res.tables["sigma2_separable"] = rep.states[0]["problem"].sigma2
     for k, st in enumerate(rep.states):
         _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
     _grade_truncation(res, rep)
 
 
-_DEF_TRIPLE = {
-    # channel 1 drives b and part of drho; channel 2 drives drho and q,
-    # so all three pairwise correlations are nontrivial
-    "weights": [
-        [[0.25, 0.25], [0.0, 0.0]],
-        [[0.2, 0.2], [0.2, 0.2]],
-        [[0.0, 0.0], [0.5, 0.5]],
-    ],
-    "marginal": "rademacher",
-    "amplitudes": [1.0, 1.0, 1.0],
-}
-
-ELLIPTIC_DEFAULTS = {
-    "seed": 20260817,
-    "n_real": 200,
-    "epsilon_list": [0.02],
-    "triple": _DEF_TRIPLE,
-    "a_base": 1.0,
-    "q0": 1.0,
-    "rho_bar": 1.0,
-    "f": "one",
-    "truncation_rho": 0.5,
-    "nodes_per_eps": 8,
-    "tol": 1e-10,
-    "probes": [0.25, 0.5, 0.75],
-    "thresholds": {
-        "stderr_factor": 4.0,
-        "slope_lo": 0.85,
-        "slope_hi": 1.15,
-        "trunc_frac_max": 0.01,
-    },
-}
-
-
 def _grade_elliptic_corrector(config, res, rep):
+    from . import elliptic
+
     for k, st in enumerate(rep.states):
         if config["probes"]:
             law = elliptic.limit_law(st["problem"], x_nodes=config["probes"])
@@ -980,22 +572,9 @@ def _grade_elliptic_corrector(config, res, rep):
     _grade_truncation(res, rep)
 
 
-SPECTRAL_DEFAULTS = {
-    **_HELM_BASE,
-    "n_pairs": 8,
-    "modes": [1, 2],
-    "fourier_pair": [1, 2],
-    "normality_checks": False,
-    "thresholds": {
-        "stderr_factor": 4.0,
-        **_NORMALITY,
-        "defect_slope_min": 0.8,
-        "flag_frac_max": 0.01,
-    },
-}
-
-
 def _grade_spectral_corrector(config, res, rep):
+    from . import spectral
+
     th = config["thresholds"]
     prob = rep.states[-1]["problem"]
     mesh, a_star, q0, s2 = prob.mesh, prob.a_star, prob.q0, prob.sigma2
@@ -1029,18 +608,6 @@ def _grade_spectral_corrector(config, res, rep):
     )
 
 
-HEAT_DEFAULTS = {
-    **_HELM_BASE,
-    "epsilon_list": [0.02, 0.01, 0.005],
-    "n_pairs": 8,
-    "mode": 1,
-    "time": 1.0,
-    "epsilon_const": 1.0,
-    "v0": "parabola",
-    "thresholds": {"stderr_factor": 4.0, "gap_slope_min": 0.3},
-}
-
-
 def _grade_heat_corrector(config, res, rep):
     fit = _norm_slope(res, rep, "heat_gap", "heat_gap_fit")
     if fit is not None:
@@ -1055,36 +622,16 @@ def _grade_heat_corrector(config, res, rep):
             res.rows.append((repr(eps), "heat_gap", "rms_direct", float(scale)))
 
 
-# smallest s_max whose first tail test in `asymptotics.variance_fourier` passes:
-# the tail ratio is at most 2.7e-11 against 1e-10 for d = 1..6, alpha 0.25-4 and
-# epsilon 0.0056-0.2, while at 7.5 d = 6 fails it
-S_MAX_MIN = 8.0
-
-SCALING_DEFAULTS = {
-    "dimensions": [1, 2, 3, 4, 5],
-    "alpha": 1.0,
-    "s_max": 13.0,
-    "epsilon_list": [0.2, 0.12, 0.072, 0.043, 0.026, 0.0156, 0.0094, 0.0056],
-    "epsilon_list_d4": [],
-    "thresholds": {
-        "exponent_tol": 0.1,
-        "d4_slope_lo": 3.5,
-        "d4_slope_hi": 4.0,
-        "d4_residual_factor": 10.0,
-        "quartic_constant": 32.986,
-        "quartic_rel_tol": 0.01,
-    },
-}
-
-
 def _run_scaling_study(config, workers):
+    from . import asymptotics
+
     th = config["thresholds"]
     res = ExperimentResult("scaling-study", config, {}, {}, [], [])
     for d in config["dimensions"]:
         setup = asymptotics.RadialSetup(
             dimension=d, alpha=config["alpha"], s_max=config["s_max"]
         )
-        curve = asymptotics.scaling_study(setup, config[_scaling_eps_key(config, d)])
+        curve = asymptotics.scaling_study(setup, config[scaling_eps_key(config, d)])
         for e, v in curve.pairs:
             res.rows.append((repr(e), f"variance_d{d}", "value", float(v)))
         res.tables[f"fit_d{d}"] = curve.fit_plain.to_dict()
@@ -1123,33 +670,10 @@ def _run_scaling_study(config, workers):
     return res
 
 
-PERIODIC_DEFAULTS = {
-    "seed": 20260817,
-    "a_star": 1.0,
-    "q0": 0.0,
-    "f": "one",
-    "periodic_epsilon_list": [0.0625, 0.03125, 0.015625, 0.0078125],
-    "nodes_per_eps_periodic": 64,
-    "cell_nodes": 2049,
-    "random": {
-        "field": _DEF_FIELD,
-        "epsilon_list": [0.02, 0.01, 0.005, 0.0025],
-        "n_real": 200,
-        "nodes_per_eps": 8,
-        "tol": 1e-10,
-        "truncation_rho": 0.5,
-    },
-    "thresholds": {
-        "periodic_slope": 2.0,
-        "periodic_slope_tol": 0.05,
-        "amplitude_rel_tol": 0.005,
-        "random_slope_lo": 0.35,
-        "random_slope_hi": 0.65,
-    },
-}
-
-
 def _run_periodic_compare(config, workers):
+    from . import helmholtz
+    from .greens import Mesh1D
+
     th = config["thresholds"]
     # random-potential contrast: a helmholtz-corrector ensemble with no
     # probes or moments
@@ -1199,134 +723,20 @@ def _run_periodic_compare(config, workers):
     return res
 
 
-# --- registry ---
-
-
-@dataclass(frozen=True)
-class ExperimentKind:
-    name: str
-    description: str
-    defaults: dict
-    runner: object
-    # dotted path -> rule(value, path), in the order of `defaults`; a path
-    # names a leaf or a whole spec object.  Given as the kind's own rules,
-    # the paths whose rule differs from _BY_NAME; construction resolves the
-    # rest by name or by default type.
-    fields: dict
-    # rules that span fields, run after every field rule passed
-    cross: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", _rules(self.defaults, self.fields))
-
-
-_HELM_ALPHA = partial(_number, lo=0, hi=0.25, hi_open=True)
-
-KINDS = {
-    k.name: k
-    for k in (
-        ExperimentKind(
-            "field-stats",
-            "Moving-average field statistics against closed-form covariances.",
-            FIELD_STATS_DEFAULTS,
-            _graded(_grade_field_stats),
-            {},
-            _check_field_stats,
-        ),
-        ExperimentKind(
-            "helmholtz-corrector",
-            "1D Helmholtz corrector ensemble: scaling, pointwise law, moments.",
-            HELM_DEFAULTS,
-            _graded(_grade_helmholtz_corrector),
-            {"alpha": _HELM_ALPHA, "moments": partial(_profile_list, options=_PROFILES)},
-            _check_mesh,
-        ),
-        ExperimentKind(
-            "helmholtz-moments-2d",
-            "2D Helmholtz moment functionals against the limit covariance.",
-            HELM2D_DEFAULTS,
-            _graded(_grade_helmholtz_moments_2d),
-            {"alpha": _HELM_ALPHA, "moments": partial(_profile_list, options=_PROFILES_2D, nonempty=True)},
-            _check_2d,
-        ),
-        ExperimentKind(
-            "elliptic-corrector",
-            "1D divergence-form corrector ensemble against the three-driver law.",
-            ELLIPTIC_DEFAULTS,
-            _graded(_grade_elliptic_corrector),
-            {},
-            _check_elliptic,
-        ),
-        ExperimentKind(
-            "spectral-corrector",
-            "Eigenvalue and eigenvector corrector ensembles for the 1D operator.",
-            SPECTRAL_DEFAULTS,
-            _graded(_grade_spectral_corrector),
-            {"alpha": _HELM_ALPHA},
-            _check_spectral,
-        ),
-        ExperimentKind(
-            "heat-corrector",
-            "Heat semigroup corrector: direct difference vs two-term surrogate.",
-            HEAT_DEFAULTS,
-            _graded(_grade_heat_corrector),
-            {"alpha": _HELM_ALPHA},
-            _check_heat,
-        ),
-        ExperimentKind(
-            "scaling-study",
-            "Deterministic variance-vs-epsilon exponents across dimensions 1..6.",
-            SCALING_DEFAULTS,
-            _run_scaling_study,
-            {"alpha": _POSITIVE, "s_max": partial(_number, lo=S_MAX_MIN)},
-            _check_scaling,
-        ),
-        ExperimentKind(
-            "periodic-compare",
-            "Periodic single-mode corrector vs the random-field scaling contrast.",
-            PERIODIC_DEFAULTS,
-            _run_periodic_compare,
-            {},
-            _check_periodic,
-        ),
-    )
+# the runner(config, workers) of each kind in the catalog
+RUNNERS = {
+    "field-stats": _graded(_grade_field_stats),
+    "helmholtz-corrector": _graded(_grade_helmholtz_corrector),
+    "helmholtz-moments-2d": _graded(_grade_helmholtz_moments_2d),
+    "elliptic-corrector": _graded(_grade_elliptic_corrector),
+    "spectral-corrector": _graded(_grade_spectral_corrector),
+    "heat-corrector": _graded(_grade_heat_corrector),
+    "scaling-study": _run_scaling_study,
+    "periodic-compare": _run_periodic_compare,
 }
-
-
-def validate_config(raw: dict) -> dict:
-    """Merge defaults into a raw config and validate; returns the full record."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    kind = raw.get("kind")
-    if kind is None:
-        raise ConfigError("kind", "missing required field")
-    if kind not in KINDS:
-        raise ConfigError(
-            "kind", f"unknown experiment kind {kind!r}; see the list command"
-        )
-    spec = KINDS[kind]
-    body = {k: v for k, v in raw.items() if k != "kind"}
-    full = {"kind": kind}
-    full.update(_merge(spec.defaults, body))
-    for path, rule in spec.fields.items():
-        rule(_get(full, path), path)
-    spec.cross(full)
-    return full
 
 
 def run_experiment(config: dict, workers: int = 1) -> ExperimentResult:
     """Validate and execute one experiment config."""
     full = validate_config(config)
     return KINDS[full["kind"]].runner(full, workers)
-
-
-def describe_kinds() -> str:
-    """One line per experiment kind, stable order, with key defaults."""
-    lines = []
-    for name, kind in KINDS.items():
-        lines.append(f"{name}: {kind.description}")
-        keys = [k for k in ("n_real", "epsilon_list", "dimensions") if k in kind.defaults]
-        deco = ", ".join(f"{k}={kind.defaults[k]}" for k in keys)
-        if deco:
-            lines.append(f"    defaults: {deco}")
-    return "\n".join(lines) + "\n"

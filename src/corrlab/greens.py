@@ -20,6 +20,8 @@ from scipy.fft import dstn
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
+from .catalog import fd_eigenvalue
+
 
 @dataclass(eq=False)
 class Mesh1D:
@@ -54,20 +56,6 @@ class Mesh2D:
         self.quad_weights = np.outer(axis.quad_weights, axis.quad_weights)
 
     inner = Mesh1D.inner
-
-
-def node_indices(h: float, xs) -> list:
-    """Index of the node at each x of a uniform mesh from 0 with spacing h.
-
-    Raises ValueError when an x lies more than 1e-9 from every node.
-    """
-    out = []
-    for x in xs:
-        i = round(x / h)
-        if abs(i * h - x) > 1e-9:
-            raise ValueError(f"probe {x!r} is not a mesh node")
-        out.append(i)
-    return out
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -194,17 +182,9 @@ class DiscreteGreenOperator:
         return out
 
 
-def fd_eigenvalue(mesh: Mesh1D, a_star: float, q0: float, k: int) -> float:
-    """Dirichlet eigenvalue k of the three-point matrix of -a* D^2 + q0 on the
-    unit interval: (4 a* / h^2) sin^2(k pi h / 2) + q0, for k up to the
-    interior node count; its eigenvector is the sampled sin(k pi x)."""
-    s = math.sin(k * math.pi * mesh.h / 2.0)
-    return 4.0 * a_star / (mesh.h * mesh.h) * s * s + q0
-
-
 def fd_green_norm(mesh: Mesh1D, a_star: float, q0: float) -> float:
     """Euclidean norm of the FD inverse, 1 / lambda_min of -a* D^2 + q0."""
-    return 1.0 / fd_eigenvalue(mesh, a_star, q0, 1)
+    return 1.0 / fd_eigenvalue(mesh.h, a_star, q0, 1)
 
 
 @lru_cache(maxsize=4)

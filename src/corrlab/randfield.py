@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 _MAX_LATTICE_SITES = 1 << 26
 _FLOAT_INDEX_LIMIT = 2.0**52
@@ -40,6 +39,8 @@ class MarginalDist:
             return 1.0
         if self.kind == "uniform_pm1":
             return 1.0 / 3.0
+        from scipy.special import ndtr  # only the truncated Gaussian needs scipy
+
         b = self.bound
         # standard normal restricted to [-b, b]
         phi = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
@@ -55,6 +56,8 @@ class MarginalDist:
             return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
         if self.kind == "uniform_pm1":
             return rng.uniform(-1.0, 1.0, size=shape)
+        from scipy.special import ndtr, ndtri
+
         b = self.bound
         lo = ndtr(-b)
         hi = ndtr(b)

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .greens import Mesh1D, fd_eigenvalue, fd_matrix_banded
+from .catalog import fd_eigenvalue
+from .greens import Mesh1D, fd_matrix_banded
 from .helmholtz import HelmholtzProblem
 
 
@@ -185,7 +186,7 @@ def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max:
     s = np.sin(np.arange(1, n_max + 1)[:, None] * math.pi * mesh.nodes[1:-1])
     seeds = s / np.sqrt(np.sum(s * s, axis=1))[:, None]
     # window n_max + 1 bounds the pairs from above; past the last mode it is empty
-    exact = np.array([fd_eigenvalue(mesh, a_star, q0, k) if k < mesh.n_nodes - 1 else math.inf
+    exact = np.array([fd_eigenvalue(mesh.h, a_star, q0, k) if k < mesh.n_nodes - 1 else math.inf
                       for k in range(1, n_max + 2)])
     pairs = _certified_pairs(d, e, seeds, exact, 0.0)
     certified = pairs is not None

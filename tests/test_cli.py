@@ -139,14 +139,42 @@ def test_config_that_cannot_run_exits_two_before_any_realization(tmp_path, paylo
     assert not out.exists()
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """BLAS thread variables set in main() must precede the first numpy import."""
-    code = "import sys, corrlab.cli; print('numpy' in sys.modules)"
+def _modules_after(code: str) -> set:
+    """The modules a child interpreter holds once `code` has run."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """BLAS thread variables set in main() must precede the first numpy import,
+    and `list` reads only the catalog, so it never loads numpy."""
+    assert "numpy" not in _modules_after("import corrlab.cli")
+    listed = _modules_after("from corrlab import cli\nassert cli.main(['list']) == 0")
+    assert "corrlab.catalog" in listed
+    assert "numpy" not in listed
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(SMALL, epsilon_list=[0.1, -0.2]),
+        {"kind": "spectral-corrector", "a_star": 1e-9},
+        {"kind": "scaling-study", "epsilon_list": [0.1, 0.08, 0.06, 0.04]},
+        {"kind": "elliptic-corrector", "epsilon_list": [0.03]},
+    ],
+)
+def test_config_error_exits_before_any_scipy_module_loads(tmp_path, payload):
+    """Validation may read the spec classes (numpy), but no solver module or scipy."""
+    cfg = _write(tmp_path, "bad.json", payload)
+    argv = ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]
+    code = f"from corrlab import cli\nassert cli.main({argv!r}) == 2"
+    loaded = _modules_after(code)
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    assert "corrlab.experiments" not in loaded
 
 
 def test_unknown_kind_exits_two(tmp_path):

@@ -2,20 +2,21 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from corrlab import ensemble, experiments
+from corrlab.catalog import MAX_NODES, aligned_cells, describe_kinds, fd_eigenvalue
 from corrlab.experiments import (
     KINDS,
-    MAX_NODES,
     Check,
     ConfigError,
     ExperimentResult,
     aligned_mesh,
-    describe_kinds,
     run_experiment,
     source_profile,
     validate_config,
@@ -176,6 +177,38 @@ def test_node_budget_admits_a_mesh_of_exactly_max_nodes(kind, cells):
     assert err.value.field == "epsilon_list"
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"kind": "spectral-corrector", "a_star": 1e-9}, "a_star"),
+        ({"kind": "heat-corrector", "a_star": 1e-9}, "a_star"),
+        ({"kind": "periodic-compare", "a_star": 1e-9}, "a_star"),
+        # past the default field's bound 1, the field is at fault
+        ({"kind": "spectral-corrector", "field": {"amplitude": 20.0}}, "field"),
+        ({"kind": "heat-corrector", "field": {"weights": [5.0, 5.0]}}, "field"),
+        # epsilon^-alpha raises the bound: 0.01^-0.24 = 3.02 against 0.3 pi^2 = 2.96
+        ({"kind": "spectral-corrector", "alpha": 0.24, "a_star": 0.3}, "a_star"),
+    ],
+)
+def test_validation_rejects_an_operator_weyl_cannot_keep_definite(raw, field):
+    """These configs once failed every realization with "indefinite operator"."""
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == field
+    assert "may be indefinite (Weyl)" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["spectral-corrector", "heat-corrector"])
+def test_weyl_admission_is_the_lowest_fd_eigenvalue_against_the_field_bound(kind):
+    """a* admits exactly when the lowest FD eigenvalue at the coarsest mesh,
+    linear in a* at q0 = 0, exceeds the field bound 1."""
+    eps = KINDS[kind].defaults["epsilon_list"][0]
+    lam_per_a = fd_eigenvalue(1.0 / aligned_cells(eps, 8), 1.0, 0.0, 1)
+    validate_config({"kind": kind, "a_star": 1.0001 / lam_per_a})
+    with pytest.raises(ConfigError):
+        validate_config({"kind": kind, "a_star": 0.9999 / lam_per_a})
+
+
 def test_n_real_admits_the_whole_seed_range():
     """derive_seed holds 32 bits of realization index, so 2^32 realizations
     validate (the rejections above take one more).  No such config is run."""
@@ -210,6 +243,40 @@ def test_source_profile_variants():
     assert np.allclose(source_profile("parabola", x), x * (1 - x))
     with pytest.raises(ValueError):
         source_profile("cubic", x)
+
+
+SOLVER_MODULES = ("greens", "helmholtz", "iteration", "elliptic", "spectral", "asymptotics")
+TASK_KINDS = ("field-stats", "helmholtz-corrector", "helmholtz-moments-2d",
+              "elliptic-corrector", "spectral-corrector", "heat-corrector")
+
+
+def _child_prints(code: str) -> set:
+    """The words a fresh interpreter prints on the last line of `code`."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_field_stats_run_loads_no_solver_module():
+    """The fanout path samples fields only: no scipy.linalg, scipy.fft or solver."""
+    loaded = _child_prints(
+        "import sys\n"
+        "from corrlab import experiments\n"
+        "config = experiments.validate_config({'kind': 'field-stats', 'n_real': 4})\n"
+        "assert experiments.run_experiment(config).status == 'ok'\n"
+        "print(' '.join(sys.modules))"
+    )
+    unwanted = {"scipy.linalg", "scipy.fft"} | {f"corrlab.{m}" for m in SOLVER_MODULES}
+    assert "corrlab.ensemble" in loaded
+    assert sorted(unwanted & loaded) == []
+
+
+def test_bare_experiments_import_registers_every_task_kind():
+    """The benchmark tracer wraps ensemble.REGISTRY right after its imports."""
+    registered = _child_prints("import corrlab.experiments\nfrom corrlab import ensemble\n"
+                               "print(' '.join(ensemble.REGISTRY))")
+    assert registered == set(TASK_KINDS)
+    assert sorted(experiments.RUNNERS) == sorted(KINDS)
 
 
 def test_field_stats_experiment_small():
