@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -82,6 +83,12 @@ def fd_eigenvalue(h: float, a_star: float, q0: float, k: int) -> float:
     up to the interior node count; its eigenvector is the sampled sin(k pi x)."""
     s = math.sin(k * math.pi * h / 2.0)
     return 4.0 * a_star / (h * h) * s * s + q0
+
+
+def inverse_eigenvalue(a_star: float, q0: float, n: int) -> float:
+    """Continuum eigenvalue 1 / (a* (n pi)^2 + q0) of the inverse of -a* D^2 + q0
+    on the unit interval with Dirichlet data."""
+    return 1.0 / (a_star * (n * math.pi) ** 2 + q0)
 
 
 # --- config validation rules: rule(value, dotted path) raises ConfigError ---
@@ -358,6 +365,30 @@ def _check_definite(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
                                    f"potential bound {scale * q_max:.6g}, so the operator may be indefinite (Weyl)")
 
 
+# the largest |T|_inf of an FD matrix T the eigen-solves take: LAPACK bisection
+# squares T's entries (the products d_i d_{i-1} of its split test, e_i^2 of its
+# Sturm counts) and Rayleigh-quotient iteration the residual |T v - theta v|^2
+# <= |T|_inf^2 for a unit v, so |T|_inf^2 must be a finite double
+_EIGEN_NORM_MAX = math.sqrt(sys.float_info.max)
+
+
+def _check_eigen(cfg: dict):
+    """The mesh and Weyl checks of the spectral and heat kinds, then the norm
+    their eigen-solves square: |T|_inf = 4 a*/h^2 + q0 + max|q| at most
+    _EIGEN_NORM_MAX at every epsilon.  The fault is q0's if q0 = 0 would pass,
+    else a_star's (Weyl has kept max|q| below the lowest eigenvalue)."""
+    _check_mesh(cfg)
+    _check_definite(cfg)
+    q_max = _from_json("field", cfg["field"]).abs_bound
+    for eps in cfg["epsilon_list"]:
+        h = 1.0 / aligned_cells(eps, cfg["nodes_per_eps"])
+        rest = 4.0 * cfg["a_star"] / (h * h) + eps ** -cfg["alpha"] * q_max
+        if not rest + cfg["q0"] <= _EIGEN_NORM_MAX:
+            raise ConfigError("q0" if rest <= _EIGEN_NORM_MAX else "a_star",
+                              f"FD matrix norm {rest + cfg['q0']:.6g} at epsilon {eps!r} exceeds "
+                              f"{_EIGEN_NORM_MAX:.6g}, the largest whose square the eigen-solves can form")
+
+
 def _check_elliptic(cfg: dict):
     spec = _from_json("triple", cfg["triple"])
     if spec.component_bound(CH_B) >= 1.0:
@@ -378,15 +409,17 @@ def _check_spectral(cfg: dict):
     fp = cfg["fourier_pair"]
     if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
         raise ConfigError("fourier_pair", _FOURIER_PAIR)
-    _check_mesh(cfg)
-    _check_definite(cfg)
+    _check_eigen(cfg)
+    # the Fourier corrector's limit variance divides by the gap of the pair's inverse eigenvalues
+    a_star, q0 = cfg["a_star"], cfg["q0"]
+    if inverse_eigenvalue(a_star, q0, fp[0]) == inverse_eigenvalue(a_star, q0, fp[1]):
+        raise ConfigError("q0", f"swamps the gap of fourier_pair {fp}: their inverse eigenvalues round equal")
 
 
 def _check_heat(cfg: dict):
     if cfg["mode"] > cfg["n_pairs"]:
         raise ConfigError("mode", "must not exceed n_pairs")
-    _check_mesh(cfg)
-    _check_definite(cfg)
+    _check_eigen(cfg)
 
 
 def _check_2d(cfg: dict):
@@ -542,8 +575,11 @@ ELLIPTIC_DEFAULTS = {
     },
 }
 
+# the eigen kinds take no source, safeguard or solver tolerance: no eigen-solve reads one
+_EIGEN_BASE = {k: v for k, v in _HELM_BASE.items() if k not in ("f", "truncation_rho", "tol")}
+
 SPECTRAL_DEFAULTS = {
-    **_HELM_BASE,
+    **_EIGEN_BASE,
     "n_pairs": 8,
     "modes": [1, 2],
     "fourier_pair": [1, 2],
@@ -557,14 +593,14 @@ SPECTRAL_DEFAULTS = {
 }
 
 HEAT_DEFAULTS = {
-    **_HELM_BASE,
+    **_EIGEN_BASE,
     "epsilon_list": [0.02, 0.01, 0.005],
     "n_pairs": 8,
     "mode": 1,
     "time": 1.0,
     "epsilon_const": 1.0,
     "v0": "parabola",
-    "thresholds": {"stderr_factor": 4.0, "gap_slope_min": 0.3},
+    "thresholds": {"gap_slope_min": 0.3},
 }
 
 # smallest s_max whose first tail test in `asymptotics.variance_fourier` passes:

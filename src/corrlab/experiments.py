@@ -98,23 +98,17 @@ def field_stats_task(state: dict, epsilon: float, seed: int) -> dict:
     }
 
 
-def _helm_problem(params: dict, epsilon: float, dimension: int = 1):
-    """The HelmholtzProblem of a config at one epsilon; 2D configs have a* = 1."""
-    from . import helmholtz
-    from .greens import Mesh1D, Mesh2D
-
-    cells = aligned_cells(epsilon, params["nodes_per_eps"])
-    mesh = Mesh2D(cells + 1) if dimension == 2 else Mesh1D(cells + 1)
-    spec, f = randfield.MAProcessSpec.from_json(params["field"]), mesh_profile(params["f"], mesh)
-    return helmholtz.HelmholtzProblem(mesh, params.get("a_star", 1.0), params["q0"], spec, f, epsilon,
-                                      alpha=params["alpha"], truncation_rho=params["truncation_rho"])
-
-
 def _prepare_helmholtz(params: dict, epsilon: float, dimension: int = 1) -> dict:
     """The problem, its G factored and u0 = G f solved, and the moment test functions."""
     from . import helmholtz
+    from .greens import Mesh1D, Mesh2D
 
-    prob = _helm_problem(params, epsilon, dimension)
+    n = aligned_cells(epsilon, params["nodes_per_eps"]) + 1
+    # the unit square has a* = 1, and a 2D config no a_star field
+    mesh, a_star = (Mesh2D(n), 1.0) if dimension == 2 else (Mesh1D(n), params["a_star"])
+    spec, f = randfield.MAProcessSpec.from_json(params["field"]), mesh_profile(params["f"], mesh)
+    prob = helmholtz.HelmholtzProblem(mesh, a_star, params["q0"], spec, f, epsilon,
+                                      alpha=params["alpha"], truncation_rho=params["truncation_rho"])
     prob.u0  # computed here, once, for every realization
     mset = helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in params["moments"]))
     return dict(params, problem=prob, moment_set=mset)
@@ -133,10 +127,14 @@ def _prepare_elliptic(params: dict, epsilon: float) -> dict:
 
 
 def _prepare_spectral(params: dict, epsilon: float) -> dict:
-    """The problem, its reference spectrum, and (heat) the initial data."""
-    from . import spectral
+    """The problem, its reference spectrum, and (heat) the initial data.  No
+    eigen-solve reads a source or a safeguard: the source is zero."""
+    from . import helmholtz, spectral
 
-    prob = _helm_problem(params, epsilon)
+    mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
+    spec = randfield.MAProcessSpec.from_json(params["field"])
+    prob = helmholtz.HelmholtzProblem(mesh, params["a_star"], params["q0"], spec, np.zeros(mesh.n_nodes),
+                                      epsilon, alpha=params["alpha"])
     ref = spectral.discrete_unperturbed_spectrum(prob.mesh, prob.a_star, prob.q0, params["n_pairs"])
     state = dict(params, problem=prob, reference=ref)
     if "v0" in params:
@@ -207,15 +205,6 @@ def heat_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
     direct, surrogate = sr.heat_corrector(*args)
     return {"heat_direct": direct, "heat_surrogate": surrogate, "heat_gap": abs(direct - surrogate)}
 
-
-ensemble.register_task("field-stats", field_stats_task, _prepare_field_stats)
-ensemble.register_task("helmholtz-corrector", helmholtz_corrector_task, _prepare_helmholtz)
-ensemble.register_task(
-    "helmholtz-moments-2d", helmholtz_moments_2d_task, partial(_prepare_helmholtz, dimension=2)
-)
-ensemble.register_task("elliptic-corrector", elliptic_corrector_task, _prepare_elliptic)
-ensemble.register_task("spectral-corrector", spectral_corrector_task, _prepare_spectral)
-ensemble.register_task("heat-corrector", heat_corrector_task, _prepare_spectral)
 
 # config keys the runner owns; every other key of a config is a task param
 _RUNNER_KEYS = ("kind", "seed", "n_real", "epsilon_list", "thresholds", "normality_checks")
@@ -350,13 +339,13 @@ class ExperimentResult:
 # --- grading helpers: each appends rows, checks and tables to a result ---
 
 
-def _within(name: str, label: str, value, target, tol) -> Check:
+def _within(res, name: str, label: str, value, target, stderr: float):
+    """Check that `value` lies within stderr_factor standard errors of `target`:
+    the one tolerance rule of every mean, variance and covariance check."""
+    tol = res.config["thresholds"]["stderr_factor"] * stderr
     err = abs(value - target)
-    return Check(
-        name,
-        err <= tol,
-        f"{label}={value:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}",
-    )
+    detail = f"{label}={value:.6g} target={target:.6g} |err|={err:.3g} tol={tol:.3g}"
+    res.checks.append(Check(name, err <= tol, detail))
 
 
 def _grade_cov(res, rep, k: int, a: str, b: str, name: str, target: float):
@@ -368,8 +357,7 @@ def _grade_cov(res, rep, k: int, a: str, b: str, name: str, target: float):
     sa, sb, n = st[a], st[b], st[a].n
     xs, ys = rep.samples[k][a], rep.samples[k][b]
     cov = math.fsum((x - sa.mean) * (y - sb.mean) for x, y in zip(xs, ys)) / (n - 1)
-    se = math.sqrt((sa.variance * sb.variance + cov * cov) / (n - 1))
-    res.checks.append(_within(name, "cov", cov, target, res.config["thresholds"]["stderr_factor"] * se))
+    _within(res, name, "cov", cov, target, math.sqrt((sa.variance * sb.variance + cov * cov) / (n - 1)))
 
 
 def _slope_in(name: str, slope: float, lo, hi) -> Check:
@@ -386,67 +374,63 @@ def _slope_min(name: str, slope: float, lo) -> Check:
     return Check(name, slope >= lo, f"slope={slope:.4f} min={lo}")
 
 
-def _normality_checks(prefix: str, st, th: dict) -> list:
-    if st.variance <= 0:
-        return [Check(f"{prefix}_normality", True, "degenerate sample, skipped")]
-    crit = ensemble.ks_critical(st.n, th["ks_level"])
-    return [
-        Check(
-            f"{prefix}_skew",
-            abs(st.skewness) < th["skew_max"],
-            f"skew={st.skewness:.4f} bound={th['skew_max']}",
-        ),
-        Check(
-            f"{prefix}_kurtosis",
-            abs(st.excess_kurtosis) < th["kurt_max"],
-            f"excess kurtosis={st.excess_kurtosis:.4f} bound={th['kurt_max']}",
-        ),
-        Check(
-            f"{prefix}_ks",
-            st.ks_statistic < crit,
-            f"ks={st.ks_statistic:.4f} critical={crit:.4f}",
-        ),
+def _grade_normality(res, st: dict, name: str, prefix: str):
+    """Skewness, kurtosis and KS checks of functional `name`, named from `prefix`,
+    when the config asks for normality checks and `name` was sampled."""
+    if not res.config["normality_checks"] or name not in st:
+        return
+    s, th = st[name], res.config["thresholds"]
+    if s.variance <= 0:
+        res.checks.append(Check(f"{prefix}_normality", True, "degenerate sample, skipped"))
+        return
+    skew, kurt, crit = th["skew_max"], th["kurt_max"], ensemble.ks_critical(s.n, th["ks_level"])
+    res.checks += [
+        Check(f"{prefix}_skew", abs(s.skewness) < skew, f"skew={s.skewness:.4f} bound={skew}"),
+        Check(f"{prefix}_kurtosis", abs(s.excess_kurtosis) < kurt,
+              f"excess kurtosis={s.excess_kurtosis:.4f} bound={kurt}"),
+        Check(f"{prefix}_ks", s.ks_statistic < crit, f"ks={s.ks_statistic:.4f} critical={crit:.4f}"),
     ]
 
 
-def _count_fraction_check(name, rep, counter: str, frac_max: float) -> list:
-    checks = []
+def _grade_counts(res, rep, name: str, counter: str, frac_max: float):
+    """Check at each epsilon that at most frac_max of the realizations raised `counter`."""
+    n = rep.spec.n_real
     for k, eps in enumerate(rep.spec.epsilon_list):
         count = rep.counts[k].get(counter, 0)
-        frac = count / rep.spec.n_real
-        checks.append(
-            Check(
-                f"{name}[{eps!r}]",
-                frac <= frac_max,
-                f"{count}/{rep.spec.n_real} flagged, bound {frac_max}",
-            )
-        )
-    return checks
+        detail = f"{count}/{n} flagged, bound {frac_max}"
+        res.checks.append(Check(f"{name}[{eps!r}]", count / n <= frac_max, detail))
 
 
-def _norm_slope(res, rep, functional: str, table: str):
+def _grade_fit(res, rep, functional: str, table: str, *grades, skipped: Check | None = None):
     """Log-log fit of the ensemble mean of one functional across epsilon, stored
-    in the report's scaling fits and as the result's `table`; None if unfit."""
+    in the report's scaling fits and as the result's `table`, then the check
+    grade(slope) of each grade.  Too few epsilons or a mean that is not
+    positive leave no fit, and only `skipped`, if given, is checked."""
     eps = rep.spec.epsilon_list
     means = [st[functional].mean if functional in st else 0.0 for st in rep.stats]
     if len(eps) < ensemble.MIN_FIT_POINTS or any(m <= 0 for m in means):
-        return None
+        res.checks.extend([skipped] if skipped else [])
+        return
     fit = ensemble.loglog_slope(list(zip(eps, means)))
     rep.scaling_fits[f"{functional}_mean"] = fit.to_dict()
     res.tables[table] = fit.to_dict()
-    return fit
+    res.checks.extend(grade(fit.slope) for grade in grades)
+
+
+def _norm_sq_slope(th: dict):
+    """The grade of the squared-norm slope fit: within [slope_lo, slope_hi]."""
+    return partial(_slope_in, "norm_sq_slope", lo=th["slope_lo"], hi=th["slope_hi"])
 
 
 def _grade_variance(res, eps, st, name, target, label, key, mean=False):
     """Analytic-variance row of functional `name` and, if it was sampled, a
     `{label}_var[{key}]` check, plus a zero-mean check when `mean` is set."""
-    sf = res.config["thresholds"]["stderr_factor"]
     res.rows.append((repr(eps), name, "analytic_variance", float(target)))
     if name in st:
         s = st[name]
-        res.checks.append(_within(f"{label}_var[{key}]", "var", s.variance, target, sf * s.stderr_variance))
+        _within(res, f"{label}_var[{key}]", "var", s.variance, target, s.stderr_variance)
         if mean:
-            res.checks.append(_within(f"{label}_mean[{key}]", "mean", s.mean, 0.0, sf * s.stderr_mean))
+            _within(res, f"{label}_mean[{key}]", "mean", s.mean, 0.0, s.stderr_mean)
 
 
 def _grade_probes(res, rep, k: int, variances: np.ndarray):
@@ -467,28 +451,15 @@ def _grade_moments(res, rep, k: int, cov):
     for i, j in itertools.combinations(range(len(cov)), 2):
         name = f"moment_cov[{i}{j},{eps!r}]"
         _grade_cov(res, rep, k, f"moment_{i}", f"moment_{j}", name, cov[i, j])
-    if res.config["normality_checks"] and "moment_0" in st:
-        th = res.config["thresholds"]
-        res.checks.extend(_normality_checks(f"moment_0[{eps!r}]", st["moment_0"], th))
+    _grade_normality(res, st, "moment_0", f"moment_0[{eps!r}]")
 
 
-def _grade_norm_slope(res, rep):
-    th = res.config["thresholds"]
-    fit = _norm_slope(res, rep, "norm_sq", "norm_sq_fit")
-    if fit is not None:
-        res.checks.append(_slope_in("norm_sq_slope", fit.slope, th["slope_lo"], th["slope_hi"]))
-    return fit
-
-
-def _grade_truncation(res, rep):
-    frac_max = res.config["thresholds"]["trunc_frac_max"]
-    res.checks.extend(_count_fraction_check("truncation", rep, "count_truncated", frac_max))
-
-
-def _graded(grade):
-    """The runner of a one-ensemble kind: run it, then grade(config, res, rep) unless a
-    prepare failed (an error result).  A result outlives its run, so the prepared
-    states, every epsilon's mesh, go once the targets have read them."""
+def _ensemble_kind(kind: str, prepare, task, grade):
+    """Register the realization task of a one-ensemble kind and return its runner:
+    run the ensemble, then grade(config, res, rep) unless a prepare failed (an
+    error result).  A result outlives its run, so the prepared states, every
+    epsilon's mesh, go once the targets have read them."""
+    ensemble.register_task(kind, task, prepare)
 
     def runner(config: dict, workers: int) -> ExperimentResult:
         rep = _run_ensemble(config, workers)
@@ -506,45 +477,40 @@ def _graded(grade):
 
 def _grade_field_stats(config, res, rep):
     spec = rep.states[0]["spec"]
-    sf = config["thresholds"]["stderr_factor"]
     s2 = randfield.sigma2(spec)
     r0 = randfield.correlation(spec, 0.0)
-    for k, eps in enumerate(rep.spec.epsilon_list):
-        st = rep.stats[k]
+    for eps, st in zip(rep.spec.epsilon_list, rep.stats):
         for name, label, target in (
             ("sigma2_sample", "sigma2", s2), ("point_square", "point_var", r0), ("point_value", "mean_zero", 0.0)
         ):
             res.rows.append((repr(eps), name, "analytic", float(target)))
             if name in st:
                 s = st[name]
-                res.checks.append(_within(f"{label}[{eps!r}]", "mean", s.mean, target, sf * s.stderr_mean))
-    res.checks.extend(_count_fraction_check("bound", rep, "count_bound_violation", 0.0))
+                _within(res, f"{label}[{eps!r}]", "mean", s.mean, target, s.stderr_mean)
+    _grade_counts(res, rep, "bound", "count_bound_violation", 0.0)
     res.tables.update(sigma2_analytic=s2, lag0_covariance_analytic=r0)
 
 
 def _grade_helmholtz_corrector(config, res, rep):
     from . import helmholtz
 
+    th = config["thresholds"]
     for k, st in enumerate(rep.states):
         prob, mset = st["problem"], st["moment_set"]
         if config["probes"]:
             _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
         if config["moments"]:
             _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, mset))
-    fit = _grade_norm_slope(res, rep)
-    if fit is not None:
-        # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half
-        # that, with d = 1
-        target = 0.5 - config["alpha"]
-        tol = config["thresholds"]["exponent_tol"]
-        res.checks.append(
-            Check(
-                "corrector_exponent",
-                abs(0.5 * fit.slope - target) <= tol,
-                f"exponent={0.5 * fit.slope:.4f} target={target:.4f} tol={tol}",
-            )
-        )
-    _grade_truncation(res, rep)
+    # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half that, with d = 1
+    target, tol = 0.5 - config["alpha"], th["exponent_tol"]
+
+    def exponent(slope):
+        e = 0.5 * slope
+        detail = f"exponent={e:.4f} target={target:.4f} tol={tol}"
+        return Check("corrector_exponent", abs(e - target) <= tol, detail)
+
+    _grade_fit(res, rep, "norm_sq", "norm_sq_fit", _norm_sq_slope(th), exponent)
+    _grade_counts(res, rep, "truncation", "count_truncated", th["trunc_frac_max"])
 
 
 def _grade_helmholtz_moments_2d(config, res, rep):
@@ -553,23 +519,22 @@ def _grade_helmholtz_moments_2d(config, res, rep):
     res.tables["sigma2_separable"] = rep.states[0]["problem"].sigma2
     for k, st in enumerate(rep.states):
         _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
-    _grade_truncation(res, rep)
+    _grade_counts(res, rep, "truncation", "count_truncated", config["thresholds"]["trunc_frac_max"])
 
 
 def _grade_elliptic_corrector(config, res, rep):
     from . import elliptic
 
+    th = config["thresholds"]
     for k, st in enumerate(rep.states):
         if config["probes"]:
             law = elliptic.limit_law(st["problem"], x_nodes=config["probes"])
-            if k == 0:
-                res.tables["rho_jk"] = law.rho_jk.tolist()
-                res.tables["sigma_b"] = law.sigma_b.tolist()
-                res.tables["sigma_rho"] = law.sigma_rho.tolist()
-                res.tables["sigma_q"] = law.sigma_q.tolist()
+            if k == 0:  # the law's tables at the first epsilon
+                for key in ("rho_jk", "sigma_b", "sigma_rho", "sigma_q"):
+                    res.tables[key] = getattr(law, key).tolist()
             _grade_probes(res, rep, k, law.variance_fn)
-    _grade_norm_slope(res, rep)
-    _grade_truncation(res, rep)
+    _grade_fit(res, rep, "norm_sq", "norm_sq_fit", _norm_sq_slope(th))
+    _grade_counts(res, rep, "truncation", "count_truncated", th["trunc_frac_max"])
 
 
 def _grade_spectral_corrector(config, res, rep):
@@ -595,28 +560,20 @@ def _grade_spectral_corrector(config, res, rep):
     n, m = config["fourier_pair"]
     target = spectral.fourier_corrector_variance(mesh, a_star, q0, s2, n, m)
     _grade_variance(res, eps_last, st, f"fourier_{n}_{m}", target, "fourier", f"{n}{m}")
-    if config["normality_checks"]:
-        key = f"inv_eig_{config['modes'][0]}"
-        if key in st:
-            res.checks.extend(_normality_checks(key, st[key], th))
+    key = f"inv_eig_{config['modes'][0]}"
+    _grade_normality(res, st, key, key)
     for n in config["modes"]:
-        fit = _norm_slope(res, rep, f"defect_{n}", f"defect_{n}_fit")
-        if fit is not None:
-            res.checks.append(_slope_min(f"defect_slope[{n}]", fit.slope, th["defect_slope_min"]))
-    res.checks.extend(
-        _count_fraction_check("match_flags", rep, "count_flagged", th["flag_frac_max"])
-    )
+        grade = partial(_slope_min, f"defect_slope[{n}]", lo=th["defect_slope_min"])
+        _grade_fit(res, rep, f"defect_{n}", f"defect_{n}_fit", grade)
+    _grade_counts(res, rep, "match_flags", "count_flagged", th["flag_frac_max"])
 
 
 def _grade_heat_corrector(config, res, rep):
-    fit = _norm_slope(res, rep, "heat_gap", "heat_gap_fit")
-    if fit is not None:
-        res.checks.append(_slope_min("gap_slope", fit.slope, config["thresholds"]["gap_slope_min"]))
-    else:
-        res.checks.append(Check("gap_slope", True, "skipped: needs 3 epsilon values and positive gaps"))
+    skipped = Check("gap_slope", True, "skipped: needs 3 epsilon values and positive gaps")
+    grade = partial(_slope_min, "gap_slope", lo=config["thresholds"]["gap_slope_min"])
+    _grade_fit(res, rep, "heat_gap", "heat_gap_fit", grade, skipped=skipped)
     # context scale: gap means are read against the direct corrector spread
-    for k, eps in enumerate(rep.spec.epsilon_list):
-        st = rep.stats[k]
+    for eps, st in zip(rep.spec.epsilon_list, rep.stats):
         if "heat_direct" in st:
             scale = math.sqrt(max(st["heat_direct"].variance, 0.0))
             res.rows.append((repr(eps), "heat_gap", "rms_direct", float(scale)))
@@ -715,22 +672,29 @@ def _run_periodic_compare(config, workers):
     res.checks.append(
         _slope_near("periodic_slope", fit.slope, th["periodic_slope"], th["periodic_slope_tol"])
     )
-    fit = _norm_slope(res, rep, "norm_sq", "random_norm_sq_fit")
-    if fit is not None:
-        # ||u_eps - u0|| slope is half the slope of the squared-norm mean
-        slope = 0.5 * fit.slope
-        res.checks.append(_slope_in("random_slope", slope, th["random_slope_lo"], th["random_slope_hi"]))
+    # ||u_eps - u0|| slope is half the slope of the squared-norm mean
+    lo, hi = th["random_slope_lo"], th["random_slope_hi"]
+    _grade_fit(res, rep, "norm_sq", "random_norm_sq_fit",
+               lambda slope: _slope_in("random_slope", 0.5 * slope, lo, hi))
     return res
 
 
-# the runner(config, workers) of each kind in the catalog
+# each ensemble kind once: its prepare, its realization task and its grader
+_ENSEMBLE_KINDS = {
+    "field-stats": (_prepare_field_stats, field_stats_task, _grade_field_stats),
+    "helmholtz-corrector": (_prepare_helmholtz, helmholtz_corrector_task, _grade_helmholtz_corrector),
+    "helmholtz-moments-2d": (
+        partial(_prepare_helmholtz, dimension=2), helmholtz_moments_2d_task, _grade_helmholtz_moments_2d
+    ),
+    "elliptic-corrector": (_prepare_elliptic, elliptic_corrector_task, _grade_elliptic_corrector),
+    "spectral-corrector": (_prepare_spectral, spectral_corrector_task, _grade_spectral_corrector),
+    "heat-corrector": (_prepare_spectral, heat_corrector_task, _grade_heat_corrector),
+}
+
+# the runner(config, workers) of each kind in the catalog; building it
+# registers every ensemble kind's task
 RUNNERS = {
-    "field-stats": _graded(_grade_field_stats),
-    "helmholtz-corrector": _graded(_grade_helmholtz_corrector),
-    "helmholtz-moments-2d": _graded(_grade_helmholtz_moments_2d),
-    "elliptic-corrector": _graded(_grade_elliptic_corrector),
-    "spectral-corrector": _graded(_grade_spectral_corrector),
-    "heat-corrector": _graded(_grade_heat_corrector),
+    **{kind: _ensemble_kind(kind, *parts) for kind, parts in _ENSEMBLE_KINDS.items()},
     "scaling-study": _run_scaling_study,
     "periodic-compare": _run_periodic_compare,
 }

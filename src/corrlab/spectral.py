@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .catalog import fd_eigenvalue
+from .catalog import fd_eigenvalue, inverse_eigenvalue
 from .greens import Mesh1D, fd_matrix_banded
 from .helmholtz import HelmholtzProblem
 
@@ -38,16 +38,11 @@ class Spectrum:
     certified: bool = True
 
 
-def _lam(a_star: float, q0: float, n: int) -> float:
-    """Continuum eigenvalue 1 / (a* (n pi)^2 + q0) of the inverse operator."""
-    return 1.0 / (a_star * (n * math.pi) ** 2 + q0)
-
-
 def unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
     """Analytic Dirichlet pairs lambda_n = 1/(a* n^2 pi^2 + q0), u_n = sqrt(2) sin."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    lam = np.array([_lam(a_star, q0, n) for n in range(1, n_max + 1)])
+    lam = np.array([inverse_eigenvalue(a_star, q0, n) for n in range(1, n_max + 1)])
     n = np.arange(1, n_max + 1)[:, None]
     return Spectrum(lam, math.sqrt(2.0) * np.sin(n * math.pi * mesh.nodes))
 
@@ -351,7 +346,7 @@ def eigenvalue_corrector_covariance(
     mesh: Mesh1D, a_star: float, q0: float, sigma2: float, n: int, m: int
 ) -> float:
     """Limit covariance of the A-eigenvalue correctors: sigma^2 lam_n^2 lam_m^2 int u_n^2 u_m^2."""
-    lam_n, lam_m = _lam(a_star, q0, n), _lam(a_star, q0, m)
+    lam_n, lam_m = inverse_eigenvalue(a_star, q0, n), inverse_eigenvalue(a_star, q0, m)
     return sigma2 * lam_n**2 * lam_m**2 * _sine_overlap(mesh, n, m)
 
 
@@ -361,6 +356,6 @@ def fourier_corrector_variance(
     """Limit variance of (u_n^eps - u_n, u_m)/sqrt(eps)."""
     if n == m:
         raise ValueError("diagonal coefficient is second order")
-    lam_n, lam_m = _lam(a_star, q0, n), _lam(a_star, q0, m)
+    lam_n, lam_m = inverse_eigenvalue(a_star, q0, n), inverse_eigenvalue(a_star, q0, m)
     factor = lam_n * lam_m / (lam_n - lam_m)
     return sigma2 * factor**2 * _sine_overlap(mesh, n, m)

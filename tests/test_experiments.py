@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from corrlab import ensemble, experiments
-from corrlab.catalog import MAX_NODES, aligned_cells, describe_kinds, fd_eigenvalue
+from corrlab.catalog import MAX_NODES, aligned_cells, describe_kinds, fd_eigenvalue, inverse_eigenvalue
 from corrlab.experiments import (
     KINDS,
-    Check,
     ConfigError,
     ExperimentResult,
     aligned_mesh,
@@ -207,6 +206,54 @@ def test_weyl_admission_is_the_lowest_fd_eigenvalue_against_the_field_bound(kind
     validate_config({"kind": kind, "a_star": 1.0001 / lam_per_a})
     with pytest.raises(ConfigError):
         validate_config({"kind": kind, "a_star": 0.9999 / lam_per_a})
+
+
+@pytest.mark.parametrize(
+    "raw, field, message",
+    [
+        # once a ZeroDivisionError in fourier_corrector_variance while grading
+        ({"kind": "spectral-corrector", "q0": 1e20, "n_real": 2}, "q0",
+         "swamps the gap of fourier_pair [1, 2]: their inverse eigenvalues round equal"),
+        # once "eigensolver failed on tridiagonal matrix" in every realization
+        ({"kind": "spectral-corrector", "a_star": 1e300}, "a_star", "FD matrix norm 6.4e+305 at epsilon 0.02"),
+        ({"kind": "heat-corrector", "a_star": 1e300}, "a_star", "exceeds 1.34078e+154"),
+        ({"kind": "heat-corrector", "q0": 1e300}, "q0", "FD matrix norm 1e+300 at epsilon 0.02"),
+        ({"kind": "spectral-corrector", "q0": 1e300}, "q0", "FD matrix norm 1e+300"),
+    ],
+)
+def test_validation_rejects_what_the_eigen_arithmetic_cannot_hold(raw, field, message):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == field
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["spectral-corrector", "heat-corrector"])
+def test_eigen_norm_admission_is_the_root_of_the_largest_double(kind):
+    """|T|_inf = 4 a*/h^2 + q0 + max|q| at the finest mesh must stay at most
+    sqrt(largest double): a* and (heat) q0 admit just under it, not just over."""
+    eps = KINDS[kind].defaults["epsilon_list"][-1]
+    h = 1.0 / aligned_cells(eps, 8)
+    limit = math.sqrt(sys.float_info.max)
+    a_max = (limit - 1.0) * h * h / 4.0  # the default field's bound is 1, alpha 0
+    cases = [("a_star", a_max)] + ([("q0", limit - 4.0 / (h * h) - 1.0)] if kind == "heat-corrector" else [])
+    for field, value in cases:
+        validate_config({"kind": kind, field: 0.9999 * value})
+        with pytest.raises(ConfigError) as err:
+            validate_config({"kind": kind, field: 1.0001 * value})
+        assert err.value.field == field
+
+
+def test_fourier_admission_is_the_gap_of_the_inverse_eigenvalues():
+    """q0 admits while the fourier pair's inverse eigenvalues differ: the first
+    power of two at which they round equal is rejected, half of it is not."""
+    q0 = next(2.0**k for k in range(1, 200) if inverse_eigenvalue(1.0, 2.0**k, 1) == inverse_eigenvalue(1.0, 2.0**k, 2))
+    assert 1e15 < q0 / 2 < q0 < 1e20
+    validate_config({"kind": "spectral-corrector", "q0": 1e15})
+    validate_config({"kind": "spectral-corrector", "q0": q0 / 2})
+    with pytest.raises(ConfigError) as err:
+        validate_config({"kind": "spectral-corrector", "q0": q0})
+    assert err.value.field == "q0"
 
 
 def test_n_real_admits_the_whole_seed_range():
@@ -424,22 +471,24 @@ def _correlated_pair(params, epsilon, seed):
 
 @pytest.mark.parametrize("n_real", [3, 4, 300])
 def test_grade_cov_forms_the_cross_moment_on_the_engine_moments(monkeypatch, n_real):
-    """The covariance check's value is the sample covariance and its tolerance
-    stderr_factor times sqrt((vx vy + cov^2) / (n - 1)); under 4 samples it is skipped."""
+    """The covariance check's value is the sample covariance and its standard
+    error sqrt((vx vy + cov^2) / (n - 1)), which `_within` scales by
+    stderr_factor; under 4 samples it is skipped."""
     monkeypatch.setitem(ensemble.REGISTRY, "correlated-pair", _correlated_pair)
     rep = ensemble.run(ensemble.EnsembleSpec(5, n_real, (0.1,), "correlated-pair"))
-    seen = []
-    monkeypatch.setattr(experiments, "_within", lambda *args: seen.append(args) or Check(args[0], True, ""))
+    seen, within = [], experiments._within
+    monkeypatch.setattr(experiments, "_within", lambda *args: seen.append(args) or within(*args))
     res = ExperimentResult("pair", {"thresholds": {"stderr_factor": 4.0}}, {}, {}, [], [])
     experiments._grade_cov(res, rep, 0, "x", "y", "cov[xy]", 0.6)
     if n_real < 4:
         assert res.checks == [] and seen == []
         return
-    [(name, label, cov, target, tol)] = seen
+    [(_, name, label, cov, target, stderr)] = seen
     assert (name, label, target) == ("cov[xy]", "cov", 0.6)
     x, y = np.asarray(rep.samples[0]["x"]), np.asarray(rep.samples[0]["y"])
     want = float(np.cov(x, y, ddof=1)[0, 1])
     assert cov == pytest.approx(want, rel=1e-12)
     vx, vy = rep.stats[0]["x"].variance, rep.stats[0]["y"].variance
-    assert tol == 4.0 * math.sqrt((vx * vy + cov * cov) / (n_real - 1))
+    assert stderr == math.sqrt((vx * vy + cov * cov) / (n_real - 1))
     assert [c.name for c in res.checks] == ["cov[xy]"]
+    assert res.checks[0].detail.endswith(f" tol={4.0 * stderr:.3g}")
