@@ -14,7 +14,8 @@ and, for scaling-study, `asymptotics`, but no scipy: a bad config exits
 before any solver module loads.  The limits validation shares with the
 engine and the solvers are stated here once: the realization and mesh
 caps, the KS levels, the fit size, the driving-triple channels, the mesh a
-node count implies, its probe nodes and its lowest FD eigenvalue.
+node count implies, its probe nodes, its FD eigenvalues and the continuum
+inverse eigenvalues.
 """
 
 from __future__ import annotations

@@ -247,7 +247,8 @@ def test_eigen_norm_admission_is_the_root_of_the_largest_double(kind):
 def test_fourier_admission_is_the_gap_of_the_inverse_eigenvalues():
     """q0 admits while the fourier pair's inverse eigenvalues differ: the first
     power of two at which they round equal is rejected, half of it is not."""
-    q0 = next(2.0**k for k in range(1, 200) if inverse_eigenvalue(1.0, 2.0**k, 1) == inverse_eigenvalue(1.0, 2.0**k, 2))
+    powers = (2.0**k for k in range(1, 200))
+    q0 = next(q for q in powers if inverse_eigenvalue(1.0, q, 1) == inverse_eigenvalue(1.0, q, 2))
     assert 1e15 < q0 / 2 < q0 < 1e20
     validate_config({"kind": "spectral-corrector", "q0": 1e15})
     validate_config({"kind": "spectral-corrector", "q0": q0 / 2})

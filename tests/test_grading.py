@@ -23,12 +23,14 @@ EPS3 = [0.1, 0.05, 0.025]
 
 BASE = {
     "field-stats": {"n_real": 4},
-    "helmholtz-corrector": {"n_real": 4, "epsilon_list": EPS3, "moments": ["one", "sine"], "normality_checks": True},
+    "helmholtz-corrector": {"n_real": 4, "epsilon_list": EPS3, "moments": ["one", "sine"],
+                            "normality_checks": True},
     "helmholtz-moments-2d": {"n_real": 4, "epsilon_list": [0.125], "normality_checks": True},
     "elliptic-corrector": {"n_real": 4, "epsilon_list": EPS3},
     # a field bound near the lowest eigenvalue flags the last solved pair, whose
     # gap has one neighbour, so n_pairs shows in the match flags
-    "spectral-corrector": {"n_real": 4, "epsilon_list": EPS3, "field": {"amplitude": 9.0}, "normality_checks": True},
+    "spectral-corrector": {"n_real": 4, "epsilon_list": EPS3, "field": {"amplitude": 9.0},
+                           "normality_checks": True},
     "heat-corrector": {"n_real": 4, "epsilon_list": EPS3},
 }
 
@@ -40,7 +42,7 @@ _HELM = {"seed": 1, "n_real": 5, **_FIELD, "q0": 1.0, "alpha": 0.1, "truncation_
 _EIGEN = {"seed": 1, "n_real": 5, "epsilon_list": [0.1, 0.05, 0.02], **_FIELD, "a_star": 2.0, "q0": 1.0,
           "alpha": 0.1, "nodes_per_eps": 4, "n_pairs": 3}
 
-# the changed value of every default leaf, by kind (where it differs from the base)
+# the changed value of every default leaf, by kind; each differs from the base config's value
 CHANGES = {
     "field-stats": {"seed": 1, "n_real": 5, "epsilon_list": [0.05], **_FIELD, "probe": 0.33,
                     "thresholds.stderr_factor": 2.0},
@@ -48,8 +50,8 @@ CHANGES = {
                             "probes": [0.5], "moments": ["one"], "normality_checks": False,
                             "thresholds.slope_lo": 0.5, "thresholds.slope_hi": 1.5,
                             "thresholds.exponent_tol": 0.2},
-    "helmholtz-moments-2d": {**_HELM, "epsilon_list": [0.25], "f": "sine", "truncation_rho": 1e-6, "moments": ["one"],
-                             "normality_checks": False},
+    "helmholtz-moments-2d": {**_HELM, "epsilon_list": [0.25], "f": "sine", "truncation_rho": 1e-6,
+                             "moments": ["one"], "normality_checks": False},
     "elliptic-corrector": {"seed": 1, "n_real": 5, "epsilon_list": [0.1, 0.05, 0.0125],
                            "triple.weights": [[[0.2, 0.2], [0.0, 0.0]], [[0.1, 0.1], [0.1, 0.1]],
                                               [[0.0, 0.0], [0.4, 0.4]]],
@@ -58,8 +60,8 @@ CHANGES = {
                            "nodes_per_eps": 4, "tol": 1e-2, "probes": [0.5], "thresholds.stderr_factor": 2.0,
                            "thresholds.slope_lo": 0.5, "thresholds.slope_hi": 1.5,
                            "thresholds.trunc_frac_max": 0.5},
-    "spectral-corrector": {**_EIGEN, "alpha": 0.01, "n_pairs": 2, "modes": [2, 1], "fourier_pair": [1, 3], "normality_checks": False,
-                           "thresholds.stderr_factor": 2.0, **_NORMALITY,
+    "spectral-corrector": {**_EIGEN, "alpha": 0.01, "n_pairs": 2, "modes": [2, 1], "fourier_pair": [1, 3],
+                           "normality_checks": False, "thresholds.stderr_factor": 2.0, **_NORMALITY,
                            "thresholds.defect_slope_min": 0.5, "thresholds.flag_frac_max": 0.5},
     "heat-corrector": {**_EIGEN, "mode": 2, "time": 0.5, "epsilon_const": 2.0, "v0": "sine",
                        "thresholds.gap_slope_min": 0.1},
@@ -112,8 +114,8 @@ def _report(cfg) -> tuple:
     res = _result(cfg)
     body = {k: v for k, v in res.to_json_dict().items() if k not in ("config", "config_sha256")}
     texts = (res.to_csv(), json.dumps(body, sort_keys=True), res.summary_text())
-    return tuple("\n".join(ln for ln in t.splitlines() if "config_sha256" not in ln and "config sha256" not in ln)
-                 for t in texts)
+    sha = ("config_sha256", "config sha256")
+    return tuple("\n".join(ln for ln in t.splitlines() if not any(k in ln for k in sha)) for t in texts)
 
 
 @pytest.mark.parametrize("kind", list(BASE))
