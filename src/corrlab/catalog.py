@@ -35,9 +35,10 @@ KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 # fewest (epsilon, value) points a log-log slope fit accepts
 MIN_FIT_POINTS = 3
 
-# mesh nodes one realization may hold: n in 1D, n^2 in 2D, n_pairs * n for
-# the eigenvector rows of the spectral and heat kinds (32 MB per array); also
-# the Bessel values of a scaling-study quadrature grid
+# mesh nodes one realization may hold: n in 1D, n^2 in 2D, pairs * n for
+# the eigenvector rows of spectral-corrector (n_pairs) and heat-corrector
+# (mode), 32 MB per array; also the Bessel values of a scaling-study
+# quadrature grid
 MAX_NODES = 1 << 22
 
 # channel layout of the elliptic driving triple: b = a*/a - 1, drho, q
@@ -312,14 +313,16 @@ def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str)
         raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
 
 
-def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1):
+def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1, pairs=None):
     """Mesh preconditions at every epsilon, from the node count alone.
 
-    The mesh needs 3 nodes and at most MAX_NODES per realization, the field
-    (or triple) beside `eps_key`, if any, must sample the unit interval
-    within the lattice limits, the config's probes must be nodes, and its
-    n_pairs eigenpairs must fit in the interior nodes.
+    The mesh needs 3 nodes and at most MAX_NODES per realization (`cfg[pairs]`
+    eigenvector rows of them when `pairs` names the eigen kinds' pair count),
+    the field (or triple) beside `eps_key`, if any, must sample the unit
+    interval within the lattice limits, the config's probes must be nodes,
+    and the eigenpairs must fit in the interior nodes.
     """
+    rows = cfg[pairs] if pairs else 1
     scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
     name = "triple" if "triple" in scope else "field"
     spec = scope.get(name) and _from_json(name, scope[name])
@@ -337,10 +340,9 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dime
             node_indices(1.0 / cells, cfg.get("probes", ()))
         except ValueError as exc:
             raise ConfigError("probes", f"{exc} at epsilon {eps!r}") from None
-        if cfg.get("n_pairs", 0) > cells - 1:
-            interior = f"the {cells - 1} interior nodes at epsilon {eps!r}"
-            raise ConfigError("n_pairs", f"exceeds {interior}")
-        if (cells + 1) ** dimension * cfg.get("n_pairs", 1) > MAX_NODES:
+        if rows > cells - 1:  # never without pairs: cells >= 2
+            raise ConfigError(pairs, f"exceeds the {cells - 1} interior nodes at epsilon {eps!r}")
+        if (cells + 1) ** dimension * rows > MAX_NODES:
             raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
 
 
@@ -373,12 +375,13 @@ def _check_definite(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
 _EIGEN_NORM_MAX = math.sqrt(sys.float_info.max)
 
 
-def _check_eigen(cfg: dict):
-    """The mesh and Weyl checks of the spectral and heat kinds, then the norm
-    their eigen-solves square: |T|_inf = 4 a*/h^2 + q0 + max|q| at most
-    _EIGEN_NORM_MAX at every epsilon.  The fault is q0's if q0 = 0 would pass,
-    else a_star's (Weyl has kept max|q| below the lowest eigenvalue)."""
-    _check_mesh(cfg)
+def _check_eigen(cfg: dict, pairs: str):
+    """The mesh and Weyl checks of the spectral and heat kinds, which solve
+    `cfg[pairs]` eigenpairs, then the norm their eigen-solves square:
+    |T|_inf = 4 a*/h^2 + q0 + max|q| at most _EIGEN_NORM_MAX at every
+    epsilon.  The fault is q0's if q0 = 0 would pass, else a_star's (Weyl has
+    kept max|q| below the lowest eigenvalue)."""
+    _check_mesh(cfg, pairs=pairs)
     _check_definite(cfg)
     q_max = _from_json("field", cfg["field"]).abs_bound
     for eps in cfg["epsilon_list"]:
@@ -410,17 +413,11 @@ def _check_spectral(cfg: dict):
     fp = cfg["fourier_pair"]
     if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
         raise ConfigError("fourier_pair", _FOURIER_PAIR)
-    _check_eigen(cfg)
+    _check_eigen(cfg, "n_pairs")
     # the Fourier corrector's limit variance divides by the gap of the pair's inverse eigenvalues
     a_star, q0 = cfg["a_star"], cfg["q0"]
     if inverse_eigenvalue(a_star, q0, fp[0]) == inverse_eigenvalue(a_star, q0, fp[1]):
         raise ConfigError("q0", f"swamps the gap of fourier_pair {fp}: their inverse eigenvalues round equal")
-
-
-def _check_heat(cfg: dict):
-    if cfg["mode"] > cfg["n_pairs"]:
-        raise ConfigError("mode", "must not exceed n_pairs")
-    _check_eigen(cfg)
 
 
 def _check_2d(cfg: dict):
@@ -596,7 +593,6 @@ SPECTRAL_DEFAULTS = {
 HEAT_DEFAULTS = {
     **_EIGEN_BASE,
     "epsilon_list": [0.02, 0.01, 0.005],
-    "n_pairs": 8,
     "mode": 1,
     "time": 1.0,
     "epsilon_const": 1.0,
@@ -723,7 +719,8 @@ KINDS = {
             "Heat semigroup corrector: direct difference vs two-term surrogate.",
             HEAT_DEFAULTS,
             {"alpha": _HELM_ALPHA},
-            _check_heat,
+            # heat solves pairs 1..mode: the graded pair and those below it
+            partial(_check_eigen, pairs="mode"),
         ),
         ExperimentKind(
             "scaling-study",

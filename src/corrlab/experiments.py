@@ -126,16 +126,17 @@ def _prepare_elliptic(params: dict, epsilon: float) -> dict:
     return dict(params, problem=prob)
 
 
-def _prepare_spectral(params: dict, epsilon: float) -> dict:
-    """The problem, its reference spectrum, and (heat) the initial data.  No
-    eigen-solve reads a source or a safeguard: the source is zero."""
+def _prepare_spectral(params: dict, epsilon: float, pairs: str = "n_pairs") -> dict:
+    """The problem, its reference spectrum of `params[pairs]` pairs, and (heat)
+    the initial data.  No eigen-solve reads a source or a safeguard: the
+    source is zero."""
     from . import helmholtz, spectral
 
     mesh = aligned_mesh(epsilon, params["nodes_per_eps"])
     spec = randfield.MAProcessSpec.from_json(params["field"])
     prob = helmholtz.HelmholtzProblem(mesh, params["a_star"], params["q0"], spec, np.zeros(mesh.n_nodes),
                                       epsilon, alpha=params["alpha"])
-    ref = spectral.discrete_unperturbed_spectrum(prob.mesh, prob.a_star, prob.q0, params["n_pairs"])
+    ref = spectral.discrete_unperturbed_spectrum(prob.mesh, prob.a_star, prob.q0, params[pairs])
     state = dict(params, problem=prob, reference=ref)
     if "v0" in params:
         state["v0_values"] = source_profile(params["v0"], prob.mesh.nodes)
@@ -200,7 +201,8 @@ def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 def heat_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
     from . import spectral
 
-    sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
+    # pairs 1..mode: pair `mode` and its certificate do not depend on the pairs above it
+    sr = spectral.spectral_realization(state["problem"], seed, state["mode"], state["reference"])
     args = state["mode"], state["time"], state["v0_values"], state["epsilon_const"]
     direct, surrogate = sr.heat_corrector(*args)
     return {"heat_direct": direct, "heat_surrogate": surrogate, "heat_gap": abs(direct - surrogate)}
@@ -688,7 +690,9 @@ _ENSEMBLE_KINDS = {
     ),
     "elliptic-corrector": (_prepare_elliptic, elliptic_corrector_task, _grade_elliptic_corrector),
     "spectral-corrector": (_prepare_spectral, spectral_corrector_task, _grade_spectral_corrector),
-    "heat-corrector": (_prepare_spectral, heat_corrector_task, _grade_heat_corrector),
+    "heat-corrector": (
+        partial(_prepare_spectral, pairs="mode"), heat_corrector_task, _grade_heat_corrector
+    ),
 }
 
 # the runner(config, workers) of each kind in the catalog; building it

@@ -90,8 +90,8 @@ def test_validate_config_type_and_range_errors():
          "probes", "probe 0.25 is not a mesh node at epsilon 0.0075"),
         ({"kind": "spectral-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2},
          "n_pairs", "exceeds the 3 interior nodes at epsilon 0.5"),
-        ({"kind": "heat-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2},
-         "n_pairs", "exceeds the 3 interior nodes"),
+        ({"kind": "heat-corrector", "epsilon_list": [0.5], "nodes_per_eps": 2, "mode": 4},
+         "mode", "exceeds the 3 interior nodes"),
         ({"kind": "helmholtz-moments-2d", "epsilon_list": [10.0], "nodes_per_eps": 2},
          "epsilon_list", "epsilon 10.0 leaves fewer than 3 mesh nodes"),
         ({"kind": "periodic-compare",
@@ -112,7 +112,7 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "helmholtz-moments-2d", "epsilon_list": [0.0625, 0.003]}, "epsilon_list", "epsilon 0.003"),
         ({"kind": "spectral-corrector", "epsilon_list": [0.0005], "n_pairs": 300},
          "epsilon_list", "needs over 4194304 mesh nodes per realization"),
-        ({"kind": "heat-corrector", "epsilon_list": [0.0005], "n_pairs": 300}, "epsilon_list", "needs over"),
+        ({"kind": "heat-corrector", "epsilon_list": [0.0005], "mode": 300}, "epsilon_list", "needs over"),
         ({"kind": "periodic-compare", "periodic_epsilon_list": [0.0625, 0.03125, 1e-5]},
          "periodic_epsilon_list", "at 64 nodes per epsilon needs over"),
         ({"kind": "periodic-compare", "random": {"epsilon_list": [0.02, 1e-9]}},
@@ -137,6 +137,8 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "field-stats", "n_real": 2**32 + 1}, "n_real", "must be <= 4294967296"),
         ({"kind": "heat-corrector", "n_real": 10**300}, "n_real", "must be <= 4294967296"),
         ({"kind": "periodic-compare", "random": {"n_real": 2**32 + 1}}, "random.n_real", "must be <= 4294967296"),
+        # heat solves pairs 1..mode, so it has no pair count of its own
+        ({"kind": "heat-corrector", "n_pairs": 8}, "n_pairs", "unknown field"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
@@ -462,6 +464,22 @@ def test_failed_prepare_reports_error_without_grading(monkeypatch, workers):
     assert rep.states == []
     assert res.first_failure()[1] == "RuntimeError: no mesh today"
     assert "[ERROR] main: 6 failed realizations" in res.summary_text()
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_heat_solves_exactly_mode_pairs(monkeypatch, mode):
+    """heat-corrector grades pair `mode`: its reference and every realization
+    hold pairs 1..mode and no more."""
+    from corrlab import spectral
+
+    cfg = validate_config({"kind": "heat-corrector", "mode": mode})
+    eps = cfg["epsilon_list"][0]
+    state = ensemble.PREPARE["heat-corrector"](cfg, eps)
+    assert state["reference"].lam.size == mode
+    solve, solved = spectral.perturbed_spectrum, []
+    monkeypatch.setattr(spectral, "perturbed_spectrum", lambda *args: solved.append(solve(*args)) or solved[-1])
+    experiments.heat_corrector_task(state, eps, 1)
+    assert [s.lam.size for s in solved] == [mode]
 
 
 def _correlated_pair(params, epsilon, seed):

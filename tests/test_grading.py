@@ -5,8 +5,7 @@ Each ensemble kind runs small from a base config that reaches every check
 (4 realizations, three epsilons where the kind fits slopes, normality checks
 on).  Changing any one leaf of the kind's defaults to a valid value chosen to
 matter must change the report once its config block and config_sha256 lines
-are stripped; a leaf that changes nothing is a field nothing reads.  The one
-exception, heat-corrector's n_pairs, is named with its reason in UNSEEN.
+are stripped; a leaf that changes nothing is a field nothing reads.
 """
 
 import copy
@@ -40,7 +39,7 @@ _HELM = {"seed": 1, "n_real": 5, **_FIELD, "q0": 1.0, "alpha": 0.1, "truncation_
          "nodes_per_eps": 4, "tol": 1e-2, "thresholds.stderr_factor": 2.0, **_NORMALITY,
          "thresholds.trunc_frac_max": 0.5}
 _EIGEN = {"seed": 1, "n_real": 5, "epsilon_list": [0.1, 0.05, 0.02], **_FIELD, "a_star": 2.0, "q0": 1.0,
-          "alpha": 0.1, "nodes_per_eps": 4, "n_pairs": 3}
+          "alpha": 0.1, "nodes_per_eps": 4}
 
 # the changed value of every default leaf, by kind; each differs from the base config's value
 CHANGES = {
@@ -66,12 +65,6 @@ CHANGES = {
     "heat-corrector": {**_EIGEN, "mode": 2, "time": 0.5, "epsilon_const": 2.0, "v0": "sine",
                        "thresholds.gap_slope_min": 0.1},
 }
-
-
-# leaves the report cannot show: heat-corrector grades one mode, and its pair
-# does not depend on how many pairs are solved and matched (n_pairs bounds the
-# solve and is read by the task and the mesh admission)
-UNSEEN = {("heat-corrector", "n_pairs")}
 
 
 def _leaves(node, prefix=""):
@@ -123,13 +116,13 @@ def test_every_admitted_field_changes_the_report(kind):
     leaves = list(_leaves(KINDS[kind].defaults))
     assert sorted(CHANGES[kind]) == sorted(leaves)
     base_cfg, base = validate_config(_config(kind)), _report(_config(kind))
-    unseen = set()
+    unseen = []
     for path in leaves:
         value = CHANGES[kind][path]
         assert value != _get(base_cfg, path), path
         if _report(_config(kind, path, value)) == base:
-            unseen.add((kind, path))
-    assert unseen == {k for k in UNSEEN if k[0] == kind}
+            unseen.append(path)
+    assert unseen == []
 
 
 _TOL = re.compile(r"^(var|mean|cov)=.* tol=(\S+)$")
