@@ -316,11 +316,12 @@ def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str)
 def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1, pairs=None):
     """Mesh preconditions at every epsilon, from the node count alone.
 
-    The mesh needs 3 nodes and at most MAX_NODES per realization (`cfg[pairs]`
-    eigenvector rows of them when `pairs` names the eigen kinds' pair count),
-    the field (or triple) beside `eps_key`, if any, must sample the unit
-    interval within the lattice limits, the config's probes must be nodes,
-    and the eigenpairs must fit in the interior nodes.
+    The mesh needs 3 nodes and at most MAX_NODES per realization, the field
+    (or triple) beside `eps_key`, if any, must sample the unit interval
+    within the lattice limits, and the config's probes must be nodes.  An
+    eigen kind names in `pairs` the field that counts the eigenpairs it
+    solves: they must fit in the interior nodes, and each is a row of mesh
+    nodes towards MAX_NODES.
     """
     rows = cfg[pairs] if pairs else 1
     scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg

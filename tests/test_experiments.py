@@ -477,7 +477,12 @@ def test_heat_solves_exactly_mode_pairs(monkeypatch, mode):
     state = ensemble.PREPARE["heat-corrector"](cfg, eps)
     assert state["reference"].lam.size == mode
     solve, solved = spectral.perturbed_spectrum, []
-    monkeypatch.setattr(spectral, "perturbed_spectrum", lambda *args: solved.append(solve(*args)) or solved[-1])
+
+    def recorded(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(spectral, "perturbed_spectrum", recorded)
     experiments.heat_corrector_task(state, eps, 1)
     assert [s.lam.size for s in solved] == [mode]
 
