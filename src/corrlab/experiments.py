@@ -127,8 +127,8 @@ def _prepare_elliptic(params: dict, epsilon: float) -> dict:
 
 
 def _prepare_spectral(params: dict, epsilon: float, pairs: str = "n_pairs") -> dict:
-    """The problem, its reference spectrum of `params[pairs]` pairs, and (heat)
-    the initial data.  No eigen-solve reads a source or a safeguard: the
+    """The problem, its reference spectrum of `params[pairs]` pairs (every
+    realization solves as many), and (heat) the initial data.  No eigen-solve reads a source or a safeguard: the
     source is zero."""
     from . import helmholtz, spectral
 
@@ -187,7 +187,7 @@ def elliptic_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
     from . import spectral
 
-    sr = spectral.spectral_realization(state["problem"], seed, state["n_pairs"], state["reference"])
+    sr = spectral.spectral_realization(state["problem"], seed, state["reference"])
     out = {"count_flagged": float(sr.match.any_violation)}
     for n in state["modes"]:
         out[f"inv_eig_{n}"] = sr.inverse_eigenvalue_corrector(n)
@@ -201,8 +201,7 @@ def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 def heat_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
     from . import spectral
 
-    # pairs 1..mode: pair `mode` and its certificate do not depend on the pairs above it
-    sr = spectral.spectral_realization(state["problem"], seed, state["mode"], state["reference"])
+    sr = spectral.spectral_realization(state["problem"], seed, state["reference"])
     args = state["mode"], state["time"], state["v0_values"], state["epsilon_const"]
     direct, surrogate = sr.heat_corrector(*args)
     return {"heat_direct": direct, "heat_surrogate": surrogate, "heat_gap": abs(direct - surrogate)}
@@ -690,6 +689,7 @@ _ENSEMBLE_KINDS = {
     ),
     "elliptic-corrector": (_prepare_elliptic, elliptic_corrector_task, _grade_elliptic_corrector),
     "spectral-corrector": (_prepare_spectral, spectral_corrector_task, _grade_spectral_corrector),
+    # heat solves pairs 1..mode: pair `mode` and its certificate do not depend on the pairs above it
     "heat-corrector": (
         partial(_prepare_spectral, pairs="mode"), heat_corrector_task, _grade_heat_corrector
     ),

@@ -4,8 +4,9 @@ Eigenpairs of the Helmholtz operator P + q_eps are computed from its
 symmetric tridiagonal FD matrix by Rayleigh-quotient iteration seeded with
 the unperturbed pairs, each index certified by a Weyl window (LAPACK
 bisection is the fallback).  A `Spectrum` holds the inverse-operator
-eigenvalues (the reciprocals) and the eigenvector rows as two arrays.  The
-rescaled eigenvalue, eigenvector-Fourier, and heat-coefficient correctors
+eigenvalues (the reciprocals) and the interior unit eigenvector rows; a
+functional reads a full-mesh, quadrature-normalized row through
+`Spectrum.row`.  The rescaled eigenvalue, eigenvector-Fourier, and heat-coefficient correctors
 are formed against a discrete unperturbed reference so that the zero
 amplitude limit is exact and discretization bias cancels from the
 corrector statistics.
@@ -27,15 +28,21 @@ from .helmholtz import HelmholtzProblem
 
 @dataclass
 class Spectrum:
-    """Lowest inverse-operator eigenpairs: lam[k] and the row u[k] (unit quadrature norm).
+    """Lowest inverse-operator eigenpairs: lam[k] and the interior unit row v[k].
 
     `certified` is False when the Weyl-window certificate failed and the
     pairs came from the bisection fallback.
     """
 
     lam: np.ndarray  # (n_max,), descending
-    u: np.ndarray  # (n_max, n_nodes), boundary zeros
-    certified: bool = True
+    v: np.ndarray  # (n_max, n_nodes - 2), unit 2-norm
+    certified: bool
+
+    def row(self, k: int, mesh: Mesh1D) -> np.ndarray:
+        """Eigenvector k on the full mesh: unit quadrature norm, boundary zeros."""
+        u = np.zeros(mesh.n_nodes)
+        u[1:-1] = self.v[k] / math.sqrt(mesh.h)
+        return u
 
 
 def unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
@@ -44,7 +51,7 @@ def unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> 
         raise ValueError("n_max must be at least 1")
     lam = np.array([inverse_eigenvalue(a_star, q0, n) for n in range(1, n_max + 1)])
     n = np.arange(1, n_max + 1)[:, None]
-    return Spectrum(lam, math.sqrt(2.0) * np.sin(n * math.pi * mesh.nodes))
+    return Spectrum(lam, math.sqrt(2.0 * mesh.h) * np.sin(n * math.pi * mesh.nodes[1:-1]), True)
 
 
 # Rayleigh-quotient iteration: residual target and Weyl-window slack in units
@@ -98,34 +105,6 @@ def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, ulp: float):
     return None
 
 
-def _certified_pairs(d, e, seeds, centres, spread):
-    """Lowest len(seeds) eigenpairs of (d, e), each index certified by a Weyl window.
-
-    `spread` bounds the 2-norm of the diagonal change from the matrix whose
-    eigenvalues are `centres` (len(seeds) + 1 of them, the last may be inf),
-    so by Weyl's inequality eigenvalue k lies in window k, centres[k] +-
-    spread plus a rounding slack.  When the windows are disjoint, an RQI
-    pair whose residual interval [theta - res, theta + res] meets window k
-    and neither neighbour holds eigenvalue k and no other.  Returns (nu, v)
-    with the rows of v unit vectors whose first entry is positive, or None
-    when the windows touch or any pair fails.
-    """
-    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
-    radius = spread + _WINDOW_SLACK * ulp  # ulp >= u ||T||_inf
-    if np.any(np.diff(centres) <= 2.0 * radius):
-        return None
-    pairs = _rqi(d, e, seeds, ulp)
-    if pairs is None:
-        return None
-    theta, v, res = pairs
-    lo, hi = theta - res, theta + res
-    own, below, above = centres[:-1], np.append(-np.inf, centres[:-2]), centres[1:]
-    if not np.all((hi >= own - radius) & (lo <= own + radius) & (lo > below + radius) & (hi < above - radius)):
-        return None
-    v[v[:, 0] < 0.0] *= -1.0
-    return theta, v
-
-
 def _bisection_pairs(d: np.ndarray, e: np.ndarray, n_max: int):
     """Lowest n_max eigenpairs by LAPACK bisection and inverse iteration."""
     try:
@@ -138,34 +117,55 @@ def _bisection_pairs(d: np.ndarray, e: np.ndarray, n_max: int):
     return nu, v.T
 
 
-def _spectrum(nu, v, mesh: Mesh1D, reference: Spectrum | None, certified: bool) -> Spectrum:
+def _eigenpairs(d, e, seeds, centres, spread):
+    """Lowest len(seeds) eigenpairs of (d, e), each index certified by a Weyl window.
+
+    `spread` bounds the 2-norm of the diagonal change from the matrix whose
+    eigenvalues are `centres` (len(seeds) + 1 of them, the last may be inf),
+    so by Weyl's inequality eigenvalue k lies in window k, centres[k] +-
+    spread plus a rounding slack.  When the windows are disjoint, an RQI
+    pair whose residual interval [theta - res, theta + res] meets window k
+    and neither neighbour holds eigenvalue k and no other.  Returns (nu, v,
+    certified) with the rows of v unit vectors; when the windows touch or
+    any pair fails, the pairs are `_bisection_pairs` and certified is False.
+    """
+    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+    radius = spread + _WINDOW_SLACK * ulp  # ulp >= u ||T||_inf
+    pairs = None if np.any(np.diff(centres) <= 2.0 * radius) else _rqi(d, e, seeds, ulp)
+    if pairs is not None:
+        theta, v, res = pairs
+        lo, hi = theta - res, theta + res
+        own, below, above = centres[:-1], np.append(-np.inf, centres[:-2]), centres[1:]
+        if np.all((hi >= own - radius) & (lo <= own + radius) & (lo > below + radius) & (hi < above - radius)):
+            return theta, v, True
+    return (*_bisection_pairs(d, e, len(seeds)), False)
+
+
+def _spectrum(nu, v, certified: bool, reference: Spectrum | None = None) -> Spectrum:
     """Inverse-operator pairs from operator eigenvalues nu and interior unit rows v.
 
-    Eigenvectors become quadrature-normalized full-mesh rows (boundary
-    zeros), sign-fixed so the first interior entry is positive and, given a
-    reference, then aligned so that (u_n^eps, u_n) >= 0.  The reference is
-    only read.
+    The signs of v are fixed in place: with no reference the first entry is
+    made positive, against a reference each row is aligned so that
+    v_n^eps . v_n >= 0.  The reference is only read.
     """
     if nu[0] <= 0.0:
         raise ValueError(f"indefinite operator: smallest eigenvalue {nu[0]:.3e}")
-    u = np.zeros((nu.size, mesh.n_nodes))
-    u[:, 1:-1] = v / math.sqrt(mesh.h)
-    u[u[:, 1] < 0.0] *= -1.0
-    if reference is not None:
-        u[np.sum(mesh.quad_weights * u * reference.u, axis=1) < 0.0] *= -1.0
-    return Spectrum(1.0 / nu, u, certified)
+    if reference is None:
+        v[v[:, 0] < 0.0] *= -1.0
+    else:
+        v[np.sum(v * reference.v, axis=1) < 0.0] *= -1.0
+    return Spectrum(1.0 / nu, v, certified)
 
 
 @dataclass
 class _Reference(Spectrum):
-    """Pairs of the unperturbed FD matrix, read-only, with what seeds and
-    brackets a realization's RQI: the interior unit rows `v`, the diagonal
-    `d` Weyl's inequality compares against, and the n_max + 1 window
-    centres (the reference eigenvalues, then the closed-form next one)."""
+    """Pairs of the unperturbed FD matrix, read-only, with what brackets a
+    realization's RQI (seeded by the rows `v`): the diagonal `d` Weyl's
+    inequality compares against, and the n_max + 1 window centres (the
+    reference eigenvalues, then the closed-form next one)."""
 
-    v: np.ndarray = None
-    d: np.ndarray = None
-    centres: np.ndarray = None
+    d: np.ndarray
+    centres: np.ndarray
 
 
 def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max: int) -> Spectrum:
@@ -183,20 +183,17 @@ def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max:
     # window n_max + 1 bounds the pairs from above; past the last mode it is empty
     exact = np.array([fd_eigenvalue(mesh.h, a_star, q0, k) if k < mesh.n_nodes - 1 else math.inf
                       for k in range(1, n_max + 2)])
-    pairs = _certified_pairs(d, e, seeds, exact, 0.0)
-    certified = pairs is not None
-    if not certified:
-        pairs = _bisection_pairs(d, e, n_max)
-    nu, v = pairs
-    spec = _spectrum(nu, v, mesh, None, certified)
-    ref = _Reference(spec.lam, spec.u, certified, v, d, np.append(nu, exact[-1]))
-    for arr in (ref.lam, ref.u, v, d, ref.centres):
+    nu, v, certified = _eigenpairs(d, e, seeds, exact, 0.0)
+    spec = _spectrum(nu, v, certified)
+    ref = _Reference(spec.lam, v, certified, d, np.append(nu, exact[-1]))
+    for arr in (ref.lam, v, d, ref.centres):
         arr.flags.writeable = False
     return ref
 
 
-def perturbed_spectrum(problem: HelmholtzProblem, seed: int, n_max: int, reference) -> Spectrum:
-    """Lowest n_max inverse-operator eigenpairs of P + q_eps for one realization.
+def perturbed_spectrum(problem: HelmholtzProblem, seed: int, reference) -> Spectrum:
+    """Inverse-operator eigenpairs of P + q_eps for one realization, as many
+    as `reference` holds.
 
     RQI runs from the pairs of `reference`, the `discrete_unperturbed_spectrum`
     of the problem's mesh and coefficients.  Weyl's inequality puts the k-th
@@ -204,14 +201,10 @@ def perturbed_spectrum(problem: HelmholtzProblem, seed: int, n_max: int, referen
     each pair's index; if any pair fails its window, the whole realization is
     solved by bisection instead (`certified` False).
     """
-    mesh = problem.mesh
-    ab = fd_matrix_banded(mesh, problem.a_star, problem.q0 + problem.sample_potential(seed))
+    ab = fd_matrix_banded(problem.mesh, problem.a_star, problem.q0 + problem.sample_potential(seed))
     d, e = ab[1], ab[0, 1:]
     spread = float(np.max(np.abs(d - reference.d)))
-    pairs = _certified_pairs(d, e, reference.v, reference.centres, spread)
-    if pairs is None:
-        return _spectrum(*_bisection_pairs(d, e, n_max), mesh, reference, False)
-    return _spectrum(*pairs, mesh, reference, True)
+    return _spectrum(*_eigenpairs(d, e, reference.v, reference.centres, spread), reference)
 
 
 def spectral_gaps(lam: np.ndarray) -> np.ndarray:
@@ -267,35 +260,38 @@ class SpectralRealization:
     def eta(self) -> float:
         return math.sqrt(self.problem.epsilon)
 
-    def _matched(self, n: int):
-        """(lambda, u) of the perturbed pair matched to reference pair n."""
-        j = self.match.index_map[n - 1]
-        return self.perturbed.lam[j], self.perturbed.u[j]
+    def _matched(self, n: int) -> int:
+        """Position of the perturbed pair matched to reference pair n."""
+        return self.match.index_map[n - 1]
+
+    def _rows(self, n: int):
+        """Full-mesh rows (u_n^eps, u_n) of reference pair n and its match."""
+        mesh = self.problem.mesh
+        return self.perturbed.row(self._matched(n), mesh), self.reference.row(n - 1, mesh)
 
     def inverse_eigenvalue_corrector(self, n: int) -> float:
         """((lambda_n^eps)^-1 - lambda_n^-1)/sqrt(eps); limit N(0, sigma^2 int u_n^4)."""
-        lam1, _ = self._matched(n)
+        lam1 = self.perturbed.lam[self._matched(n)]
         return (1.0 / lam1 - 1.0 / self.reference.lam[n - 1]) / self.eta
 
     def eigenvalue_corrector(self, n: int) -> float:
         """(lambda_n^eps - lambda_n)/sqrt(eps) for the inverse operator A."""
-        lam1, _ = self._matched(n)
+        lam1 = self.perturbed.lam[self._matched(n)]
         return (lam1 - self.reference.lam[n - 1]) / self.eta
 
     def fourier_corrector(self, n: int, m: int) -> float:
         """(u_n^eps - u_n, u_m)/sqrt(eps); the n = m coefficient is O(eps)."""
         if n == m:
             raise ValueError("diagonal coefficient is second order")
-        w = self.problem.mesh.quad_weights
-        du = self._matched(n)[1] - self.reference.u[n - 1]
-        return float(np.sum(w * du * self.reference.u[m - 1])) / self.eta
+        u1, u0 = self._rows(n)
+        mesh = self.problem.mesh
+        return mesh.inner(u1 - u0, self.reference.row(m - 1, mesh)) / self.eta
 
     def diagonal_defect(self, n: int) -> float:
         """1 - (u_n, u_n^eps); mean is O(eps) over the ensemble."""
-        w = self.problem.mesh.quad_weights
-        return 1.0 - float(np.sum(w * self._matched(n)[1] * self.reference.u[n - 1]))
+        return 1.0 - self.problem.mesh.inner(*self._rows(n))
 
-    def heat_corrector(self, n: int, t: float, v0: np.ndarray, epsilon_const: float = 1.0):
+    def heat_corrector(self, n: int, t: float, v0: np.ndarray, epsilon_const: float):
         """Heat Fourier-coefficient corrector: (direct, two-term surrogate).
 
         The evolution is u_t + epsilon_const * P u = 0; nu_n denotes the
@@ -303,27 +299,24 @@ class SpectralRealization:
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
-        w = self.problem.mesh.quad_weights
-        lam1, u1 = self._matched(n)
-        u0 = self.reference.u[n - 1]
+        inner = self.problem.mesh.inner
+        u1, u0 = self._rows(n)
         nu0 = 1.0 / self.reference.lam[n - 1]
-        nu1 = 1.0 / lam1
-        c0 = float(np.sum(w * u0 * v0))
-        c1 = float(np.sum(w * u1 * v0))
+        nu1 = 1.0 / self.perturbed.lam[self._matched(n)]
+        c0 = inner(u0, v0)
+        c1 = inner(u1, v0)
         direct = (math.exp(-epsilon_const * nu1 * t) * c1 - math.exp(-epsilon_const * nu0 * t) * c0) / self.eta
         surrogate = math.exp(-epsilon_const * nu0 * t) * (
             epsilon_const * t * (nu0 - nu1) / self.eta * c0
-            + float(np.sum(w * (u1 - u0) * v0)) / self.eta
+            + inner(u1 - u0, v0) / self.eta
         )
         return direct, surrogate
 
 
-def spectral_realization(problem: HelmholtzProblem, seed: int, n_max: int, reference=None):
+def spectral_realization(problem: HelmholtzProblem, seed: int, reference):
     """Solve, match, and wrap one realization's spectra against `reference`,
-    the problem's `discrete_unperturbed_spectrum` (built here if not given)."""
-    if reference is None:
-        reference = discrete_unperturbed_spectrum(problem.mesh, problem.a_star, problem.q0, n_max)
-    perturbed = perturbed_spectrum(problem, seed, n_max, reference)
+    the problem's `discrete_unperturbed_spectrum`."""
+    perturbed = perturbed_spectrum(problem, seed, reference)
     return SpectralRealization(problem, reference, perturbed, match_eigenpairs(reference, perturbed))
 
 
