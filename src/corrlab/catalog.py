@@ -475,6 +475,16 @@ def _check_scaling(cfg: dict):
             raise ConfigError(key, f"epsilon {eps!r} at alpha {alpha!r}, s_max {s_max!r} needs {grid}")
 
 
+# the largest FD diagonal 2 a*/h^2 + q0 + 1 periodic-compare admits, so that its
+# cosine moves the diagonal: below 2^51 doubles are at most 1/4 apart, so the
+# three roundings (q0 + cos, then 2 a*/h^2 plus that, against 2 a*/h^2 + q0) err
+# by at most 3/8 in all, less than the cosine at the first interior node, where
+# h <= epsilon/8 puts its phase within pi/4 and its value above 1/sqrt(2).  An
+# unmoved diagonal at every node makes the sup-norm of u_eps - u0 exactly 0,
+# which the slope fit cannot take.  Sufficient, not necessary.
+_PERIODIC_DIAGONAL_MAX = 2.0**51
+
+
 def _check_periodic(cfg: dict):
     if len(cfg["periodic_epsilon_list"]) < MIN_FIT_POINTS:
         raise ConfigError(
@@ -484,6 +494,13 @@ def _check_periodic(cfg: dict):
     _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
     _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
     _check_definite(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
+    for eps in cfg["periodic_epsilon_list"]:
+        h = 1.0 / aligned_cells(eps, cfg["nodes_per_eps_periodic"])
+        rest = 2.0 * cfg["a_star"] / (h * h) + 1.0  # as fd_matrix_banded forms 2 a*/h^2
+        if not rest + cfg["q0"] < _PERIODIC_DIAGONAL_MAX:
+            raise ConfigError("q0" if rest < _PERIODIC_DIAGONAL_MAX else "a_star",
+                              f"FD diagonal {rest + cfg['q0']!r} at epsilon {eps!r} is not below "
+                              f"{_PERIODIC_DIAGONAL_MAX!r}, past which the cosine may not move it")
 
 
 # --- experiment kinds ---

@@ -210,6 +210,25 @@ def test_weyl_admission_is_the_lowest_fd_eigenvalue_against_the_field_bound(kind
         validate_config({"kind": kind, "a_star": 0.9999 / lam_per_a})
 
 
+@pytest.mark.parametrize("field", ["q0", "a_star"])
+def test_periodic_admission_keeps_the_cosine_on_the_fd_diagonal(field):
+    """periodic-compare admits 2 a*/h^2 + q0 + 1 below 2^51 at its finest
+    mesh, where the cosine still moves every rounded diagonal sum; past it,
+    an unmoved diagonal made the sup-norm 0 and the slope fit raise."""
+    bound = 2.0**51
+    eps = KINDS["periodic-compare"].defaults["periodic_epsilon_list"][-1]
+    h2 = (1.0 / aligned_cells(eps, 64)) ** 2
+    if field == "q0":
+        below, above = bound - 2.0 / h2 - 2.0, bound - 2.0 / h2 - 1.0
+    else:
+        below, above = (bound - 1.0) * h2 / 2.0 * (1.0 - 1e-15), (bound - 1.0) * h2 / 2.0
+    validate_config({"kind": "periodic-compare", field: below})
+    with pytest.raises(ConfigError) as err:
+        validate_config({"kind": "periodic-compare", field: above})
+    assert err.value.field == field
+    assert "cosine may not move it" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "raw, field, message",
     [
