@@ -128,8 +128,8 @@ def _prepare_elliptic(params: dict, epsilon: float) -> dict:
 
 def _prepare_spectral(params: dict, epsilon: float, pairs: str = "n_pairs") -> dict:
     """The problem, its reference spectrum of `params[pairs]` pairs (every
-    realization solves as many), and (heat) the initial data.  No eigen-solve reads a source or a safeguard: the
-    source is zero."""
+    realization solves as many), and (heat) the initial data.  No eigen-solve
+    reads a source or a safeguard: the source is zero."""
     from . import helmholtz, spectral
 
     mesh = aligned_mesh(epsilon, params["nodes_per_eps"])

@@ -6,10 +6,10 @@ the unperturbed pairs, each index certified by a Weyl window (LAPACK
 bisection is the fallback).  A `Spectrum` holds the inverse-operator
 eigenvalues (the reciprocals) and the interior unit eigenvector rows; a
 functional reads a full-mesh, quadrature-normalized row through
-`Spectrum.row`.  The rescaled eigenvalue, eigenvector-Fourier, and heat-coefficient correctors
-are formed against a discrete unperturbed reference so that the zero
-amplitude limit is exact and discretization bias cancels from the
-corrector statistics.
+`Spectrum.row`.  The rescaled eigenvalue, eigenvector-Fourier, and
+heat-coefficient correctors are formed against a discrete unperturbed
+reference so that the zero amplitude limit is exact and discretization
+bias cancels from the corrector statistics.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _spectrum(nu, v, certified: bool, reference: Spectrum | None = None) -> Spec
     if reference is None:
         v[v[:, 0] < 0.0] *= -1.0
     else:
-        v[np.sum(v * reference.v, axis=1) < 0.0] *= -1.0
+        v[np.einsum("ij,ij->i", v, reference.v) < 0.0] *= -1.0
     return Spectrum(1.0 / nu, v, certified)
 
 
@@ -184,8 +184,7 @@ def discrete_unperturbed_spectrum(mesh: Mesh1D, a_star: float, q0: float, n_max:
     exact = np.array([fd_eigenvalue(mesh.h, a_star, q0, k) if k < mesh.n_nodes - 1 else math.inf
                       for k in range(1, n_max + 2)])
     nu, v, certified = _eigenpairs(d, e, seeds, exact, 0.0)
-    spec = _spectrum(nu, v, certified)
-    ref = _Reference(spec.lam, v, certified, d, np.append(nu, exact[-1]))
+    ref = _Reference(_spectrum(nu, v, certified).lam, v, certified, d, np.append(nu, exact[-1]))
     for arr in (ref.lam, v, d, ref.centres):
         arr.flags.writeable = False
     return ref
