@@ -84,8 +84,19 @@ class GreenKernel1D:
         return math.sqrt(self.q0 / self.a_star)
 
 
+def _e(t):
+    """E(t) = 1 - exp(-2t), so that sinh t = exp(t) E(t) / 2."""
+    return -np.expm1(-2.0 * t)
+
+
+def _c(t):
+    """C(t) = 1 + exp(-2t), so that cosh t = exp(t) C(t) / 2."""
+    return 1.0 + np.exp(-2.0 * t)
+
+
 def eval_green_1d(kernel: GreenKernel1D, x, y):
-    """Evaluate G(x, y); broadcasts over array arguments."""
+    """Evaluate G(x, y); broadcasts over array arguments.  For q0 > 0 every
+    exponent is at most 0, so no factor overflows however large k L is."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo = np.minimum(x, y)
@@ -95,7 +106,7 @@ def eval_green_1d(kernel: GreenKernel1D, x, y):
         out = lo * (L - hi) / (a * L)
     else:
         k = kernel.kappa
-        out = np.sinh(k * lo) * np.sinh(k * (L - hi)) / (a * k * math.sinh(k * L))
+        out = np.exp(-k * (hi - lo)) * _e(k * lo) * _e(k * (L - hi)) / (2.0 * a * k * _e(k * L))
     return out if out.ndim else float(out)
 
 
@@ -103,8 +114,9 @@ def green_partials_1d(kernel: GreenKernel1D, x: float, y: np.ndarray):
     """dG/dx, dG/dy, dG/dL at fixed x over an array of y, for both branches.
 
     Returns (dx_lo, dy_lo, dx_hi, dy_hi, dL): the *_lo arrays hold the
-    y < x branch, the *_hi arrays the y > x branch; dL is continuous.  On the
-    diagonal y = x the two branches are the one-sided limits.
+    y < x branch, the *_hi arrays the y > x branch, each valid on its own side
+    only; dL is continuous.  On the diagonal y = x the two branches are the
+    one-sided limits.
     """
     a, L, q0 = kernel.a_star, kernel.L, kernel.q0
     if q0 == 0.0:
@@ -115,16 +127,18 @@ def green_partials_1d(kernel: GreenKernel1D, x: float, y: np.ndarray):
         dL = np.minimum(x, y) * np.maximum(x, y) / (a * L * L)
         return dx_lo, dy_lo, dx_hi, dy_hi, dL
     k = kernel.kappa
-    s = math.sinh(k * L)
+    # sinh and cosh through E and C; each branch carries exp(-k |x - y|), which is
+    # its own factor on its side and keeps the side the caller discards finite
+    decay = np.exp(-k * np.abs(x - y)) / (2.0 * a * _e(k * L))
     # y < x: lo = y, hi = x
-    dx_lo = -np.sinh(k * y) * math.cosh(k * (L - x)) / (a * s)
-    dy_lo = np.cosh(k * y) * math.sinh(k * (L - x)) / (a * s)
+    dx_lo = -decay * _e(k * y) * _c(k * (L - x))
+    dy_lo = decay * _c(k * y) * _e(k * (L - x))
     # y > x: lo = x, hi = y
-    dx_hi = math.cosh(k * x) * np.sinh(k * (L - y)) / (a * s)
-    dy_hi = -math.sinh(k * x) * np.cosh(k * (L - y)) / (a * s)
+    dx_hi = decay * _c(k * x) * _e(k * (L - y))
+    dy_hi = -decay * _e(k * x) * _c(k * (L - y))
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    dL = np.sinh(k * lo) * np.sinh(k * hi) / (a * s * s)
+    dL = np.exp(-k * (2.0 * L - lo - hi)) * _e(k * lo) * _e(k * hi) / (a * _e(k * L) ** 2)
     return dx_lo, dy_lo, dx_hi, dy_hi, dL
 
 

@@ -177,6 +177,58 @@ def test_discrete_converges_to_kernel():
     assert errs[-1] < 5e-4
 
 
+def test_discrete_converges_to_stiff_kernel():
+    """Past k L = 710, where sinh(k L) overflows, the kernel stays finite,
+    symmetric and positive, and the FD inverse converges to it at second
+    order on meshes with k h <= 0.1 that resolve the boundary layer of width
+    1/k.  Overflow, invalid values and division by zero raise."""
+    k = GreenKernel1D(1.0, 1e6)  # k = 1000
+    pts = np.array([0.0, 1e-4, 1e-3, 0.3, 0.5, 0.999, 1.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        gx = eval_green_1d(k, pts[:, None], pts[None, :])
+        assert np.array_equal(gx, gx.T)
+        assert np.all(gx >= 0.0) and np.all(np.diag(gx)[1:-1] > 0.0)
+        errs = []
+        for n in (10001, 20001):
+            mesh = Mesh1D(n_nodes=n)
+            op = DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, k.a_star, k.q0))
+            err = 0.0
+            for j in (2, (n - 1) // 2):  # a source inside the layer, one mid-interval
+                f = np.zeros(n)
+                f[j] = 1.0 / mesh.h
+                want = eval_green_1d(k, mesh.nodes, mesh.nodes[j])
+                err = max(err, np.max(np.abs(op.apply(f) - want)) / np.max(want))
+            errs.append(err)
+    assert errs[-1] < errs[0] / 3.0
+    assert errs[-1] < 1e-3
+
+
+def test_scaled_kernel_matches_sinh_form():
+    """Where the sinh form is finite, the exp/expm1 form is within
+    2e-15 max(1, k L) relative of it, G and each partial on its own side:
+    rounding the exponent argument costs about k L ulps in either form."""
+    ys = np.linspace(0.0, 1.0, 101)
+    for q0 in (1e-6, 0.5, 3.0, 1e2, 1e4, 9e4):
+        kern = GreenKernel1D(1.0, q0)
+        k = kern.kappa
+        s = math.sinh(k)
+        rel = 2e-15 * max(1.0, k)
+        for x in (0.0, 0.013, 0.37, 0.81, 1.0):
+            lo, hi = np.minimum(x, ys), np.maximum(x, ys)
+            below, above = ys <= x, ys >= x
+            sinh_form = [
+                (np.sinh(k * lo) * np.sinh(k * (1.0 - hi)) / (k * s), True),
+                (-np.sinh(k * ys) * math.cosh(k * (1.0 - x)) / s, below),
+                (np.cosh(k * ys) * math.sinh(k * (1.0 - x)) / s, below),
+                (math.cosh(k * x) * np.sinh(k * (1.0 - ys)) / s, above),
+                (-math.sinh(k * x) * np.cosh(k * (1.0 - ys)) / s, above),
+                (np.sinh(k * lo) * np.sinh(k * hi) / (s * s), True),
+            ]
+            scaled = [eval_green_1d(kern, x, ys), *green_partials_1d(kern, x, ys)]
+            for (want, side), got in zip(sinh_form, scaled):
+                assert got[side] == pytest.approx(want[side], rel=rel, abs=0.0)
+
+
 SINE_CASES = [(1, 1), (2, 3), (5, 2)]
 
 
