@@ -5,8 +5,8 @@ harmonic change of variables z_eps(x) = a* int_0^x dt/a_eps to a constant
 coefficient operator plus a potential, then solved by the same safeguarded
 twice-iterated fixed point as the Helmholtz path.  The module also builds
 the three corrector kernels (driven by the fluctuations of 1/a, rho, and
-the transformed potential) and the limiting Gaussian law with correlated
-Brownian drivers.
+the transformed potential) and the variance of the limiting Gaussian law
+with correlated Brownian drivers.
 
 Coefficient parametrization: 1/a(y) = (1 + b(y))/a_base with b a bounded
 mean-zero moving-average component, so a* = 1/E{1/a} = a_base exactly and
@@ -289,17 +289,6 @@ def corrector_kernels(problem: EllipticProblem1D, x_nodes) -> CorrectorKernels:
     )
 
 
-@dataclass(eq=False)
-class EllipticLimitLaw:
-    """Gaussian limit of (u_eps - u0)/sqrt(eps): correlated-BM decomposition."""
-
-    sigma_b: np.ndarray
-    sigma_rho: np.ndarray
-    sigma_q: np.ndarray
-    rho_jk: np.ndarray
-    variance_fn: np.ndarray  # limit variance at each probe, in the order given
-
-
 def driver_covariance(problem: EllipticProblem1D) -> np.ndarray:
     """Integrated covariance matrix of the drivers (b, delta rho, -tilde q).
 
@@ -322,17 +311,20 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
     return out
 
 
-def limit_law(problem: EllipticProblem1D, x_nodes) -> EllipticLimitLaw:
-    """Assemble the limiting variance function and its BM decomposition.
+def driver_correlation(problem: EllipticProblem1D) -> np.ndarray:
+    """Correlation matrix rho_jk of the drivers; it depends on neither probes nor epsilon."""
+    return _correlation(driver_covariance(problem))
 
-    variance_fn(x) = int_0^1 v(x,t)^t S v(x,t) dt with v = (H_b, H_rho, H_q)
-    and S the driver covariance above; the t-quadrature is split at t = x
-    where H_b jumps.
+
+def limit_law(problem: EllipticProblem1D, x_nodes) -> np.ndarray:
+    """Limit variance of (u_eps - u0)/sqrt(eps) at each probe, in the order given.
+
+    var(x) = int_0^1 v(x,t)^t S v(x,t) dt with v = (H_b, H_rho, H_q) and S
+    the driver covariance above; the t-quadrature is split at t = x where
+    H_b jumps.
     """
     kernels = corrector_kernels(problem, x_nodes)
     cov = driver_covariance(problem)
-    corr = _correlation(cov)
-    sd = np.sqrt(np.diag(cov))
     mesh = problem.mesh
     idx = np.array(node_indices(mesh.h, kernels.x_nodes), dtype=int)
     m = idx.size
@@ -350,10 +342,4 @@ def limit_law(problem: EllipticProblem1D, x_nodes) -> EllipticLimitLaw:
         above = vals.copy()
         above[i] = v_right @ cov @ v_right
         var[r] = _split_trapezoid((below, above), mesh.h, i)
-    return EllipticLimitLaw(
-        sigma_b=sd[0] * hb,
-        sigma_rho=sd[1] * kernels.H_rho,
-        sigma_q=sd[2] * kernels.H_q,
-        rho_jk=corr,
-        variance_fn=var,
-    )
+    return var

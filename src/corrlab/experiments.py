@@ -527,13 +527,10 @@ def _grade_elliptic_corrector(config, res, rep):
     from . import elliptic
 
     th = config["thresholds"]
-    for k, st in enumerate(rep.states):
-        if config["probes"]:
-            law = elliptic.limit_law(st["problem"], x_nodes=config["probes"])
-            if k == 0:  # the law's tables at the first epsilon
-                for key in ("rho_jk", "sigma_b", "sigma_rho", "sigma_q"):
-                    res.tables[key] = getattr(law, key).tolist()
-            _grade_probes(res, rep, k, law.variance_fn)
+    if config["probes"]:
+        res.tables["rho_jk"] = elliptic.driver_correlation(rep.states[0]["problem"]).tolist()
+        for k, st in enumerate(rep.states):
+            _grade_probes(res, rep, k, elliptic.limit_law(st["problem"], x_nodes=config["probes"]))
     _grade_fit(res, rep, "norm_sq", "norm_sq_fit", _norm_sq_slope(th))
     _grade_counts(res, rep, "truncation", "count_truncated", th["trunc_frac_max"])
 

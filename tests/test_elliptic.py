@@ -11,6 +11,7 @@ from corrlab.elliptic import (
     corrector,
     corrector_kernels,
     direct_solve_conservative,
+    driver_correlation,
     driver_covariance,
     harmonic_coords,
     limit_law,
@@ -241,35 +242,34 @@ def test_limit_law_degenerate_rho_only():
         mesh=mesh, triple_spec=spec, q0=0.0, rho_bar=1.0,
         f=np.ones(mesh.n_nodes), epsilon=0.01,
     )
-    law = limit_law(p, x_nodes=[0.5])
+    var = limit_law(p, x_nodes=[0.5])
     # int G(1/2, t)^2 dt = 1/48; driver variance 0.81
-    assert law.variance_fn[0] == pytest.approx(0.81 / 48.0, rel=1e-5)
-    assert law.rho_jk[0, 1] == 0.0  # degenerate drivers decorrelate by fiat
+    assert var[0] == pytest.approx(0.81 / 48.0, rel=1e-5)
+    assert driver_correlation(p)[0, 1] == 0.0  # degenerate drivers decorrelate by fiat
 
 
 def test_limit_law_full_triple_properties():
     p = _problem(n_nodes=401, q0=0.5)
-    law = limit_law(p, x_nodes=[0.0, 0.25, 0.5, 1.0])
-    var_0, var_q, _, var_1 = law.variance_fn
+    var_0, var_q, _, var_1 = limit_law(p, x_nodes=[0.0, 0.25, 0.5, 1.0])
     assert var_0 == pytest.approx(0.0, abs=1e-12)
     assert var_1 == pytest.approx(0.0, abs=1e-12)
     assert var_q > 0.0
     # correlation matrix consistent with the driver covariance
     cov = driver_covariance(p)
-    assert law.rho_jk[0, 1] == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]))
+    assert driver_correlation(p)[0, 1] == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]))
 
 
 def test_limit_law_matches_quadratic_form_quadrature():
     """Default-probe law equals a direct dense quadrature of v^t S v."""
     p = _problem(n_nodes=201, q0=0.5)
-    law = limit_law(p, x_nodes=[0.5])
+    var = limit_law(p, x_nodes=[0.5])
     ker = corrector_kernels(p, x_nodes=[0.5])
     cov = driver_covariance(p)
     rows = np.vstack([ker.H_b[0], ker.H_rho[0], ker.H_q[0]])
     vals = np.einsum("jt,jk,kt->t", rows, cov, rows)
     # midpoint splitting only matters at one node; crude check at O(h)
     crude = float(np.sum(p.mesh.quad_weights * vals))
-    assert law.variance_fn[0] == pytest.approx(crude, rel=5e-3)
+    assert var[0] == pytest.approx(crude, rel=5e-3)
 
 
 def test_ellipticity_validation():
