@@ -129,30 +129,31 @@ def radial_profile(setup: RadialSetup):
     return profile
 
 
-def _grid_panels(alpha: float, rho_max: float) -> float:
-    """Panels of width pi/(4 alpha) that reach rho_max; a float, inf past its range."""
-    width = math.pi / (4.0 * alpha)
-    return max(8.0, float(np.ceil(rho_max / width))) if width > 0.0 else math.inf
+def _grid_panels(alpha: float, rho_max: float):
+    """Width and count of the panels that reach rho_max: width pi/(4 alpha), four
+    per oscillation period of Hhat^2, capped at rho_max/8 so that at least 8 panels
+    lie below rho_max.  The count is a float, inf past its range; at the cap the
+    quotient is 8 up to rounding, and the floor of 8 holds it there."""
+    width = min(math.pi / (4.0 * alpha), rho_max / 8.0)
+    return width, (max(8.0, float(np.ceil(rho_max / width))) if width > 0.0 else math.inf)
 
 
 def grid_size(alpha: float, s_max: float, epsilon: float) -> float:
     """Bessel values `variance_fourier(epsilon)` evaluates: 16 gap nodes per rho node, 16 per panel."""
-    return 256.0 * _grid_panels(alpha, s_max / epsilon)
+    return 256.0 * _grid_panels(alpha, s_max / epsilon)[1]
 
 
 def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     """Master quadrature table for the variance integral.
 
-    rho nodes are composite GL16 with panel width pi/(4 alpha), four panels
-    per oscillation period of Hhat^2.  The profile is evaluated at every
-    node through one cumulative quadrature of K(u) = int_0^u J_nu(t)
-    t^{2-d/2} dt on the gap grid u = rho alpha, which costs one 16-point
-    panel per gap.
+    rho nodes are composite GL16 over the panels of `_grid_panels`.  The profile
+    is evaluated at every node through one cumulative quadrature of K(u) =
+    int_0^u J_nu(t) t^{2-d/2} dt on the gap grid u = rho alpha, which costs
+    one 16-point panel per gap.
     """
     d = setup.dimension
-    width = math.pi / (4.0 * setup.alpha)
-    n_panels = int(_grid_panels(setup.alpha, rho_max))
-    edges = np.linspace(0.0, n_panels * width, n_panels + 1)
+    width, n_panels = _grid_panels(setup.alpha, rho_max)
+    edges = np.linspace(0.0, n_panels * width, int(n_panels) + 1)
     # panels and their GL nodes ascend, so rho is globally ascending
     rho, w = _gl16(edges[:-1], edges[1:])
     # cumulative K over the gap grid u_i = rho_i * alpha
@@ -162,11 +163,13 @@ def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     gap_integrals = (gw * vals).reshape(len(u), 16).sum(axis=1)
     k_cum = np.cumsum(gap_integrals)
     hhat = (2.0 * math.pi) ** (d / 2.0) * k_cum / (rho * rho)
-    return {"rho": rho, "w": w, "hsq_pow": hhat * hhat * rho ** (d - 1), "rho_max": rho[-1]}
+    return {"rho": rho, "w": w, "hsq_pow": hhat * hhat * rho ** (d - 1), "rho_max": rho[-1], "width": width}
 
 
 def _grid_for(setup: RadialSetup, rho_max: float) -> dict:
-    if setup._grid is None or setup._grid["rho_max"] < rho_max:
+    """The cached grid if it reaches rho_max with panels no wider than rho_max wants."""
+    grid = setup._grid
+    if grid is None or grid["rho_max"] < rho_max or grid["width"] > _grid_panels(setup.alpha, rho_max)[0]:
         setup._grid = _build_grid(setup, rho_max)
     return setup._grid
 

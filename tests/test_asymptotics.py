@@ -37,6 +37,13 @@ def test_grid_size_counts_the_bessel_values_of_the_master_grid():
     setup = RadialSetup(dimension=3)
     variance_fourier(setup, 0.0056)
     assert setup._grid["rho"].size * 16 == grid_size(1.0, 13.0, 0.0056) == 756_736
+    # at alpha 1e-9 a panel of width pi/(4 alpha) would start past s_max/eps: the width
+    # is capped so that 8 panels lie below it, also after a smaller epsilon's grid
+    tiny = RadialSetup(dimension=1, alpha=1e-9)
+    for eps in (0.0056, 0.2):
+        variance_fourier(tiny, eps)
+        assert np.sum(tiny._grid["rho"] < 13.0 / eps) == tiny._grid["rho"].size == 8 * 16
+        assert tiny._grid["rho"].size * 16 == grid_size(1e-9, 13.0, eps)
 
 
 def test_surface_area_frozen():

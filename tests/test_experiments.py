@@ -422,6 +422,12 @@ def test_scaling_study_experiment_runs_clean():
     txt = res.summary_text()
     assert "[PASS]" in txt
     assert txt.rstrip().endswith("overall: OK")
+    # a tiny alpha validates and finishes with finite, positive variances, however
+    # far pi/(4 alpha), the Bessel period's panel width, lies past s_max/eps
+    for alpha in (1e-3, 1e-9):
+        res = run_experiment({"kind": "scaling-study", "dimensions": [1, 5], "alpha": alpha})
+        values = [row[3] for row in res.rows if row[1].startswith("variance_d")]
+        assert len(values) == 16 and all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 def test_experiment_status_fail_on_impossible_threshold():
