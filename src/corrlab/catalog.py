@@ -496,7 +496,7 @@ def _check_periodic(cfg: dict):
     _check_definite(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
     for eps in cfg["periodic_epsilon_list"]:
         h = 1.0 / aligned_cells(eps, cfg["nodes_per_eps_periodic"])
-        rest = 2.0 * cfg["a_star"] / (h * h) + 1.0  # as fd_matrix_banded forms 2 a*/h^2
+        rest = 2.0 * cfg["a_star"] / (h * h) + 1.0  # fd_matrix_banded forms (a* + a*)/h^2, the same double
         if not rest + cfg["q0"] < _PERIODIC_DIAGONAL_MAX:
             raise ConfigError("q0" if rest < _PERIODIC_DIAGONAL_MAX else "a_star",
                               f"FD diagonal {rest + cfg['q0']!r} at epsilon {eps!r} is not below "

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import randfield
 from .catalog import CH_B, CH_Q, CH_RHO, node_indices
-from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d
+from .greens import DiscreteGreenOperator, GreenKernel1D, Mesh1D, eval_green_1d, fd_matrix_banded
 from .greens import cumulative_trapezoid, fd_green_norm, green_partials_1d
-from .helmholtz import Solution, dirichlet_solve_fd
-from .iteration import neumann_solve
+from .helmholtz import dirichlet_solve_fd
+from .iteration import FixedPointResult, neumann_solve
 from .randfield import CorrelatedTripleSpec
 
 
@@ -110,21 +109,11 @@ def tilde_q(problem: EllipticProblem1D, fields) -> np.ndarray:
     return -fields[CH_B] * problem.q0 + fields[CH_Q]
 
 
-def conservative_system(mesh: Mesh1D, a_values: np.ndarray, potential):
-    """Banded (upper) interior matrix of -(a u')' + potential u, and its a_{i+1/2}.
-
-    Harmonic-mean coefficient at the half nodes keeps the scheme second
-    order for rough a.
-    """
+def harmonic_mean_half(a_values: np.ndarray) -> np.ndarray:
+    """a_{i+1/2} = 2 a_i a_{i+1} / (a_i + a_{i+1}), one per cell; the harmonic mean
+    keeps the conservative scheme second order for rough a."""
     a = np.asarray(a_values, dtype=float)
-    n_int = mesh.n_nodes - 2
-    h2 = mesh.h * mesh.h
-    a_half = 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])  # a_{i+1/2}, length n-1
-    pot = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.n_nodes,))
-    ab = np.zeros((2, n_int))
-    ab[0, 1:] = -a_half[1:-1] / h2
-    ab[1, :] = (a_half[:-1] + a_half[1:]) / h2 + pot[1:-1]
-    return ab, a_half
+    return 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
 
 
 def transformed_green(problem: EllipticProblem1D, a_values: np.ndarray):
@@ -138,8 +127,8 @@ def transformed_green(problem: EllipticProblem1D, a_values: np.ndarray):
     a* = min a_{i+1/2} and q0 = min pot.
     """
     pot = problem.q0 * problem.a_base / np.asarray(a_values, dtype=float)
-    ab, a_half = conservative_system(problem.mesh, a_values, pot)
-    op = DiscreteGreenOperator(problem.mesh, ab)
+    a_half = harmonic_mean_half(a_values)
+    op = DiscreteGreenOperator(problem.mesh, fd_matrix_banded(problem.mesh, a_half, pot))
     return op.apply, fd_green_norm(problem.mesh, float(np.min(a_half)), float(np.min(pot)))
 
 
@@ -154,7 +143,7 @@ def transformed_green_matrix(problem: EllipticProblem1D, coords: HarmonicCoords)
     return g * problem.mesh.quad_weights[None, :]
 
 
-def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10) -> Solution:
+def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10) -> FixedPointResult:
     """Fixed-point solve of u = G_eps(rho_eps f) - G_eps(tq G_eps(rho_eps f)) + ...
 
     G_eps is applied as the exact inverse of the conservative discretization
@@ -164,7 +153,7 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
     """
     fields = sample_fields(problem, seed)
     apply_g, green_norm = transformed_green(problem, coefficient_values(problem, fields[CH_B]))
-    res = neumann_solve(
+    return neumann_solve(
         apply_g,
         tilde_q(problem, fields),
         apply_g((problem.rho_bar + fields[CH_RHO]) * problem.f),
@@ -173,27 +162,18 @@ def solve_transformed(problem: EllipticProblem1D, seed: int, tol: float = 1e-10)
         truncation_rho=problem.truncation_rho,
         green_norm=green_norm,
     )
-    return Solution(res.u, problem.u0, res.iterations, res.truncated, fields[CH_Q])
 
 
 def direct_solve_conservative(problem: EllipticProblem1D, fields) -> np.ndarray:
     """Independent oracle: conservative three-point solve of the raw problem."""
-    a_vals = coefficient_values(problem, fields[CH_B])
+    a_half = harmonic_mean_half(coefficient_values(problem, fields[CH_B]))
     rho = problem.rho_bar + fields[CH_RHO]
-    pot = problem.q0 + fields[CH_Q]
-    ab, _ = conservative_system(problem.mesh, a_vals, pot)
-    try:
-        interior = solveh_banded(ab, (rho * problem.f)[1:-1])
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular conservative system") from exc
-    out = np.zeros(problem.mesh.n_nodes)
-    out[1:-1] = interior
-    return out
+    return dirichlet_solve_fd(problem.mesh, a_half, problem.q0 + fields[CH_Q], rho * problem.f)
 
 
-def corrector(problem: EllipticProblem1D, solution: Solution) -> np.ndarray:
+def corrector(problem: EllipticProblem1D, solution: FixedPointResult) -> np.ndarray:
     """(u_eps - u0) / sqrt(epsilon) at the mesh nodes."""
-    return (solution.u_eps - solution.u0) / math.sqrt(problem.epsilon)
+    return (solution.u - problem.u0) / math.sqrt(problem.epsilon)
 
 
 # --- corrector kernels and the limit law ---

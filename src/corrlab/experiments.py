@@ -110,8 +110,8 @@ def _prepare_helmholtz(params: dict, epsilon: float, dimension: int = 1) -> dict
     prob = helmholtz.HelmholtzProblem(mesh, a_star, params["q0"], spec, f, epsilon,
                                       alpha=params["alpha"], truncation_rho=params["truncation_rho"])
     prob.u0  # computed here, once, for every realization
-    mset = helmholtz.MomentSet(tuple(mesh_profile(mk, prob.mesh) for mk in params["moments"]))
-    return dict(params, problem=prob, moment_set=mset)
+    moment_functions = [mesh_profile(mk, mesh) for mk in params["moments"]]
+    return dict(params, problem=prob, moment_functions=moment_functions)
 
 
 def _prepare_elliptic(params: dict, epsilon: float) -> dict:
@@ -143,9 +143,9 @@ def _prepare_spectral(params: dict, epsilon: float, pairs: str = "n_pairs") -> d
     return state
 
 
-def _solve_record(mesh, sol, corrector=None, probes=(), moments=()) -> dict:
+def _solve_record(prob, sol, corrector=None, probes=(), moments=()) -> dict:
     """Squared-norm, solver, probe and moment functionals of one fixed-point solve."""
-    diff = sol.u_eps - sol.u0
+    mesh, diff = prob.mesh, sol.u - prob.u0
     out = {
         "norm_sq": mesh.inner(diff, diff),
         "iterations": float(sol.iterations),
@@ -163,8 +163,9 @@ def helmholtz_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 
     prob = state["problem"]
     sol = helmholtz.perturbed_solve(prob, seed, tol=state["tol"])
-    moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
-    return _solve_record(prob.mesh, sol, helmholtz.corrector(prob, sol), state["probes"], moments)
+    c = helmholtz.corrector(prob, sol)
+    moments = helmholtz.moment_functionals(prob, state["moment_functions"], c)
+    return _solve_record(prob, sol, c, state["probes"], moments)
 
 
 def helmholtz_moments_2d_task(state: dict, epsilon: float, seed: int) -> dict:
@@ -172,8 +173,8 @@ def helmholtz_moments_2d_task(state: dict, epsilon: float, seed: int) -> dict:
 
     prob = state["problem"]
     sol = helmholtz.perturbed_solve_2d(prob, seed, tol=state["tol"])
-    moments = helmholtz.moment_functionals(prob, state["moment_set"], sol)
-    return _solve_record(prob.mesh, sol, moments=moments)
+    c = helmholtz.corrector(prob, sol)
+    return _solve_record(prob, sol, moments=helmholtz.moment_functionals(prob, state["moment_functions"], c))
 
 
 def elliptic_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
@@ -181,7 +182,7 @@ def elliptic_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
 
     prob = state["problem"]
     sol = elliptic.solve_transformed(prob, seed, tol=state["tol"])
-    return _solve_record(prob.mesh, sol, elliptic.corrector(prob, sol), state["probes"])
+    return _solve_record(prob, sol, elliptic.corrector(prob, sol), state["probes"])
 
 
 def spectral_corrector_task(state: dict, epsilon: float, seed: int) -> dict:
@@ -497,11 +498,11 @@ def _grade_helmholtz_corrector(config, res, rep):
 
     th = config["thresholds"]
     for k, st in enumerate(rep.states):
-        prob, mset = st["problem"], st["moment_set"]
+        prob, moment_functions = st["problem"], st["moment_functions"]
         if config["probes"]:
             _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
         if config["moments"]:
-            _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, mset))
+            _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, moment_functions))
     # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half that, with d = 1
     target, tol = 0.5 - config["alpha"], th["exponent_tol"]
 
@@ -519,7 +520,7 @@ def _grade_helmholtz_moments_2d(config, res, rep):
 
     res.tables["sigma2_separable"] = rep.states[0]["problem"].sigma2
     for k, st in enumerate(rep.states):
-        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_set"]))
+        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_functions"]))
     _grade_counts(res, rep, "truncation", "count_truncated", config["thresholds"]["trunc_frac_max"])
 
 

@@ -163,17 +163,20 @@ class GreenOperator:
         return self.matrix @ np.asarray(f, dtype=float)
 
 
-def fd_matrix_banded(mesh: Mesh1D, a_star: float, potential) -> np.ndarray:
-    """Banded (upper) form of the interior FD matrix of -a* u'' + potential u.
+def fd_matrix_banded(mesh: Mesh1D, a_half, potential) -> np.ndarray:
+    """Banded (upper) form of the interior FD matrix of -(a u')' + potential u.
 
-    `potential` is a scalar or a node array; only interior nodes enter.
+    `a_half` is the coefficient at the half nodes, a scalar a* or one value
+    per cell; `potential` is a scalar or a node array; only interior nodes enter.
     """
-    n_int = mesh.n_nodes - 2
     h2 = mesh.h * mesh.h
+    a = np.full(mesh.n_nodes - 1, a_half, dtype=float)
     pot = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.n_nodes,))
-    ab = np.zeros((2, n_int))
-    ab[0, 1:] = -a_star / h2
-    ab[1, :] = 2.0 * a_star / h2 + pot[1:-1]
+    ab = np.zeros((2, mesh.n_nodes - 2))
+    np.divide(a[1:-1], -h2, out=ab[0, 1:])
+    np.add(a[:-1], a[1:], out=ab[1])
+    ab[1] /= h2
+    ab[1] += pot[1:-1]
     return ab
 
 

@@ -38,7 +38,7 @@ from .greens import (
     fd_matrix_banded,
     green_norm_2d,
 )
-from .iteration import neumann_solve
+from .iteration import FixedPointResult, neumann_solve
 from .randfield import MAProcessSpec, sigma2
 
 
@@ -127,38 +127,27 @@ class HelmholtzProblem:
         return self.amplitude_scale * self._dim.sample(self, seed)
 
 
-@dataclass
-class Solution:
-    """One perturbed solve: u_eps, the unperturbed u0, and the sampled q_eps."""
-
-    u_eps: np.ndarray
-    u0: np.ndarray
-    iterations: int
-    truncated: bool
-    q_values: np.ndarray
-
-
-def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) -> Solution:
-    """Solve the perturbed problem by the safeguarded fixed-point iteration."""
-    q = problem.sample_potential(seed)
-    res = neumann_solve(
+def perturbed_solve(problem: HelmholtzProblem, seed: int, tol: float = 1e-10) -> FixedPointResult:
+    """Solve the perturbed problem by the safeguarded fixed-point iteration;
+    the potential is `problem.sample_potential(seed)`."""
+    return neumann_solve(
         problem.apply_green,
-        q,
+        problem.sample_potential(seed),
         problem.u0,
         problem.mesh.quad_weights,
         tol=tol,
         truncation_rho=problem.truncation_rho,
         green_norm=problem.green_norm,
     )
-    return Solution(res.u, res.u0, res.iterations, res.truncated, q)
 
 
 perturbed_solve_2d = perturbed_solve
 
 
-def dirichlet_solve_fd(mesh: Mesh1D, a_star: float, potential, f: np.ndarray) -> np.ndarray:
-    """Direct banded solve of -a* u'' + potential u = f (three-point stencil)."""
-    ab = fd_matrix_banded(mesh, a_star, potential)
+def dirichlet_solve_fd(mesh: Mesh1D, a_half, potential, f: np.ndarray) -> np.ndarray:
+    """Direct banded solve of -(a u')' + potential u = f (three-point stencil),
+    with a at the half nodes as `fd_matrix_banded` takes it."""
+    ab = fd_matrix_banded(mesh, a_half, potential)
     try:
         interior = solveh_banded(ab, np.asarray(f, dtype=float)[1:-1])
     except np.linalg.LinAlgError as exc:
@@ -175,9 +164,9 @@ def direct_solve_fd(problem: HelmholtzProblem, q_values: np.ndarray) -> np.ndarr
     )
 
 
-def corrector(problem: HelmholtzProblem, solution: Solution) -> np.ndarray:
+def corrector(problem: HelmholtzProblem, solution: FixedPointResult) -> np.ndarray:
     """(u_eps - u0) / epsilon^{d (1/2 - alpha)} at the mesh nodes."""
-    return (solution.u_eps - solution.u0) / problem.corrector_scale
+    return (solution.u - problem.u0) / problem.corrector_scale
 
 
 def leading_corrector(problem: HelmholtzProblem, seed: int) -> np.ndarray:
@@ -202,29 +191,17 @@ def corrector_law_1d(problem: HelmholtzProblem, x_nodes=None) -> np.ndarray:
     return problem.sigma2 * ((g * g) @ (mesh.quad_weights * u0 * u0))
 
 
-@dataclass(eq=False)
-class MomentSet:
-    """Test functions M_k sampled on the mesh nodes."""
-
-    functions: tuple  # tuple of node-value arrays
-
-    def __post_init__(self):
-        self.functions = tuple(np.asarray(m, dtype=float) for m in self.functions)
-
-
-def moment_functionals(
-    problem: HelmholtzProblem, moments: MomentSet, solution: Solution
-) -> np.ndarray:
-    """Quadrature pairings of the normalized corrector with each M_k."""
-    c = corrector(problem, solution)
+def moment_functionals(problem: HelmholtzProblem, moments, corrector_values: np.ndarray) -> np.ndarray:
+    """Quadrature pairings of the normalized corrector with each test function M_k,
+    given as node-value arrays."""
     w = problem.mesh.quad_weights
-    return np.array([float(np.sum(w * c * m)) for m in moments.functions])
+    return np.array([float(np.sum(w * corrector_values * m)) for m in moments])
 
 
-def moment_covariance(problem: HelmholtzProblem, moments: MomentSet) -> np.ndarray:
+def moment_covariance(problem: HelmholtzProblem, moments) -> np.ndarray:
     """Limit covariance Sigma_jk = sigma^2 int m_j m_k, m_k = -(G M_k) u0."""
     w = problem.mesh.quad_weights
-    ms = [-problem.apply_green(m) * problem.u0 for m in moments.functions]
+    ms = [-problem.apply_green(m) * problem.u0 for m in moments]
     k = len(ms)
     s2 = problem.sigma2
     out = np.empty((k, k))

@@ -37,12 +37,10 @@ CERTIFY_MARGIN = 1e-6
 @dataclass
 class FixedPointResult:
     u: np.ndarray
-    u0: np.ndarray
     iterations: int
-    residual: float
+    residual: float  # weighted L2 norm of the last update
     op_norm_estimate: float
     truncated: bool
-    residual_history: tuple
     certified: bool = False  # op_norm_estimate is the closed-form bound
 
 
@@ -93,23 +91,19 @@ def neumann_solve(
     if not certified:
         estimate = estimate_composed_norm(apply_green, q, u0.shape)
     if estimate > truncation_rho:
-        return FixedPointResult(u=u0.copy(), u0=u0, iterations=0, residual=0.0,
-                                op_norm_estimate=estimate, truncated=True, residual_history=())
+        return FixedPointResult(u=u0.copy(), iterations=0, residual=0.0, op_norm_estimate=estimate, truncated=True)
     # G(q u) for the next step; the first step starts at u = u0, so g's apply serves it
     gqu = apply_green(q * u0)
     g = u0 - gqu
     u = u0
-    history = []
     residual = math.inf
     for it in range(1, MAX_ITERATIONS + 1):
         u_next = g + apply_green(q * gqu)
         residual = _weighted_norm(u_next - u, quad_weights)
-        history.append(residual)
         u = u_next
         if residual <= tol:
-            return FixedPointResult(u=u, u0=u0, iterations=it, residual=residual,
-                                    op_norm_estimate=estimate, truncated=False,
-                                    residual_history=tuple(history), certified=certified)
+            return FixedPointResult(u=u, iterations=it, residual=residual, op_norm_estimate=estimate,
+                                    truncated=False, certified=certified)
         gqu = apply_green(q * u)
     raise RuntimeError(
         f"fixed point did not converge in {MAX_ITERATIONS} iterations "

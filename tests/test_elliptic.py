@@ -94,7 +94,7 @@ def test_solve_transformed_matches_conservative_oracle():
         assert not sol.truncated
         fields = sample_fields(p, seed)
         direct = direct_solve_conservative(p, fields)
-        assert np.max(np.abs(sol.u_eps - direct)) < 5e-11
+        assert np.max(np.abs(sol.u - direct)) < 5e-11
 
 
 def test_tilde_q_definition():
@@ -121,7 +121,7 @@ def test_corrector_scaling():
     p = _problem(n_nodes=201, epsilon=0.04)
     sol = solve_transformed(p, seed=1)
     c = corrector(p, sol)
-    assert np.allclose(c, (sol.u_eps - sol.u0) / 0.2, rtol=1e-12)
+    assert np.allclose(c, (sol.u - p.u0) / 0.2, rtol=1e-12)
 
 
 def test_driver_covariance_hand_values():

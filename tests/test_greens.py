@@ -160,6 +160,31 @@ def test_discrete_operator_variable_potential_and_indefinite():
         DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.0, -1e5))
 
 
+def test_fd_matrix_takes_a_scalar_or_one_coefficient_per_cell():
+    """A scalar a* is the constant per-cell coefficient bit for bit, and keeps the
+    constant-coefficient stencil's bits; a per-cell coefficient gives the
+    conservative stencil of -(a u')' with harmonic-mean a_{i+1/2}, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    for n in (3, 4, 41, 3201):
+        mesh = Mesh1D(n_nodes=n)
+        h2 = mesh.h * mesh.h
+        pot = rng.normal(size=n)
+        for a_star, p in ((1.5, 0.7), (1e-9, pot), (3.7e5, pot), (0.1 + 0.2, pot)):
+            got = fd_matrix_banded(mesh, a_star, p)
+            assert got.tobytes() == fd_matrix_banded(mesh, np.full(n - 1, a_star), p).tobytes()
+            want = np.zeros((2, n - 2))
+            want[0, 1:] = -a_star / h2
+            want[1, :] = 2.0 * a_star / h2 + np.broadcast_to(p, (n,))[1:-1]
+            assert got.tobytes() == want.tobytes()
+        # node values of a rough coefficient and the conservative stencil of their harmonic means
+        a = rng.uniform(0.01, 100.0, size=n)
+        a_half = 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+        want = np.zeros((2, n - 2))
+        want[0, 1:] = -a_half[1:-1] / h2
+        want[1, :] = (a_half[:-1] + a_half[1:]) / h2 + pot[1:-1]
+        assert fd_matrix_banded(mesh, a_half, pot).tobytes() == want.tobytes()
+
+
 def test_discrete_converges_to_kernel():
     """Discrete inverse row approaches the continuum kernel as h -> 0."""
     y = 0.5

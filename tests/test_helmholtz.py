@@ -8,7 +8,6 @@ import pytest
 from corrlab.greens import DiscreteGreenOperator, Mesh1D, Mesh2D, fd_matrix_banded
 from corrlab.helmholtz import (
     HelmholtzProblem,
-    MomentSet,
     corrector,
     corrector_law_1d,
     direct_solve_fd,
@@ -80,15 +79,15 @@ def test_perturbed_solve_matches_direct_fd():
     for seed in range(5):
         sol = perturbed_solve(p, seed=seed, tol=1e-13)
         assert not sol.truncated
-        direct = direct_solve_fd(p, sol.q_values)
-        assert np.max(np.abs(sol.u_eps - direct)) < 1e-11
+        direct = direct_solve_fd(p, p.sample_potential(seed))
+        assert np.max(np.abs(sol.u - direct)) < 1e-11
 
 
 def test_perturbed_solve_q0_positive():
     p = _problem(n_nodes=301, epsilon=0.02, q0=2.0)
     sol = perturbed_solve(p, seed=3, tol=1e-13)
-    direct = direct_solve_fd(p, sol.q_values)
-    assert np.max(np.abs(sol.u_eps - direct)) < 1e-11
+    direct = direct_solve_fd(p, p.sample_potential(3))
+    assert np.max(np.abs(sol.u - direct)) < 1e-11
 
 
 def test_dirichlet_solve_fd_manufactured():
@@ -119,7 +118,7 @@ def test_corrector_definition():
     p = _problem(n_nodes=201, epsilon=0.02)
     sol = perturbed_solve(p, seed=1)
     c = corrector(p, sol)
-    assert np.allclose(c, (sol.u_eps - sol.u0) / math.sqrt(0.02), rtol=1e-12)
+    assert np.allclose(c, (sol.u - p.u0) / math.sqrt(0.02), rtol=1e-12)
 
 
 def test_leading_corrector_tracks_full_corrector():
@@ -154,7 +153,7 @@ def test_corrector_law_vanishes_at_boundary():
 
 def test_moment_covariance_constant_function():
     p = _problem(n_nodes=1601)
-    mom = MomentSet(functions=(np.ones(p.mesh.n_nodes),))
+    mom = (np.ones(p.mesh.n_nodes),)
     cov = moment_covariance(p, mom)
     assert cov.shape == (1, 1)
     assert cov[0, 0] == pytest.approx(COV_CONST_MOMENT, rel=1e-6)
@@ -164,7 +163,7 @@ def test_moment_covariance_is_gram_matrix():
     p = _problem(n_nodes=401)
     m1 = np.ones(p.mesh.n_nodes)
     m2 = np.sin(math.pi * p.mesh.nodes)
-    cov = moment_covariance(p, MomentSet(functions=(m1, m2)))
+    cov = moment_covariance(p, (m1, m2))
     assert cov[0, 1] == pytest.approx(cov[1, 0], rel=1e-14)
     # Cauchy-Schwarz strictly for independent functions
     assert cov[0, 1] ** 2 < cov[0, 0] * cov[1, 1]
@@ -175,9 +174,9 @@ def test_moment_covariance_is_gram_matrix():
 def test_moment_functionals_quadrature():
     p = _problem(n_nodes=201, epsilon=0.02)
     sol = perturbed_solve(p, seed=4)
-    mom = MomentSet(functions=(np.ones(p.mesh.n_nodes),))
-    got = moment_functionals(p, mom, sol)[0]
+    mom = (np.ones(p.mesh.n_nodes),)
     c = corrector(p, sol)
+    got = moment_functionals(p, mom, c)[0]
     assert got == pytest.approx(float(np.sum(p.mesh.quad_weights * c)), rel=1e-14)
 
 
@@ -228,9 +227,9 @@ def test_perturbed_solve_2d_matches_dense():
     gmat = np.array(
         [p.apply_green(col.reshape(n, n)).ravel() for col in ident]
     ).T
-    q = sol.q_values.ravel()
+    q = p.sample_potential(5).ravel()
     dense = np.linalg.solve(np.eye(n * n) + gmat * q[None, :], gmat @ p.f.ravel())
-    assert np.max(np.abs(sol.u_eps.ravel() - dense)) < 1e-10
+    assert np.max(np.abs(sol.u.ravel() - dense)) < 1e-10
 
 
 def test_corrector_scale_2d():
@@ -243,7 +242,7 @@ def test_moment_covariance_2d_sine_mode():
     p = _problem_2d(n_nodes=65)
     X, Y = np.meshgrid(p.mesh.nodes, p.mesh.nodes, indexing="ij")
     m = np.sin(math.pi * X) * np.sin(math.pi * Y)
-    cov = moment_covariance_2d(p, MomentSet(functions=(m,)))
+    cov = moment_covariance_2d(p, (m,))
     # G m = m / (2 pi^2); Sigma = sigma^2 int (m u0)^2 / (2 pi^2)^2
     u0 = p.u0
     w = p.mesh.quad_weights
@@ -255,8 +254,8 @@ def test_moment_functionals_2d_pairing():
     p = _problem_2d(n_nodes=17, epsilon=0.25)
     sol = perturbed_solve_2d(p, seed=2)
     m = np.ones((17, 17))
-    got = moment_functionals(p, MomentSet(functions=(m,)), sol)[0]
-    c = (sol.u_eps - sol.u0) / p.corrector_scale
+    c = (sol.u - p.u0) / p.corrector_scale
+    got = moment_functionals(p, (m,), corrector(p, sol))[0]
     assert got == pytest.approx(float(np.sum(p.mesh.quad_weights * c)), rel=1e-13)
 
 
