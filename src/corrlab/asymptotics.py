@@ -163,7 +163,7 @@ def _build_grid(setup: RadialSetup, rho_max: float) -> dict:
     gap_integrals = (gw * vals).reshape(len(u), 16).sum(axis=1)
     k_cum = np.cumsum(gap_integrals)
     hhat = (2.0 * math.pi) ** (d / 2.0) * k_cum / (rho * rho)
-    return {"rho": rho, "w": w, "hsq_pow": hhat * hhat * rho ** (d - 1), "rho_max": rho[-1], "width": width}
+    return {"rho": rho, "w": w, "hsq_pow": hhat * hhat * rho ** (d - 1), "rho_max": edges[-1], "width": width}
 
 
 def _grid_for(setup: RadialSetup, rho_max: float) -> dict:
