@@ -29,7 +29,6 @@ from multiprocessing import get_context
 from operator import mul
 
 import numpy as np
-from scipy.special import ndtr
 
 # stated in the catalog, which validates configs against them without numpy
 from .catalog import KS_COEFF, MAX_REALIZATIONS, MIN_FIT_POINTS
@@ -264,6 +263,73 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
 
 
 # --- statistics toolkit ---
+
+# Cephes erf/erfc (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the code scipy.special.ndtr runs: its coefficients, with
+# p1evl's implicit leading one written out, and MAXLOG, the log of the
+# largest double
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x, coef):
+    """Horner's rule, leading coefficient first (a leading 1.0 is Cephes' p1evl:
+    1.0 * x is exact)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """Cephes erf for |x| <= 1; erf(-x) = -erf(x) holds bit for bit."""
+    xx = x * x
+    return x * _polevl(xx, _ERF_T) / _polevl(xx, _ERF_U)
+
+
+def _erfc(z):
+    """Cephes erfc for z >= 1/sqrt(2): 1 - erf below 1, 0 where exp(-z^2)
+    would underflow, and the C library's exp (math.exp, one call per element,
+    as np.exp rounds differently) times P/Q below 8 or R/S above."""
+    out = np.zeros_like(z)
+    near = z < 1.0
+    out[near] = 1.0 - _erf(z[near])
+    far = ~near & (z * z <= _MAXLOG)
+    zf = z[far]
+    ex = np.fromiter(map(math.exp, (-zf * zf).tolist()), float, zf.size)
+    low = zf < 8.0
+    p = np.where(low, _polevl(zf, _ERFC_P), _polevl(zf, _ERFC_R))
+    q = np.where(low, _polevl(zf, _ERFC_Q), _polevl(zf, _ERFC_S))
+    out[far] = ex * p / q
+    return out
+
+
+def ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise; equal bit for bit to Cephes' ndtr,
+    which scipy.special.ndtr runs, with nan for nan."""
+    t = np.asarray(x, dtype=float) * _SQRT1_2
+    z = np.abs(t)
+    out = np.full_like(t, np.nan)
+    centre = z < _SQRT1_2
+    out[centre] = 0.5 + 0.5 * _erf(t[centre])
+    tail = z >= _SQRT1_2
+    y = 0.5 * _erfc(z[tail])
+    out[tail] = np.where(t[tail] > 0.0, 1.0 - y, y)
+    return out
 
 
 def ks_statistic(samples, mean: float, std: float) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
@@ -195,7 +194,8 @@ class DiscreteGreenOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_nodes)
-        out[1:-1], _ = dpbtrs(self._factor, np.asarray(f)[1:-1], lower=0)
+        out[1:-1] = np.asarray(f)[1:-1]
+        dpbtrs(self._factor, out[1:-1], lower=0, overwrite_b=1)  # solves in the contiguous view
         return out
 
 
@@ -220,16 +220,20 @@ def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:
 
     f holds node values including the boundary; the result satisfies the
     homogeneous Dirichlet condition exactly.  Every resolvable sine mode,
-    n_nodes - 2 per axis, enters the synthesis.
+    n_nodes - 2 per axis, enters the synthesis.  scipy.fft, which loads
+    scipy.special, is imported on the first call.
     """
+    from scipy.fft import dstn
+
     if q0 < 0:
         raise ValueError("q0 must be nonnegative")
     n = mesh2d.n_nodes - 1
-    interior = np.asarray(f, dtype=float)[1:-1, 1:-1]
-    coef = dstn(interior, type=1) / (n * n)
-    coef = coef / sine_eigenvalues_2d(mesh2d.n_nodes, q0)
+    coef = dstn(np.asarray(f, dtype=float)[1:-1, 1:-1], type=1)
+    coef /= n * n
+    coef /= sine_eigenvalues_2d(mesh2d.n_nodes, q0)
     out = np.zeros((mesh2d.n_nodes, mesh2d.n_nodes))
-    out[1:-1, 1:-1] = dstn(coef, type=1) / 4.0
+    out[1:-1, 1:-1] = dstn(coef, type=1, overwrite_x=True)
+    out[1:-1, 1:-1] /= 4.0
     return out
 
 

@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# imported here, not on numpy's first lazy use, so that forked ensemble workers
+# inherit numpy.random from the parent instead of each importing it
+from numpy.random import PCG64, Generator
 
 _MAX_LATTICE_SITES = 1 << 26
 _FLOAT_INDEX_LIMIT = 2.0**52
@@ -51,7 +54,7 @@ class MarginalDist:
     def abs_bound(self) -> float:
         return 1.0 if self.kind in ("rademacher", "uniform_pm1") else self.bound
 
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def draw(self, rng: Generator, shape) -> np.ndarray:
         if self.kind == "rademacher":
             return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
         if self.kind == "uniform_pm1":
@@ -282,7 +285,7 @@ def sample_at(spec: MAProcessSpec, epsilon: float, points: np.ndarray, seed: int
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = np.asarray(points, dtype=float)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     phase = rng.random()
     idx, count = _lattice_block(pts / epsilon + phase, spec.window)
     noise = spec.marginal.draw(rng, count)
@@ -301,7 +304,7 @@ def sample_2d(spec: MAProcessSpec, epsilon: float, mesh2d, seed: int) -> np.ndar
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     phase = rng.random(2)
     xs = np.asarray(mesh2d.nodes, dtype=float)
     idx_r, count_r = _lattice_block(xs / epsilon + phase[0], spec.window)
@@ -328,7 +331,7 @@ def sample_triple(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = np.asarray(getattr(points, "nodes", points), dtype=float)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     phase = rng.random()
     idx, count = _lattice_block(pts / epsilon + phase, lag_window(spec))
     noise = spec.marginal.draw(rng, (spec.n_channels, count))

@@ -1,10 +1,12 @@
 """Seed derivation, ensemble execution, and the statistics toolkit."""
 
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
@@ -226,6 +228,39 @@ def test_ks_statistic_matches_scipy():
     assert got2 == pytest.approx(float(want2), rel=1e-10)
     with pytest.raises(ValueError):
         ks_statistic(x, 0.0, 0.0)
+
+
+# the branch points of Cephes ndtr in a = x sqrt 2 (1, sqrt 2, 8 sqrt 2 and the
+# underflow of exp(-x^2) near 37.68) and the values that stop arithmetic
+NDTR_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1.0, -1.0,
+              math.sqrt(2.0), -math.sqrt(2.0), 8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0),
+              37.5, -37.5, 38.5, -38.5, math.sqrt(2.0 * 709.782712893384), -math.sqrt(2.0 * 709.782712893384))
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    """The numpy port against scipy.special.ndtr, which runs the C original:
+    equal bits, so equal signs of zero and the same nan, on 1.2e6 values."""
+    rng = np.random.Generator(np.random.PCG64(24))
+    edges = np.array(NDTR_EDGES)
+    finite = edges[np.isfinite(edges)]
+    x = np.concatenate([edges, np.nextafter(finite, math.inf), np.nextafter(finite, -math.inf),
+                        rng.normal(size=600_000), rng.uniform(-40.0, 40.0, size=600_000)])
+    got, want = ensemble.ndtr(x), scipy.special.ndtr(x)
+    assert got.dtype == want.dtype == np.float64
+    assert x[got.view(np.int64) != want.view(np.int64)].tolist() == []
+
+
+def test_ks_statistic_of_infinite_or_one_branch_samples_warns_nothing():
+    """Only the values a branch owns enter its arithmetic: no inf * 0, no
+    reduction over an empty branch."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ks_statistic([-math.inf, 0.0, math.inf], 0.0, 1.0) == pytest.approx(1.0 / 3.0)
+        assert ks_statistic([math.inf, math.inf], 0.0, 1.0) == 1.0
+        for centre_only in ([-0.5, 0.0, 0.5], [-0.1, 0.1], [0.5, 0.2]):
+            ks_statistic(centre_only, 0.0, 1.0)
+        ks_statistic([2.0, 9.0, 40.0, -30.0], 0.0, 1.0)  # no value in the centre
+    assert ensemble.ndtr(np.array([])).shape == (0,)
 
 
 def test_ks_critical_frozen():

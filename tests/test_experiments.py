@@ -326,18 +326,34 @@ def _child_prints(code: str) -> set:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def test_field_stats_run_loads_no_solver_module():
-    """The fanout path samples fields only: no scipy.linalg, scipy.fft or solver."""
-    loaded = _child_prints(
+def _modules_after_run(kind: str, status: str = "ok") -> set:
+    """The modules a fresh interpreter holds after one `kind` run at n_real 4
+    that ends with `status`."""
+    return _child_prints(
         "import sys\n"
         "from corrlab import experiments\n"
-        "config = experiments.validate_config({'kind': 'field-stats', 'n_real': 4})\n"
-        "assert experiments.run_experiment(config).status == 'ok'\n"
+        f"config = experiments.validate_config({{'kind': {kind!r}, 'n_real': 4}})\n"
+        f"assert experiments.run_experiment(config).status == {status!r}\n"
         "print(' '.join(sys.modules))"
     )
-    unwanted = {"scipy.linalg", "scipy.fft"} | {f"corrlab.{m}" for m in SOLVER_MODULES}
+
+
+def test_field_stats_run_loads_no_solver_module():
+    """The fanout path samples fields only: no scipy module at all, no solver."""
+    loaded = _modules_after_run("field-stats")
+    scipy_loaded = {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
     assert "corrlab.ensemble" in loaded
-    assert sorted(unwanted & loaded) == []
+    assert sorted(scipy_loaded | ({f"corrlab.{m}" for m in SOLVER_MODULES} & loaded)) == []
+
+
+# four realizations run to the end; heat's gap slope over them grades fail
+@pytest.mark.parametrize("kind, status", [("spectral-corrector", "ok"), ("heat-corrector", "fail")])
+def test_eigen_kind_run_loads_no_fft_or_special(kind, status):
+    """The eigen kinds solve with scipy.linalg alone; scipy.fft, which loads
+    scipy.special, waits for the first 2D Green apply."""
+    loaded = _modules_after_run(kind, status)
+    assert "scipy.linalg" in loaded
+    assert sorted({"scipy.fft", "scipy.special"} & loaded) == []
 
 
 def test_bare_experiments_import_registers_every_task_kind():
