@@ -7,19 +7,63 @@ discrete realizations of the solution operator are provided: a quadrature
 three-point finite-difference matrix applied through a prefactored banded
 Cholesky solve.  A sine-spectral operator covers the 2D unit square; its
 eigenvalue table is built once per mesh size and q0.
+
+The LAPACK routines (`lapack`) and the sine transform come from scipy's
+compiled modules, loaded without the package inits of `scipy.linalg` and
+`scipy.fft`; `lapack_check` restates the checks of scipy's wrappers.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .catalog import fd_eigenvalue
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module `scipy.<name>`, loaded from its file without
+    running the `__init__` of the packages that hold it.
+
+    Those inits load code corrlab never runs: `scipy.linalg`'s loads
+    `scipy._lib._array_api` (and with it numpy.testing, numpy.ma, numpy.f2py
+    and unittest), `scipy.fft`'s all of `scipy.special`.  The module is
+    registered under its full name, so a later public import returns this
+    very object; when no extension file is found, the public import loads it.
+    """
+    full = f"scipy.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        import scipy
+
+        package = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[:-1])
+        spec = PathFinder.find_spec(full, [package])
+        if spec is None:
+            return importlib.import_module(full)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return module
+
+
+lapack = _scipy_extension("linalg._flapack")
+
+
+def lapack_check(info: int, routine: str) -> None:
+    """Raise on a LAPACK `info` as scipy's wrappers do: an illegal argument
+    (info < 0) is a ValueError, a numerical failure (info > 0) a LinAlgError."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
 
 
 @dataclass(eq=False)
@@ -188,14 +232,15 @@ class DiscreteGreenOperator:
 
     def __post_init__(self):
         try:
-            self._factor = cholesky_banded(self.banded_upper, lower=False)
+            self._factor, info = lapack.dpbtrf(np.asarray_chkfinite(self.banded_upper), lower=0)
+            lapack_check(info, "dpbtrf")
         except np.linalg.LinAlgError as exc:
             raise ValueError("indefinite operator") from exc
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_nodes)
         out[1:-1] = np.asarray(f)[1:-1]
-        dpbtrs(self._factor, out[1:-1], lower=0, overwrite_b=1)  # solves in the contiguous view
+        lapack.dpbtrs(self._factor, out[1:-1], lower=0, overwrite_b=1)  # solves in the contiguous view
         return out
 
 
@@ -220,19 +265,19 @@ def apply_green_2d(mesh2d: Mesh2D, q0: float, f: np.ndarray) -> np.ndarray:
 
     f holds node values including the boundary; the result satisfies the
     homogeneous Dirichlet condition exactly.  Every resolvable sine mode,
-    n_nodes - 2 per axis, enters the synthesis.  scipy.fft, which loads
-    scipy.special, is imported on the first call.
+    n_nodes - 2 per axis, enters the synthesis.  Both transforms are the
+    unnormalized 2D DST-I that `scipy.fft.dstn(x, type=1)` runs; pocketfft is
+    loaded on the first call.
     """
-    from scipy.fft import dstn
-
     if q0 < 0:
         raise ValueError("q0 must be nonnegative")
+    dst = _scipy_extension("fft._pocketfft.pypocketfft").dst
     n = mesh2d.n_nodes - 1
-    coef = dstn(np.asarray(f, dtype=float)[1:-1, 1:-1], type=1)
+    coef = dst(np.asarray(f, dtype=float)[1:-1, 1:-1], 1, (0, 1), 0, None, 1, False)
     coef /= n * n
     coef /= sine_eigenvalues_2d(mesh2d.n_nodes, q0)
     out = np.zeros((mesh2d.n_nodes, mesh2d.n_nodes))
-    out[1:-1, 1:-1] = dstn(coef, type=1, overwrite_x=True)
+    dst(coef, 1, (0, 1), 0, out[1:-1, 1:-1], 1, False)
     out[1:-1, 1:-1] /= 4.0
     return out
 

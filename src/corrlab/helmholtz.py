@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import randfield
 from .greens import (
@@ -37,6 +36,8 @@ from .greens import (
     fd_green_norm,
     fd_matrix_banded,
     green_norm_2d,
+    lapack,
+    lapack_check,
 )
 from .iteration import FixedPointResult, neumann_solve
 from .randfield import MAProcessSpec, sigma2
@@ -147,9 +148,11 @@ perturbed_solve_2d = perturbed_solve
 def dirichlet_solve_fd(mesh: Mesh1D, a_half, potential, f: np.ndarray) -> np.ndarray:
     """Direct banded solve of -(a u')' + potential u = f (three-point stencil),
     with a at the half nodes as `fd_matrix_banded` takes it."""
-    ab = fd_matrix_banded(mesh, a_half, potential)
-    try:
-        interior = solveh_banded(ab, np.asarray(f, dtype=float)[1:-1])
+    ab = np.asarray_chkfinite(fd_matrix_banded(mesh, a_half, potential))
+    b = np.asarray_chkfinite(np.asarray(f, dtype=float)[1:-1])
+    try:  # the two-row band solve of scipy's solveh_banded
+        *_, interior, info = lapack.dptsv(ab[1], ab[0, 1:], b)
+        lapack_check(info, "dptsv")
     except np.linalg.LinAlgError as exc:
         raise ValueError("indefinite operator") from exc
     out = np.zeros(mesh.n_nodes)

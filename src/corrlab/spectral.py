@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .catalog import fd_eigenvalue, inverse_eigenvalue
-from .greens import Mesh1D, fd_matrix_banded
+from .greens import Mesh1D, fd_matrix_banded, lapack, lapack_check
 from .helmholtz import HelmholtzProblem
 
 
@@ -92,9 +90,9 @@ def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, ulp: float):
             return theta, v, res
         w = np.empty((todo.size, v.shape[1]))
         for i, k in enumerate(todo):
-            *_, w[i], info = dgtsv(e, d - theta[k], e, v[k], overwrite_d=1)
+            *_, w[i], info = lapack.dgtsv(e, d - theta[k], e, v[k], overwrite_d=1)
             if info > 0:
-                *_, w[i], info = dgtsv(e, d - (theta[k] + ulp), e, v[k], overwrite_d=1)
+                *_, w[i], info = lapack.dgtsv(e, d - (theta[k] + ulp), e, v[k], overwrite_d=1)
             if info != 0:
                 return None
         w /= np.sqrt((w * w).sum(axis=1))[:, None]
@@ -106,15 +104,23 @@ def _rqi(d: np.ndarray, e: np.ndarray, seeds: np.ndarray, ulp: float):
 
 
 def _bisection_pairs(d: np.ndarray, e: np.ndarray, n_max: int):
-    """Lowest n_max eigenpairs by LAPACK bisection and inverse iteration."""
+    """Lowest n_max eigenpairs by LAPACK bisection and inverse iteration, as
+    scipy's eigh_tridiagonal(select="i") computes them: dstebz in block
+    order, dstein, then sorted."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     try:
-        nu, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_max - 1))
+        m, nu, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_max, 0.0, "B")
+        lapack_check(info, "dstebz")
+        nu = nu[:m]
+        v, info = lapack.dstein(d, e, nu, iblock, isplit)
+        lapack_check(info, "dstein")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver failed on tridiagonal matrix (n={d.size}, "
             f"diag range [{d.min():.3e}, {d.max():.3e}])"
         ) from exc
-    return nu, v.T
+    order = np.argsort(nu)
+    return nu[order], v[:, order].T
 
 
 def _eigenpairs(d, e, seeds, centres, spread):

@@ -38,13 +38,15 @@ def _names(tree):
 
 def _trees():
     """Each source file parsed once: its public top-level defs and, for every
-    name it uses, the ids of the top-level statements that use it."""
+    name it uses, the top-level statements that use it.  The sets hold the
+    statement nodes themselves, not their ids: a node kept alive cannot lend
+    its id to a node parsed later."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         users = {}
         for stmt in tree.body:
             for name in _names(stmt):
-                users.setdefault(name, set()).add(id(stmt))
+                users.setdefault(name, set()).add(stmt)
         defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")]
         yield defs, users
@@ -54,12 +56,11 @@ def test_every_public_def_is_run_by_the_program_or_is_an_oracle():
     trees = list(_trees())
     defs = [node for tree_defs, _ in trees for node in tree_defs]
     oracle_defs = [node for node in defs if node.name in NAMES]
-    oracle_ids = {id(node) for node in oracle_defs}
     # a use counts unless it sits in the definition itself or in an oracle's body
     unused = {node.name for node in defs
-              if not any(users.get(node.name, set()) - oracle_ids - {id(node)} for _, users in trees)}
+              if not any(users.get(node.name, set()) - set(oracle_defs) - {node} for _, users in trees)}
     assert sorted(unused ^ set(NAMES)) == []  # an oracle the program runs is no oracle
     tested = set().union(*(_names(ast.parse(p.read_text())) for p in TESTS.glob("test_*.py")))
-    oracle_names = {id(o): _names(o) - {o.name} for o in oracle_defs}
+    oracle_names = {o: _names(o) - {o.name} for o in oracle_defs}
     for node in oracle_defs:  # a test calls it, or another oracle builds on it
-        assert node.name in tested | set().union(*(names for i, names in oracle_names.items() if i != id(node)))
+        assert node.name in tested | set().union(*(names for o, names in oracle_names.items() if o is not node))

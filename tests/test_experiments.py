@@ -346,14 +346,33 @@ def test_field_stats_run_loads_no_solver_module():
     assert sorted(scipy_loaded | ({f"corrlab.{m}" for m in SOLVER_MODULES} & loaded)) == []
 
 
+# scipy package inits that load code no solver runs: scipy.linalg's loads
+# _array_api (numpy.testing, numpy.ma, numpy.f2py, unittest), scipy.fft's loads
+# scipy.special
+PACKAGE_INITS = {"scipy.linalg", "scipy._lib._array_api", "scipy.fft", "scipy.special"}
+
+
 # four realizations run to the end; heat's gap slope over them grades fail
 @pytest.mark.parametrize("kind, status", [("spectral-corrector", "ok"), ("heat-corrector", "fail")])
 def test_eigen_kind_run_loads_no_fft_or_special(kind, status):
-    """The eigen kinds solve with scipy.linalg alone; scipy.fft, which loads
-    scipy.special, waits for the first 2D Green apply."""
+    """The eigen kinds call LAPACK through scipy.linalg._flapack, loaded
+    without any scipy package init."""
     loaded = _modules_after_run(kind, status)
-    assert "scipy.linalg" in loaded
-    assert sorted({"scipy.fft", "scipy.special"} & loaded) == []
+    assert "scipy.linalg._flapack" in loaded
+    assert sorted(PACKAGE_INITS & loaded) == []
+
+
+# four realizations run to the end; elliptic's checks over them grade fail
+@pytest.mark.parametrize("kind, status", [("helmholtz-corrector", "ok"), ("elliptic-corrector", "fail"),
+                                          ("helmholtz-moments-2d", "ok")])
+def test_source_kind_run_loads_no_scipy_package_init(kind, status):
+    """The source kinds factor and solve through scipy.linalg._flapack; the 2D
+    kind's sine transforms come from pocketfft's extension, loaded on the first
+    2D apply, and no scipy package init runs."""
+    loaded = _modules_after_run(kind, status)
+    assert "scipy.linalg._flapack" in loaded
+    assert ("scipy.fft._pocketfft.pypocketfft" in loaded) == (kind == "helmholtz-moments-2d")
+    assert sorted(PACKAGE_INITS & loaded) == []
 
 
 def test_bare_experiments_import_registers_every_task_kind():

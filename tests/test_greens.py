@@ -1,11 +1,16 @@
 """Closed-form Green kernels, their partials, and the discrete inverses."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.fft import dstn
+from scipy.linalg import cholesky_banded
 
+from corrlab.catalog import CH_B
+from corrlab.elliptic import EllipticProblem1D, coefficient_values, harmonic_mean_half, sample_fields
 from corrlab.greens import (
     DiscreteGreenOperator,
     GreenKernel1D,
@@ -18,6 +23,8 @@ from corrlab.greens import (
     green_partials_1d,
     sine_eigenvalues_2d,
 )
+from corrlab.helmholtz import HelmholtzProblem
+from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec
 
 K0 = GreenKernel1D(a_star=1.0, q0=0.0)
 K1 = GreenKernel1D(a_star=2.0, q0=3.0)
@@ -299,3 +306,80 @@ def test_apply_green_2d_table_matches_the_inline_formula_bit_for_bit(n_nodes, q0
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+
+
+def _package_matrix(kind: str, n_nodes: int = 3201, seed: int = 5):
+    """A banded FD matrix the package factors: the Helmholtz operator with a
+    sampled potential, or the elliptic conservative operator of a sampled
+    coefficient (the form `elliptic.transformed_green` factors)."""
+    mesh = Mesh1D(n_nodes)
+    if kind == "helmholtz":
+        p = HelmholtzProblem(mesh, 1.0, 0.5, MAProcessSpec(weights=(0.5, 0.5)), np.ones(n_nodes), 0.01)
+        return mesh, fd_matrix_banded(mesh, 1.0, 0.5 + p.sample_potential(seed))
+    triple = CorrelatedTripleSpec(weights=([[0.25, 0.25]], [[0.2, 0.2]], [[0.5, 0.5]]))
+    p = EllipticProblem1D(mesh, triple, q0=0.5, rho_bar=1.0, f=np.ones(n_nodes), epsilon=0.005)
+    fields = sample_fields(p, seed)
+    a = coefficient_values(p, fields[CH_B])
+    return mesh, fd_matrix_banded(mesh, harmonic_mean_half(a), p.q0 * p.a_base / a)
+
+
+@pytest.mark.parametrize("kind", ["helmholtz", "elliptic"])
+def test_discrete_operator_factor_is_cholesky_banded_bit_for_bit(kind):
+    """The raw dpbtrf factor equals scipy's cholesky_banded on the package's matrices."""
+    mesh, ab = _package_matrix(kind)
+    assert np.array_equal(DiscreteGreenOperator(mesh, ab)._factor, cholesky_banded(ab))
+
+
+def test_discrete_operator_keeps_the_wrapper_checks():
+    """An indefinite matrix is a ValueError from LAPACK's info > 0, and a nan in
+    the matrix raises what cholesky_banded raises, before LAPACK runs."""
+    mesh, ab = _package_matrix("helmholtz", n_nodes=101)
+    with pytest.raises(ValueError, match="indefinite operator") as info:
+        DiscreteGreenOperator(mesh, fd_matrix_banded(mesh, 1.0, -1e5))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    ab[1, 7] = np.nan
+    with pytest.raises(ValueError) as want:
+        cholesky_banded(ab)
+    with pytest.raises(ValueError, match=want.value.args[0]):
+        DiscreteGreenOperator(mesh, ab)
+
+
+def _child(code: str) -> str:
+    """The last line a fresh interpreter prints running `code`."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_raw_modules_are_the_objects_later_public_imports_return():
+    """greens loads _flapack and pypocketfft without scipy.linalg's or scipy.fft's
+    package init; the public imports that follow reuse the very same modules."""
+    assert _child(
+        "import sys\n"
+        "from corrlab import greens\n"
+        "greens.apply_green_2d(greens.Mesh2D(5), 0.0, [[1.0] * 5] * 5)\n"
+        "inits = {'scipy.linalg', 'scipy.fft', 'scipy.special', 'scipy._lib._array_api'} & set(sys.modules)\n"
+        "from scipy.linalg import _flapack, lapack\n"
+        "from scipy.fft._pocketfft import pypocketfft, realtransforms\n"
+        "print(sorted(inits), greens.lapack is _flapack, lapack.dpbtrf is greens.lapack.dpbtrf,\n"
+        "      realtransforms.pfft is pypocketfft is sys.modules['scipy.fft._pocketfft.pypocketfft'])"
+    ) == "[] True True True"
+
+
+def test_loader_falls_back_to_the_public_import():
+    """With the extension file not found on its own, the public route loads the
+    same module, through scipy.linalg's package init."""
+    assert _child(
+        "import sys\n"
+        "from importlib.machinery import PathFinder\n"
+        "find = PathFinder.find_spec.__func__\n"
+        "def hidden(cls, name, path=None, target=None):\n"
+        "    if name == 'scipy.linalg._flapack' and 'scipy.linalg' not in sys.modules:\n"
+        "        return None\n"
+        "    return find(cls, name, path, target)\n"
+        "PathFinder.find_spec = classmethod(hidden)\n"
+        "from corrlab import greens\n"
+        "public = 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg\n"
+        "print(public, greens.lapack is scipy.linalg._flapack)"
+    ) == "True True"

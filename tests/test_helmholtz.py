@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
+from corrlab.catalog import CH_B, CH_Q, CH_RHO
+from corrlab.elliptic import EllipticProblem1D, coefficient_values, harmonic_mean_half, sample_fields
 from corrlab.greens import DiscreteGreenOperator, Mesh1D, Mesh2D, fd_matrix_banded
 from corrlab.helmholtz import (
     HelmholtzProblem,
@@ -21,7 +24,7 @@ from corrlab.helmholtz import (
     perturbed_solve_2d,
     sigma2_separable_2d,
 )
-from corrlab.randfield import MAProcessSpec
+from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec
 
 SPEC = MAProcessSpec(weights=(0.5, 0.5))
 
@@ -101,6 +104,46 @@ def test_dirichlet_solve_fd_manufactured():
     # second-order convergence
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
+
+
+def _direct_system(kind: str, n_nodes: int = 3201, seed: int = 5):
+    """(mesh, a_half, potential, f) of a direct solve the package makes: the
+    Helmholtz oracle with a sampled potential, or the elliptic conservative
+    oracle (`elliptic.direct_solve_conservative`) of a sampled triple."""
+    if kind == "helmholtz":
+        p = _problem(n_nodes=n_nodes, q0=0.5)
+        return p.mesh, 1.0, p.q0 + p.sample_potential(seed), np.sin(3.0 * p.mesh.nodes)
+    mesh = Mesh1D(n_nodes)
+    triple = CorrelatedTripleSpec(weights=([[0.25, 0.25]], [[0.2, 0.2]], [[0.5, 0.5]]))
+    p = EllipticProblem1D(mesh, triple, q0=0.5, rho_bar=1.0, f=np.ones(n_nodes), epsilon=0.005)
+    fields = sample_fields(p, seed)
+    a_half = harmonic_mean_half(coefficient_values(p, fields[CH_B]))
+    return mesh, a_half, p.q0 + fields[CH_Q], (p.rho_bar + fields[CH_RHO]) * p.f
+
+
+@pytest.mark.parametrize("kind", ["helmholtz", "elliptic"])
+def test_dirichlet_solve_fd_is_solveh_banded_bit_for_bit(kind):
+    """The raw dptsv solve equals scipy's solveh_banded on the package's systems."""
+    mesh, a_half, pot, f = _direct_system(kind)
+    u = dirichlet_solve_fd(mesh, a_half, pot, f)
+    assert u[0] == 0.0 and u[-1] == 0.0
+    assert np.array_equal(u[1:-1], solveh_banded(fd_matrix_banded(mesh, a_half, pot), f[1:-1]))
+
+
+def test_dirichlet_solve_fd_keeps_the_wrapper_checks():
+    """An indefinite matrix is a ValueError from LAPACK's info > 0; a nan in the
+    matrix or in f raises what solveh_banded raises, before LAPACK runs."""
+    mesh, a_half, pot, f = _direct_system("helmholtz", n_nodes=101)
+    with pytest.raises(ValueError, match="indefinite operator") as info:
+        dirichlet_solve_fd(mesh, a_half, -1e5, f)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    nan_pot, nan_f = pot.copy(), f.copy()
+    nan_pot[7] = nan_f[7] = np.nan
+    for pot_i, f_i in ((nan_pot, f), (pot, nan_f)):
+        with pytest.raises(ValueError) as want:
+            solveh_banded(fd_matrix_banded(mesh, a_half, pot_i), f_i[1:-1])
+        with pytest.raises(ValueError, match=want.value.args[0]):
+            dirichlet_solve_fd(mesh, a_half, pot_i, f_i)
 
 
 def test_corrector_scaling_alpha():

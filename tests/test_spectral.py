@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from corrlab import spectral
+from corrlab import greens, spectral
 from corrlab.greens import Mesh1D, fd_matrix_banded
 from corrlab.helmholtz import HelmholtzProblem
 from corrlab.randfield import MAProcessSpec
@@ -296,6 +296,48 @@ def test_exact_zero_pivot_keeps_the_reference_certified():
     nu, v = _bisection_pairs(ab[1], ab[0, 1:], 56)
     assert np.allclose(1.0 / ref.lam, nu, rtol=1e-12, atol=0.0)
     assert np.allclose(np.abs(np.sum(v * ref.v, axis=1)), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_bisection_pairs_are_eigh_tridiagonal_bit_for_bit():
+    """The raw dstebz/dstein route equals scipy's eigh_tridiagonal(select="i") on
+    a perturbed spectral matrix at 3,199 nodes."""
+    p = _helm(n_nodes=3199, epsilon=0.0025, q0=1.0)
+    ab = fd_matrix_banded(p.mesh, p.a_star, p.q0 + p.sample_potential(4))
+    nu, v = _bisection_pairs(ab[1], ab[0, 1:], 8)
+    want_nu, want_v = eigh_tridiagonal(ab[1], ab[0, 1:], select="i", select_range=(0, 7))
+    assert np.array_equal(nu, want_nu) and np.array_equal(v, want_v.T)
+
+
+class _Info:
+    """greens.lapack with one routine's returned info replaced."""
+
+    def __init__(self, routine, info):
+        self.routine, self.info = routine, info
+
+    def __getattr__(self, name):
+        fn = getattr(greens.lapack, name)
+        return (lambda *args: (*fn(*args)[:-1], self.info)) if name == self.routine else fn
+
+
+def test_bisection_pairs_keep_the_wrapper_checks(monkeypatch):
+    """A nan raises what eigh_tridiagonal raises; a LAPACK failure (info > 0),
+    dstein's non-convergence included, reaches the RuntimeError, and an illegal
+    argument (info < 0) is a ValueError."""
+    ab = fd_matrix_banded(Mesh1D(58), 1.0, 1.0)
+    d, e = ab[1].copy(), ab[0, 1:]
+    d[3] = np.nan
+    with pytest.raises(ValueError) as want:
+        eigh_tridiagonal(d, e, select="i", select_range=(0, 3))
+    with pytest.raises(ValueError, match=want.value.args[0]):
+        _bisection_pairs(d, e, 4)
+    for routine in ("dstebz", "dstein"):
+        monkeypatch.setattr(spectral, "lapack", _Info(routine, 2))
+        with pytest.raises(RuntimeError, match="eigensolver failed") as info:
+            _bisection_pairs(ab[1], ab[0, 1:], 4)
+        assert f"{routine} failed" in str(info.value.__cause__)
+        monkeypatch.setattr(spectral, "lapack", _Info(routine, -4))
+        with pytest.raises(ValueError, match=f"argument 4 of internal {routine}"):
+            _bisection_pairs(ab[1], ab[0, 1:], 4)
 
 
 def _reference(monkeypatch, problem, n_max, certified):
