@@ -14,13 +14,14 @@ chunk by chunk and aggregates each epsilon once its last chunk is in, with
 exact (fsum) summation, so reports are byte-identical for any worker count.
 If a prepare raises, every realization at its epsilon fails with its message.
 
-Keys returned by a task that start with "count_" are aggregated by summation
-only (diagnostic counters such as truncation flags); all other keys receive
-the full moment/normality treatment.
+Keys a task returns that start with "count_" are summed only (counters such
+as truncation flags); every other key gets the moment and normality statistics
+and, pairwise, a sample covariance; no value outlives its epsilon's aggregation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -111,24 +112,20 @@ class EnsembleReport:
     # (eps_index, real_index, seed, message) per failed realization
     failures: list
     status: str
-    # samples[eps_index][functional] -> values in realization order, for the
-    # covariance checks; counters are in `counts` only
-    samples: list
+    # covariance[eps_index][a, b] -> sample covariance of functionals a and b
+    # in either order, its diagonal the variances; no counter enters it
+    covariance: list
     scaling_fits: dict = field(default_factory=dict)
     # prepared state per epsilon, or the exception its prepare raised, for
     # the runner's targets; no report serializes it
     states: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        blocks = []
-        for k, eps in enumerate(self.spec.epsilon_list):
-            blocks.append(
-                {
-                    "epsilon": eps,
-                    "stats": {name: st.to_dict() for name, st in sorted(self.stats[k].items())},
-                    "counts": dict(sorted(self.counts[k].items())),
-                }
-            )
+        blocks = [
+            {"epsilon": eps, "stats": {name: st.to_dict() for name, st in sorted(stats.items())},
+             "counts": dict(sorted(counts.items()))}
+            for eps, stats, counts in zip(self.spec.epsilon_list, self.stats, self.counts)
+        ]
         return {
             "task": self.spec.task,
             "experiment_seed": self.spec.experiment_seed,
@@ -176,10 +173,10 @@ def _pool_chunk(item):
     return _run_chunk(*_WORK, *item)
 
 
-def _moments(values) -> FunctionalStats:
-    """Moments of one functional in realization order.  fsum is exact only for
-    the terms it is given, so each power keeps its association: the cube is
-    (x*x)*x and the quartic ((x*x)*x)*x, each list of terms built once."""
+def _moments(values) -> tuple[FunctionalStats, list]:
+    """Moments of one functional in realization order, and its deviations d.
+    fsum is exact only for the terms it is given, so each power keeps its
+    association: the cube is (x*x)*x and the quartic ((x*x)*x)*x, built once."""
     n = len(values)
     mean = math.fsum(values) / n
     d = [v - mean for v in values]
@@ -208,7 +205,17 @@ def _moments(values) -> FunctionalStats:
         ks_statistic=ks,
         stderr_mean=math.sqrt(var / n) if n > 0 else 0.0,
         stderr_variance=var * math.sqrt(2.0 / (n - 1)) if n > 1 else 0.0,
-    )
+    ), d
+
+
+def _aggregate(values: dict) -> tuple[dict, dict]:
+    """Each functional's stats at one epsilon, and each pair's covariance
+    fsum(d_a * d_b) / (n - 1), 0 when n <= 1, under (a, b) and (b, a) alike."""
+    moments = {name: _moments(vals) for name, vals in values.items()}
+    cov = {(a, a): st.variance for a, (st, _) in moments.items()}
+    for (a, (st, da)), (b, (_, db)) in itertools.combinations(moments.items(), 2):
+        cov[a, b] = cov[b, a] = math.fsum(map(mul, da, db)) / (st.n - 1) if st.n > 1 else 0.0
+    return {name: st for name, (st, _) in moments.items()}, cov
 
 
 def _prepare(spec: EnsembleSpec) -> list:
@@ -237,7 +244,7 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
     size = _chunk_size(spec.n_real, workers)
     starts = range(0, spec.n_real, size)
     items = [(k, j, min(size, spec.n_real - j)) for k in range(len(spec.epsilon_list)) for j in starts]
-    all_stats, all_counts, all_samples, failures = [], [], [], []
+    all_stats, all_counts, all_cov, failures = [], [], [], []
     values: dict = {}
     # forked workers inherit the states, which need not pickle; only items are sent
     pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker, (work,)) if workers > 1 else None
@@ -254,11 +261,12 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
             for name in [name for name in values if name.startswith("count_")]:
                 counters[name] = sum(map(int, values.pop(name)))
             all_counts.append(counters)
-            all_samples.append(values)
-            all_stats.append({name: _moments(vals) for name, vals in values.items()})
+            stats, cov = _aggregate(values)
+            all_stats.append(stats)
+            all_cov.append(cov)
             values = {}
     status = "ok" if len(failures) <= 0.01 * len(spec.epsilon_list) * spec.n_real else "error"
-    return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_samples,
+    return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_cov,
                           states=work[2])
 
 
@@ -361,14 +369,8 @@ class SlopeFit:
     log_coeff: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-        }
-        if self.log_coeff is not None:
-            out["log_coeff"] = self.log_coeff
-        return out
+        """Every field in order, log_coeff only when fitted."""
+        return {name: v for name, v in asdict(self).items() if v is not None}
 
 
 def loglog_slope(pairs, with_log_regressor: bool = False) -> SlopeFit:

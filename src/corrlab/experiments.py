@@ -352,14 +352,12 @@ def _within(res, name: str, label: str, value, target, stderr: float):
 
 def _grade_cov(res, rep, k: int, a: str, b: str, name: str, target: float):
     """Covariance check of functionals a and b at epsilon k, when more than 3
-    were sampled; n, means and variances are the engine's."""
+    were sampled; n, the variances and the covariance are the engine's."""
     st = rep.stats[k]
     if a not in st or st[a].n <= 3:
         return
-    sa, sb, n = st[a], st[b], st[a].n
-    xs, ys = rep.samples[k][a], rep.samples[k][b]
-    cov = math.fsum((x - sa.mean) * (y - sb.mean) for x, y in zip(xs, ys)) / (n - 1)
-    _within(res, name, "cov", cov, target, math.sqrt((sa.variance * sb.variance + cov * cov) / (n - 1)))
+    n, cov = st[a].n, rep.covariance[k][a, b]
+    _within(res, name, "cov", cov, target, math.sqrt((st[a].variance * st[b].variance + cov * cov) / (n - 1)))
 
 
 def _slope_in(name: str, slope: float, lo, hi) -> Check:

@@ -40,6 +40,29 @@ def _toy_task(params, epsilon, seed):
 register_task("toy", _toy_task)
 
 
+def _toy_reversed(params, epsilon, seed):
+    """The toy task's functionals, returned in the other key order."""
+    return dict(reversed(_toy_task(params, epsilon, seed).items()))
+
+
+register_task("toy-reversed", _toy_reversed)
+
+
+def _rederive(rep, k):
+    """Each functional's values at epsilon k, from calling the task again at
+    the seed of every realization that did not fail, in realization order."""
+    spec, fn = rep.spec, ensemble.REGISTRY[rep.spec.task]
+    failed = {j for i, j, _, _ in rep.failures if i == k}
+    rows = [fn(rep.states[k], spec.epsilon_list[k], derive_seed(spec.experiment_seed, k, j))
+            for j in range(spec.n_real) if j not in failed]
+    return {name: [float(row[name]) for row in rows] for name in (rows[0] if rows else ())}
+
+
+def _stats_of(values):
+    """The engine's stats of re-derived values, counters left out."""
+    return {name: ensemble._moments(v)[0] for name, v in values.items() if not name.startswith("count_")}
+
+
 def test_derive_seed_distinct_and_stable():
     seeds = {
         derive_seed(123, k, j) for k in range(4) for j in range(500)
@@ -78,8 +101,8 @@ def test_run_serial_statistics():
     assert sorted(rep.stats[0]) == sorted(rep.stats[1]) == ["square", "value"]
     st = rep.stats[0]["value"]
     assert st.n == 400
-    # independent moment oracle on the recorded samples
-    vals = np.asarray(rep.samples[0]["value"])
+    # independent moment oracle on the re-derived values
+    vals = np.asarray(_rederive(rep, 0)["value"])
     assert st.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
     assert st.variance == pytest.approx(float(np.var(vals, ddof=1)), rel=1e-12)
     assert st.skewness == pytest.approx(
@@ -93,6 +116,18 @@ def test_run_serial_statistics():
     pos = sum(1 for v in vals if v > 0)
     assert rep.counts[0]["count_positive"] == pos
     assert rep.counts[0]["count_failed"] == 0
+    # the sample covariance S: its diagonal is each variance bit for bit, an
+    # entry is found in either order, and no counter enters it
+    for k in range(2):
+        values, cov, names = _rederive(rep, k), rep.covariance[k], ("square", "value")
+        assert rep.stats[k] == _stats_of(values)
+        assert sorted(cov) == [(a, b) for a in names for b in names]
+        assert [cov[a, a] for a in names] == [rep.stats[k][a].variance for a in names]
+        want = float(np.cov(values["square"], values["value"], ddof=1)[0, 1])
+        assert cov["square", "value"] == cov["value", "square"] == pytest.approx(want, rel=1e-12)
+    # the same functionals returned in the other key order give the same S
+    reversed_rep = run(EnsembleSpec(11, 400, (0.2, 0.1), "toy-reversed", {"scale": 2.0}))
+    assert reversed_rep.covariance == rep.covariance and reversed_rep.stats == rep.stats
 
 
 def test_run_worker_count_invariance():
@@ -113,10 +148,13 @@ def test_partial_chunks_and_scattered_failures_do_not_depend_on_workers():
         hit = {(k, j // size) for k, j, _, _ in rep.failures}
         assert {k for k, _ in hit} == {0, 1, 2} and len(hit) > 3
         assert rep.to_json_dict() == reports[1].to_json_dict()
-        assert rep.samples == reports[1].samples
+        assert rep.stats == reports[1].stats and rep.covariance == reports[1].covariance
         assert rep.counts == reports[1].counts and rep.failures == reports[1].failures
         for k in range(len(spec.epsilon_list)):
-            assert not [name for name in [*rep.samples[k], *rep.stats[k]] if name.startswith("count_")]
+            # exactly the surviving realizations were aggregated
+            assert rep.stats[k] == _stats_of(_rederive(rep, k))
+            names = [*rep.stats[k], *(name for pair in rep.covariance[k] for name in pair)]
+            assert names and not [name for name in names if name.startswith("count_")]
 
 
 def test_one_pool_per_run(monkeypatch):
@@ -155,8 +193,10 @@ def test_prepare_runs_once_per_epsilon_and_feeds_every_task(workers):
     for k, eps in enumerate((0.5, 0.25)):
         assert rep.states[k]["scale"] == 1.0 / eps
         # value = scale * epsilon * x: the task saw the prepared scale
-        want = [v / eps for v in plain.samples[k]["value"]]
-        assert rep.samples[k]["value"] == pytest.approx(want, rel=1e-15)
+        want = [v / eps for v in _rederive(plain, k)["value"]]
+        values = _rederive(rep, k)
+        assert rep.stats[k] == _stats_of(values)
+        assert values["value"] == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -199,7 +239,25 @@ def test_a_value_that_is_no_float_fails_its_whole_realization(workers):
     bad = [j for j in range(30) if derive_seed(2, 0, j) % 3 == 0]
     assert bad and [f[1] for f in rep.failures] == bad
     assert rep.failures[0][3] == "ValueError: could not convert string to float: 'n/a'"
-    assert len(rep.samples[0]["a"]) == len(rep.samples[0]["b"]) == 30 - len(bad)
+    values = _rederive(rep, 0)
+    assert len(values["a"]) == len(values["b"]) == 30 - len(bad)
+    assert rep.stats[0] == _stats_of(values)
+    assert rep.stats[0]["a"].n == rep.stats[0]["b"].n == 30 - len(bad)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_or_no_surviving_realization_aggregates_without_raising(workers):
+    """At seed 10 the first realization of epsilon 0.5 fails (n = 1), the
+    prepare at 0.25 fails (n = 0), and both realizations at 0.125 survive."""
+    spec = EnsembleSpec(10, 2, (0.5, 0.25, 0.125), "toy-prepared", {"fail_below": 3, "bad_epsilon": 0.25})
+    rep = run(spec, workers=workers)
+    assert [c["count_failed"] for c in rep.counts] == [1, 2, 0] and rep.status == "error"
+    one, none, two = rep.stats
+    assert {st.n for st in one.values()} == {1} and {st.n for st in two.values()} == {2}
+    assert [(st.variance, st.skewness, st.stderr_variance) for st in one.values()] == [(0.0, 0.0, 0.0)] * 2
+    assert set(rep.covariance[0].values()) == {0.0}
+    assert none == {} and rep.covariance[1] == {}
+    assert rep.to_json_dict() == run(spec).to_json_dict()
 
 
 def test_failure_budget_boundary():
@@ -273,16 +331,16 @@ def test_ks_critical_frozen():
 def test_normality_stats_gaussian_and_errors():
     rng = np.random.Generator(np.random.PCG64(21))
     x = [float(v) for v in rng.normal(size=4000)]
-    st = ensemble._moments(x)
+    st, _ = ensemble._moments(x)
     assert abs(st.skewness) < 4.0 * math.sqrt(6.0 / 4000)
     assert abs(st.excess_kurtosis) < 4.0 * math.sqrt(24.0 / 4000)
     assert st.ks_statistic < ks_critical(4000, 0.01)
     # a degenerate sample reports zero shape statistics instead of raising
-    flat = ensemble._moments([0.0] * 200)
+    flat, _ = ensemble._moments([0.0] * 200)
     assert flat.variance == 0.0
     assert (flat.skewness, flat.excess_kurtosis, flat.ks_statistic) == (0.0, 0.0, 0.0)
     # so does one whose shape moments underflow (m2 ~ 1e-274 here)
-    tiny = ensemble._moments([0.0, 1e-137, 2e-137, 3e-137])
+    tiny, _ = ensemble._moments([0.0, 1e-137, 2e-137, 3e-137])
     assert tiny.variance > 0.0 and tiny.skewness == 0.0
 
 
@@ -325,7 +383,9 @@ def _moments_with_two_sums(values):
 @example([0.0, 1.0, 2.0, 3.0], 1e-137)
 def test_moments_match_the_two_sum_formulas_bit_for_bit(values, scale):
     values = [v * scale for v in values]
-    assert astuple(ensemble._moments(values)) == _moments_with_two_sums(values)
+    st, d = ensemble._moments(values)
+    assert astuple(st) == _moments_with_two_sums(values)
+    assert d == [v - st.mean for v in values]
 
 
 def test_loglog_slope_exact_recovery():

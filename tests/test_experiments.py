@@ -569,7 +569,8 @@ def test_grade_cov_forms_the_cross_moment_on_the_engine_moments(monkeypatch, n_r
         return
     [(_, name, label, cov, target, stderr)] = seen
     assert (name, label, target) == ("cov[xy]", "cov", 0.6)
-    x, y = np.asarray(rep.samples[0]["x"]), np.asarray(rep.samples[0]["y"])
+    rows = [_correlated_pair({}, 0.1, ensemble.derive_seed(5, 0, j)) for j in range(n_real)]
+    x, y = np.asarray([row["x"] for row in rows]), np.asarray([row["y"] for row in rows])
     want = float(np.cov(x, y, ddof=1)[0, 1])
     assert cov == pytest.approx(want, rel=1e-12)
     vx, vy = rep.stats[0]["x"].variance, rep.stats[0]["y"].variance
