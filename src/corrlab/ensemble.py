@@ -8,9 +8,9 @@ then starts one process pool for the whole run.  Its forked workers inherit
 the states, so a work item is only (epsilon index, first realization,
 count): a chunk of ceil(n_real / (4 workers)) realizations, whose seeds the
 worker derives from the experiment seed and the (epsilon index, realization
-index) pair by a splitmix64-style hash.  A chunk returns one list per
-functional (its columns) and its failures; the parent extends its lists
-chunk by chunk and aggregates each epsilon once its last chunk is in, with
+index) pair by a splitmix64-style hash.  A chunk returns one float64 array
+per functional (its columns) and its failures; the parent joins each
+epsilon's chunk arrays once its last chunk is in and aggregates them with
 exact (fsum) summation, so reports are byte-identical for any worker count.
 If a prepare raises, every realization at its epsilon fails with its message.
 
@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
-from operator import mul
 
 import numpy as np
 
@@ -142,8 +141,8 @@ class EnsembleReport:
 
 def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: int):
     """Realizations start..start+count-1 at epsilon index k; never raises.
-    Returns (columns, failures): name -> values in realization order, and
-    (k, j, seed, message) per failed realization."""
+    Returns (columns, failures): name -> float64 array of the values in
+    realization order, and (k, j, seed, message) per failed realization."""
     state, eps, cols, failed = states[k], spec.epsilon_list[k], {}, []
     for j in range(start, start + count):
         seed = derive_seed(spec.experiment_seed, k, j)
@@ -158,7 +157,7 @@ def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: 
             continue
         for name, val in zip(row, vals):
             cols.setdefault(name, []).append(val)
-    return cols, failed
+    return {name: np.array(col) for name, col in cols.items()}, failed
 
 
 _WORK = None  # (fn, spec, states) of the run a pool worker serves
@@ -173,22 +172,24 @@ def _pool_chunk(item):
     return _run_chunk(*_WORK, *item)
 
 
-def _moments(values) -> tuple[FunctionalStats, list]:
-    """Moments of one functional in realization order, and its deviations d.
-    fsum is exact only for the terms it is given, so each power keeps its
-    association: the cube is (x*x)*x and the quartic ((x*x)*x)*x, built once."""
-    n = len(values)
-    mean = math.fsum(values) / n
-    d = [v - mean for v in values]
-    sq = list(map(mul, d, d))
-    ss = math.fsum(sq)
+def _moments(values) -> tuple[FunctionalStats, np.ndarray]:
+    """Moments of one functional's values (an array or a list), and its
+    deviations d as a float64 array.  numpy forms each term elementwise and
+    fsum, exact only for the terms it is given, sums their list: each power
+    keeps its association, the cube (d*d)*d and the quartic ((d*d)*d)*d."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    mean = math.fsum(values.tolist()) / n
+    d = values - mean
+    sq = d * d
+    ss = math.fsum(sq.tolist())
     m2 = ss / n
     var = ss / (n - 1) if n > 1 else 0.0
     # below m2 ~ 1e-162 the shape moments underflow: treated as degenerate
     if m2 * m2 > 0.0 and n > 3:
-        cube = list(map(mul, sq, d))
-        m3 = math.fsum(cube) / n
-        m4 = math.fsum(map(mul, cube, d)) / n
+        cube = sq * d
+        m3 = math.fsum(cube.tolist()) / n
+        m4 = math.fsum((cube * d).tolist()) / n
         g1 = m3 / m2**1.5
         g2 = m4 / (m2 * m2) - 3.0
         skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)
@@ -208,13 +209,14 @@ def _moments(values) -> tuple[FunctionalStats, list]:
     ), d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as with Python floats, an inf term warns nothing
 def _aggregate(values: dict) -> tuple[dict, dict]:
     """Each functional's stats at one epsilon, and each pair's covariance
     fsum(d_a * d_b) / (n - 1), 0 when n <= 1, under (a, b) and (b, a) alike."""
     moments = {name: _moments(vals) for name, vals in values.items()}
     cov = {(a, a): st.variance for a, (st, _) in moments.items()}
     for (a, (st, da)), (b, (_, db)) in itertools.combinations(moments.items(), 2):
-        cov[a, b] = cov[b, a] = math.fsum(map(mul, da, db)) / (st.n - 1) if st.n > 1 else 0.0
+        cov[a, b] = cov[b, a] = math.fsum((da * db).tolist()) / (st.n - 1) if st.n > 1 else 0.0
     return {name: st for name, (st, _) in moments.items()}, cov
 
 
@@ -245,26 +247,27 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
     starts = range(0, spec.n_real, size)
     items = [(k, j, min(size, spec.n_real - j)) for k in range(len(spec.epsilon_list)) for j in starts]
     all_stats, all_counts, all_cov, failures = [], [], [], []
-    values: dict = {}
+    chunks_of: dict = {}  # name -> the arrays of epsilon k's chunks so far
     # forked workers inherit the states, which need not pickle; only items are sent
     pool = ProcessPoolExecutor(workers, get_context("fork"), _init_worker, (work,)) if workers > 1 else None
     with pool or nullcontext():
         chunks = pool.map(_pool_chunk, items) if pool else (_run_chunk(*work, *item) for item in items)
         for (k, j, count), (cols, failed) in zip(items, chunks):
             for name, col in cols.items():
-                values.setdefault(name, []).extend(col)
+                chunks_of.setdefault(name, []).append(col)
             failures += failed
             if j + count < spec.n_real:
                 continue
             # the last chunk of epsilon k is in: aggregate in realization order
+            values = {name: np.concatenate(parts) for name, parts in chunks_of.items()}
             counters = {"count_failed": sum(f[0] == k for f in failures)}
             for name in [name for name in values if name.startswith("count_")]:
-                counters[name] = sum(map(int, values.pop(name)))
+                counters[name] = sum(map(int, values.pop(name).tolist()))
             all_counts.append(counters)
             stats, cov = _aggregate(values)
             all_stats.append(stats)
             all_cov.append(cov)
-            values = {}
+            chunks_of = {}
     status = "ok" if len(failures) <= 0.01 * len(spec.epsilon_list) * spec.n_real else "error"
     return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_cov,
                           states=work[2])

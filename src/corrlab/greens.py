@@ -9,8 +9,8 @@ Cholesky solve.  A sine-spectral operator covers the 2D unit square; its
 eigenvalue table is built once per mesh size and q0.
 
 The LAPACK routines (`lapack`) and the sine transform come from scipy's
-compiled modules, loaded without the package inits of `scipy.linalg` and
-`scipy.fft`; `lapack_check` restates the checks of scipy's wrappers.
+compiled modules, loaded without the package inits of `scipy`, `scipy.linalg`
+and `scipy.fft`; `lapack_check` restates the checks of scipy's wrappers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -37,15 +37,16 @@ def _scipy_extension(name: str):
     `scipy._lib._array_api` (and with it numpy.testing, numpy.ma, numpy.f2py
     and unittest), `scipy.fft`'s all of `scipy.special`.  The module is
     registered under its full name, so a later public import returns this
-    very object; when no extension file is found, the public import loads it.
+    very object.  The file is found from scipy's package spec, which runs no
+    code, so not even `scipy`'s own init runs; when scipy or the file is not
+    found, the public import loads the module (or raises ModuleNotFoundError).
     """
     full = f"scipy.{name}"
     module = sys.modules.get(full)
     if module is None:
-        import scipy
-
-        package = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[:-1])
-        spec = PathFinder.find_spec(full, [package])
+        root = find_spec("scipy")
+        package = root and os.path.join(os.path.dirname(root.origin), *name.split(".")[:-1])
+        spec = package and PathFinder.find_spec(full, [package])
         if spec is None:
             return importlib.import_module(full)
         module = module_from_spec(spec)

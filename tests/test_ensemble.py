@@ -150,6 +150,11 @@ def test_partial_chunks_and_scattered_failures_do_not_depend_on_workers():
         assert rep.to_json_dict() == reports[1].to_json_dict()
         assert rep.stats == reports[1].stats and rep.covariance == reports[1].covariance
         assert rep.counts == reports[1].counts and rep.failures == reports[1].failures
+        # every statistic is a plain Python number, as the reports serialize them
+        numbers = [v for stats in rep.stats for st in stats.values() for v in astuple(st)]
+        numbers += [v for cov in rep.covariance for v in cov.values()]
+        assert {type(v) for v in numbers} == {int, float}
+        assert {type(v) for counts in rep.counts for v in counts.values()} == {int}
         for k in range(len(spec.epsilon_list)):
             # exactly the surviving realizations were aggregated
             assert rep.stats[k] == _stats_of(_rederive(rep, k))
@@ -241,6 +246,11 @@ def test_a_value_that_is_no_float_fails_its_whole_realization(workers):
     assert rep.failures[0][3] == "ValueError: could not convert string to float: 'n/a'"
     values = _rederive(rep, 0)
     assert len(values["a"]) == len(values["b"]) == 30 - len(bad)
+    # the one chunk's columns are float64 arrays of exactly the surviving values
+    cols, failed = ensemble._run_chunk(ensemble.REGISTRY["half-numeric"], rep.spec, rep.states, 0, 0, 30)
+    assert failed == rep.failures and 0 < bad[0] < bad[-1] < 29
+    assert {name: (type(col), col.dtype, col.tolist()) for name, col in cols.items()} == {
+        name: (np.ndarray, np.float64, vals) for name, vals in values.items()}
     assert rep.stats[0] == _stats_of(values)
     assert rep.stats[0]["a"].n == rep.stats[0]["b"].n == 30 - len(bad)
 
@@ -342,6 +352,12 @@ def test_normality_stats_gaussian_and_errors():
     # so does one whose shape moments underflow (m2 ~ 1e-274 here)
     tiny, _ = ensemble._moments([0.0, 1e-137, 2e-137, 3e-137])
     assert tiny.variance > 0.0 and tiny.skewness == 0.0
+    # as with Python floats, an infinite value or an overflowing term warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats, cov = ensemble._aggregate({"x": np.array([0.0, math.inf, 1.0]), "y": np.array([1e200, -1e200, 0.0])})
+    assert stats["x"].mean == math.inf and math.isnan(stats["x"].variance)
+    assert stats["y"].variance == math.inf and math.isnan(cov["x", "y"])
 
 
 def _moments_with_two_sums(values):
@@ -385,7 +401,10 @@ def test_moments_match_the_two_sum_formulas_bit_for_bit(values, scale):
     values = [v * scale for v in values]
     st, d = ensemble._moments(values)
     assert astuple(st) == _moments_with_two_sums(values)
-    assert d == [v - st.mean for v in values]
+    assert d.dtype == np.float64 and d.tolist() == [v - st.mean for v in values]
+    # the engine hands _moments float64 arrays: the same values give the same stats
+    from_array, d_array = ensemble._moments(np.array(values))
+    assert from_array == st and d_array.tolist() == d.tolist()
 
 
 def test_loglog_slope_exact_recovery():

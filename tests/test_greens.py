@@ -383,3 +383,18 @@ def test_loader_falls_back_to_the_public_import():
         "import scipy.linalg\n"
         "print(public, greens.lapack is scipy.linalg._flapack)"
     ) == "True True"
+
+
+def test_loader_without_scipy_raises_module_not_found():
+    """With no scipy to find, the loader's public import raises as `import scipy` would."""
+    assert _child(
+        "from importlib.machinery import PathFinder\n"
+        "find = PathFinder.find_spec.__func__\n"
+        "def hidden(cls, name, path=None, target=None):\n"
+        "    return None if name == 'scipy' else find(cls, name, path, target)\n"
+        "PathFinder.find_spec = classmethod(hidden)\n"
+        "try:\n"
+        "    from corrlab import greens\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(type(exc).__name__, exc.name)"
+    ) == "ModuleNotFoundError scipy"
