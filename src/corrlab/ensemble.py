@@ -172,25 +172,33 @@ def _pool_chunk(item):
     return _run_chunk(*_WORK, *item)
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """fsum of the terms, or where it raises (inf - inf, an overflowing sum) the IEEE sum."""
+    try:
+        return math.fsum(terms.tolist())
+    except (ValueError, OverflowError):
+        return float(np.sum(terms))
+
+
 def _moments(values) -> tuple[FunctionalStats, np.ndarray]:
     """Moments of one functional's values (an array or a list), and its
     deviations d as a float64 array.  numpy forms each term elementwise and
-    fsum, exact only for the terms it is given, sums their list: each power
+    fsum, exact only for the terms it is given, sums them: each power
     keeps its association, the cube (d*d)*d and the quartic ((d*d)*d)*d."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    mean = math.fsum(values.tolist()) / n
+    mean = _fsum(values) / n
     d = values - mean
     sq = d * d
-    ss = math.fsum(sq.tolist())
+    ss = _fsum(sq)
     m2 = ss / n
     var = ss / (n - 1) if n > 1 else 0.0
     # below m2 ~ 1e-162 the shape moments underflow: treated as degenerate
     if m2 * m2 > 0.0 and n > 3:
         cube = sq * d
-        m3 = math.fsum(cube.tolist()) / n
-        m4 = math.fsum((cube * d).tolist()) / n
-        g1 = m3 / m2**1.5
+        m3 = _fsum(cube) / n
+        m4 = _fsum(cube * d) / n
+        g1 = m3 / float(np.float64(m2) ** 1.5)  # libm pow, as m2**1.5, but inf past 3e205
         g2 = m4 / (m2 * m2) - 3.0
         skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)
         kurt = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
@@ -216,7 +224,7 @@ def _aggregate(values: dict) -> tuple[dict, dict]:
     moments = {name: _moments(vals) for name, vals in values.items()}
     cov = {(a, a): st.variance for a, (st, _) in moments.items()}
     for (a, (st, da)), (b, (_, db)) in itertools.combinations(moments.items(), 2):
-        cov[a, b] = cov[b, a] = math.fsum((da * db).tolist()) / (st.n - 1) if st.n > 1 else 0.0
+        cov[a, b] = cov[b, a] = _fsum(da * db) / (st.n - 1) if st.n > 1 else 0.0
     return {name: st for name, (st, _) in moments.items()}, cov
 
 

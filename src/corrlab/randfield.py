@@ -4,7 +4,9 @@ A field value at position y is a finite weighted sum of iid bounded lattice
 noise variables, with the lattice shifted by a uniform random phase drawn once
 per realization.  The construction is strictly stationary, has a closed-form
 piecewise-linear correlation function, a closed-form integrated correlation,
-and exactly vanishing correlations beyond a finite range.
+and exactly vanishing correlations beyond a finite range.  The samplers read
+raw PCG64 words, drawing what numpy's Generator would, and filter the noise
+once per lattice site before the points gather it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# imported here, not on numpy's first lazy use, so that forked ensemble workers
-# inherit numpy.random from the parent instead of each importing it
-from numpy.random import PCG64, Generator
+# imported with the module so that forked ensemble workers inherit it; the
+# samplers read raw PCG64 words and build no numpy.random Generator
+from numpy.random import PCG64
 
 _MAX_LATTICE_SITES = 1 << 26
 _FLOAT_INDEX_LIMIT = 2.0**52
+_NEXT_DOUBLE = 2.0**-53  # numpy's random(): the top 53 bits of a raw word times this
 
 
 @dataclass(frozen=True)
@@ -54,17 +57,21 @@ class MarginalDist:
     def abs_bound(self) -> float:
         return 1.0 if self.kind in ("rademacher", "uniform_pm1") else self.bound
 
-    def draw(self, rng: Generator, shape) -> np.ndarray:
+    def draw(self, bits: PCG64, n: int) -> np.ndarray:
+        """n values from raw words of `bits`, as numpy's Generator(bits) draws
+        them: integers(0, 2) takes bit 31 of each 32-bit half, low half first
+        (its Lemire draw rejects none at range 2); the others one word each."""
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+            halves = bits.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")
+            return (halves[:n] >> 31) * 2.0 - 1.0
+        u = (bits.random_raw(n) >> 11) * _NEXT_DOUBLE
         if self.kind == "uniform_pm1":
-            return rng.uniform(-1.0, 1.0, size=shape)
+            return -1.0 + 2.0 * u
         from scipy.special import ndtr, ndtri
 
         b = self.bound
         lo = ndtr(-b)
         hi = ndtr(b)
-        u = rng.random(size=shape)
         return ndtri(lo + u * (hi - lo))
 
     @classmethod
@@ -269,55 +276,56 @@ def lattice_sites(lo: float, hi: float, window: int) -> int:
 
 
 def _lattice_block(points_over_eps: np.ndarray, window: int):
-    """Integer window indices plus block size, within `lattice_sites` limits."""
+    """Each point's site, the noise block size and the site count, within `lattice_sites` limits."""
     lo = float(points_over_eps.min())
     count = lattice_sites(lo, float(points_over_eps.max()), window)
-    return np.floor(points_over_eps).astype(np.int64) - math.floor(lo), count
+    idx = np.floor(points_over_eps).astype(np.int64)
+    idx -= math.floor(lo)
+    return idx, count, count - window + 1
 
 
 def sample_at(spec: MAProcessSpec, epsilon: float, points: np.ndarray, seed: int) -> np.ndarray:
     """Sample the field q(x/epsilon) at arbitrary points, reproducibly.
 
-    The generator draws the phase first, then one contiguous lattice noise
-    block, so a given (spec, seed, points, epsilon) always reproduces the
-    same values bit for bit.
+    PCG64(seed) gives the phase, then one contiguous lattice noise block, so
+    a given (spec, seed, points, epsilon) reproduces the same values bit for
+    bit.  The filter runs once per site, the points gather the site values.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = np.asarray(points, dtype=float)
-    rng = Generator(PCG64(seed))
-    phase = rng.random()
-    idx, count = _lattice_block(pts / epsilon + phase, spec.window)
-    noise = spec.marginal.draw(rng, count)
-    values = np.zeros(pts.shape, dtype=float)
+    bits = PCG64(seed)
+    phase = (bits.random_raw() >> 11) * _NEXT_DOUBLE
+    idx, count, m = _lattice_block(pts / epsilon + phase, spec.window)
+    noise = spec.marginal.draw(bits, count)
+    site = np.zeros(m)
     for k, w in enumerate(spec.weights):
-        values += w * noise[idx + k]
-    values *= spec.amplitude
-    return values
+        site += w * noise[k : k + m]
+    site *= spec.amplitude
+    return site[idx]
 
 
 def sample_2d(spec: MAProcessSpec, epsilon: float, mesh2d, seed: int) -> np.ndarray:
     """Sample a separable 2D field on a tensor mesh.
 
     Uses the same lattice construction on the 2D integer lattice with a 2D
-    phase; the filter is the outer product of the 1D weight sequence.
+    phase; the filter, the outer product of the 1D weights, runs per site.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    rng = Generator(PCG64(seed))
-    phase = rng.random(2)
+    bits = PCG64(seed)
+    phase = (bits.random_raw(2) >> 11) * _NEXT_DOUBLE
     xs = np.asarray(mesh2d.nodes, dtype=float)
-    idx_r, count_r = _lattice_block(xs / epsilon + phase[0], spec.window)
-    idx_c, count_c = _lattice_block(xs / epsilon + phase[1], spec.window)
-    noise = spec.marginal.draw(rng, (count_r, count_c))
+    idx_r, count_r, m_r = _lattice_block(xs / epsilon + phase[0], spec.window)
+    idx_c, count_c, m_c = _lattice_block(xs / epsilon + phase[1], spec.window)
+    noise = spec.marginal.draw(bits, count_r * count_c).reshape(count_r, count_c)
     w = np.asarray(spec.weights)
-    values = np.zeros((xs.size, xs.size), dtype=float)
+    site = np.zeros((m_r, m_c))
     for j, wj in enumerate(w):
-        rows = noise[idx_r + j]
         for k, wk in enumerate(w):
-            values += (wj * wk) * rows[:, idx_c + k]
-    values *= spec.amplitude
-    return values
+            site += (wj * wk) * noise[j : j + m_r, k : k + m_c]
+    site *= spec.amplitude
+    return site[idx_r][:, idx_c]
 
 
 def sample_triple(
@@ -326,24 +334,22 @@ def sample_triple(
     """Sample the three correlated fields at shared points.
 
     Returns a tuple of three value arrays that share one phase and one
-    underlying multichannel noise block.
+    multichannel noise block, each filtered once per lattice site.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = np.asarray(getattr(points, "nodes", points), dtype=float)
-    rng = Generator(PCG64(seed))
-    phase = rng.random()
-    idx, count = _lattice_block(pts / epsilon + phase, lag_window(spec))
-    noise = spec.marginal.draw(rng, (spec.n_channels, count))
+    bits = PCG64(seed)
+    phase = (bits.random_raw() >> 11) * _NEXT_DOUBLE
+    idx, count, m = _lattice_block(pts / epsilon + phase, lag_window(spec))
+    noise = spec.marginal.draw(bits, spec.n_channels * count).reshape(spec.n_channels, count)
     out = []
-    for j in range(3):
-        wj = spec.weights[j]
-        values = np.zeros(pts.shape, dtype=float)
-        for c in range(wj.shape[0]):
-            row = noise[c]
-            for k in range(wj.shape[1]):
-                if wj[c, k] != 0.0:
-                    values += wj[c, k] * row[idx + k]
-        values *= spec.amplitudes[j]
-        out.append(values)
+    for wj, amp in zip(spec.weights, spec.amplitudes):
+        site = np.zeros(m)
+        for row, ws in zip(noise, wj.tolist()):
+            for k, w in enumerate(ws):
+                if w != 0.0:
+                    site += w * row[k : k + m]
+        site *= amp
+        out.append(site[idx])
     return tuple(out)

@@ -358,6 +358,37 @@ def test_normality_stats_gaussian_and_errors():
         stats, cov = ensemble._aggregate({"x": np.array([0.0, math.inf, 1.0]), "y": np.array([1e200, -1e200, 0.0])})
     assert stats["x"].mean == math.inf and math.isnan(stats["x"].variance)
     assert stats["y"].variance == math.inf and math.isnan(cov["x", "y"])
+    # where fsum raises, on inf - inf among the cubes or on finite squares whose
+    # exact sum overflows (and m2^1.5 past 3e205), the sums fall back to IEEE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats, cov = ensemble._aggregate({"x": [1e110, -1e110, 0.0, 1.0], "y": [1.0, 2.0, 3.0, 5.0]})
+        wide, _ = ensemble._aggregate({"x": [1.2e154, -1.2e154, 3.0]})
+    assert stats["x"].mean == 0.25 and math.isfinite(stats["x"].variance) and math.isnan(stats["x"].skewness)
+    assert stats["y"].variance == pytest.approx(35.0 / 12.0) and math.isfinite(cov["x", "y"])
+    assert wide["x"].mean == 1.0 and wide["x"].variance == math.inf
+
+
+def _one_extreme(params, epsilon, seed):
+    """The toy task, but one realization's value is +-1e200."""
+    row = _toy_task(params, epsilon, seed)
+    if seed == params["extreme"]:
+        row["value"] = math.copysign(1e200, row["value"])
+    return row
+
+
+register_task("one-extreme", _one_extreme)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_extreme_realization_does_not_abort_the_run(workers):
+    spec = EnsembleSpec(5, 40, (0.5, 0.25), "one-extreme", {"extreme": derive_seed(5, 1, 13)})
+    rep = run(spec, workers=workers)
+    assert rep.failures == [] and rep.stats[1]["value"].n == 40
+    assert rep.stats[1]["value"].variance == math.inf and math.isnan(rep.stats[1]["value"].skewness)
+    assert math.isfinite(rep.stats[0]["value"].skewness)
+    want = run(spec)
+    assert repr(rep.stats) == repr(want.stats) and repr(rep.covariance) == repr(want.covariance)
 
 
 def _moments_with_two_sums(values):

@@ -33,7 +33,7 @@ def test_marginal_variances():
 
 
 def test_marginal_draws_are_bounded_and_centered():
-    rng = np.random.Generator(np.random.PCG64(7))
+    rng = np.random.PCG64(7)
     for dist in (
         MarginalDist("rademacher"),
         MarginalDist("uniform_pm1"),
@@ -46,9 +46,41 @@ def test_marginal_draws_are_bounded_and_centered():
 
 
 def test_rademacher_draws_are_signs():
-    rng = np.random.Generator(np.random.PCG64(3))
+    rng = np.random.PCG64(3)
     x = MarginalDist("rademacher").draw(rng, 1000)
     assert set(np.unique(x)) == {-1.0, 1.0}
+
+
+MARGINALS = (
+    MarginalDist("rademacher"),
+    MarginalDist("uniform_pm1"),
+    MarginalDist("truncated_gaussian", 1.5),
+)
+
+
+def _generator_draw(dist, rng, shape):
+    """The marginal draw as numpy's Generator makes it."""
+    if dist.kind == "rademacher":
+        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    if dist.kind == "uniform_pm1":
+        return rng.uniform(-1.0, 1.0, size=shape)
+    from scipy.special import ndtr, ndtri
+
+    lo, hi = ndtr(-dist.bound), ndtr(dist.bound)
+    return ndtri(lo + rng.random(size=shape) * (hi - lo))
+
+
+def test_raw_draws_equal_numpy_generator_bit_for_bit():
+    """If a numpy release changes its Generator streams, this names the cause."""
+    for seed in range(200):
+        for n in (1, 2, 7, 64, 333):
+            for dist in MARGINALS:
+                got = dist.draw(np.random.PCG64(seed), n)
+                want = _generator_draw(dist, np.random.Generator(np.random.PCG64(seed)), n)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the phase: numpy's next_double of one raw word
+        want = np.random.Generator(np.random.PCG64(seed)).random()
+        assert (np.random.PCG64(seed).random_raw() >> 11) * 2**-53 == want
 
 
 def test_lattice_autocovariance_closed_form():
@@ -225,3 +257,103 @@ def test_sample_at_rejects_bad_epsilon():
         randfield.sample_at(SPEC_HALF, 0.0, np.array([0.1]), seed=1)
     with pytest.raises(ValueError):
         randfield.sample_at(SPEC_HALF, -1.0, np.array([0.1]), seed=1)
+
+
+# Oracles: the samplers as per-point, per-lag sums over a Generator's draws.
+# The samplers filter on the lattice sites first and must equal these bit for bit.
+def _oracle_block(points_over_eps, window):
+    lo = float(points_over_eps.min())
+    count = randfield.lattice_sites(lo, float(points_over_eps.max()), window)
+    return np.floor(points_over_eps).astype(np.int64) - math.floor(lo), count
+
+
+def _oracle_sample_at(spec, epsilon, pts, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phase = rng.random()
+    idx, count = _oracle_block(pts / epsilon + phase, spec.window)
+    noise = _generator_draw(spec.marginal, rng, count)
+    values = np.zeros(pts.shape, dtype=float)
+    for k, w in enumerate(spec.weights):
+        values += w * noise[idx + k]
+    values *= spec.amplitude
+    return values
+
+
+def _oracle_sample_2d(spec, epsilon, xs, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phase = rng.random(2)
+    idx_r, count_r = _oracle_block(xs / epsilon + phase[0], spec.window)
+    idx_c, count_c = _oracle_block(xs / epsilon + phase[1], spec.window)
+    noise = _generator_draw(spec.marginal, rng, (count_r, count_c))
+    w = np.asarray(spec.weights)
+    values = np.zeros((xs.size, xs.size), dtype=float)
+    for j, wj in enumerate(w):
+        rows = noise[idx_r + j]
+        for k, wk in enumerate(w):
+            values += (wj * wk) * rows[:, idx_c + k]
+    values *= spec.amplitude
+    return values
+
+
+def _oracle_sample_triple(spec, epsilon, pts, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phase = rng.random()
+    idx, count = _oracle_block(pts / epsilon + phase, randfield.lag_window(spec))
+    noise = _generator_draw(spec.marginal, rng, (spec.n_channels, count))
+    out = []
+    for j in range(3):
+        wj = spec.weights[j]
+        values = np.zeros(pts.shape, dtype=float)
+        for c in range(wj.shape[0]):
+            for k in range(wj.shape[1]):
+                if wj[c, k] != 0.0:
+                    values += wj[c, k] * noise[c][idx + k]
+        values *= spec.amplitudes[j]
+        out.append(values)
+    return tuple(out)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_lattice_first_samplers_equal_per_point_oracles_bit_for_bit():
+    """Windows 1-4 with zero and negative weights, every marginal, 1D meshes
+    of 3-900 nodes and field-stats points, 2D meshes of 3-70 nodes, and
+    triples of 1-2 channels."""
+    rng = np.random.default_rng(30)
+    for trial in range(320):
+        marginal = MARGINALS[trial % 3]
+        window = 1 + trial // 3 % 4
+        w = rng.normal(size=window)
+        w[0] = -abs(w[0])
+        if window > 1 and trial % 2:
+            w[rng.integers(1, window)] = 0.0
+        spec = MAProcessSpec(tuple(w), marginal, float(rng.choice([1.0, -0.7, 2.5])))
+        eps = float(rng.choice([1.7, 0.3, 0.1, 0.013, 0.0025]))
+        seed = int(rng.integers(0, 2**63))
+        kind = trial // 12 % 4
+        if kind == 0:
+            pts = np.linspace(0.0, 1.0, int(rng.integers(3, 901)))
+            assert _same_bits(randfield.sample_at(spec, eps, pts, seed),
+                              _oracle_sample_at(spec, eps, pts, seed))
+        elif kind == 1:  # field-stats points: probe +- 3 lattice units in eighths
+            pts = 0.3 + eps * (np.arange(-24, 25) / 8)
+            assert _same_bits(randfield.sample_at(spec, eps, pts, seed),
+                              _oracle_sample_at(spec, eps, pts, seed))
+        elif kind == 2:
+            class _M:
+                nodes = np.linspace(0.0, 1.0, int(rng.integers(3, 71)))
+
+            assert _same_bits(randfield.sample_2d(spec, eps, _M(), seed),
+                              _oracle_sample_2d(spec, eps, _M.nodes, seed))
+        else:
+            channels = 1 + trial % 2
+            mats = [rng.normal(size=(channels, int(rng.integers(1, 5)))) for _ in range(3)]
+            mats[0][0, 0] = 0.0
+            mats[1][-1, -1] = -abs(mats[1][-1, -1])
+            triple = CorrelatedTripleSpec(tuple(mats), marginal, tuple(rng.normal(size=3)))
+            pts = np.linspace(0.0, 1.0, int(rng.integers(3, 901)))
+            got = randfield.sample_triple(triple, eps, pts, seed)
+            want = _oracle_sample_triple(triple, eps, pts, seed)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
