@@ -209,8 +209,11 @@ def _spec(val, key):
 
 
 def _probe_list(val, key):
-    if not all(0.0 < x < 1.0 for x in _numbers(val, key, nonempty=False)):
+    xs = _numbers(val, key, nonempty=False)
+    if not all(0.0 < x < 1.0 for x in xs):
         raise ConfigError(key, "probe points must lie inside (0, 1)")
+    if len(set(xs)) < len(xs):
+        raise ConfigError(key, "probe points must not repeat")
 
 
 def _profile_list(val, key, options, nonempty=False):
@@ -411,6 +414,8 @@ def _check_spectral(cfg: dict):
 
     if not all(map(is_mode, cfg["modes"])):
         raise ConfigError("modes", f"mode indices must lie in 1..{n_pairs}")
+    if len(set(cfg["modes"])) < len(cfg["modes"]):
+        raise ConfigError("modes", "mode indices must not repeat")
     fp = cfg["fourier_pair"]
     if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
         raise ConfigError("fourier_pair", _FOURIER_PAIR)

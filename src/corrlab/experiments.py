@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,14 +351,45 @@ def _within(res, name: str, label: str, value, target, stderr: float):
     res.checks.append(Check(name, err <= tol, detail))
 
 
-def _grade_cov(res, rep, k: int, a: str, b: str, name: str, target: float):
-    """Covariance check of functionals a and b at epsilon k, when more than 3
-    were sampled; n, the variances and the covariance are the engine's."""
-    st = rep.stats[k]
-    if a not in st or st[a].n <= 3:
-        return
-    n, cov = st[a].n, rep.covariance[k][a, b]
-    _within(res, name, "cov", cov, target, math.sqrt((st[a].variance * st[b].variance + cov * cov) / (n - 1)))
+class Law(NamedTuple):
+    """The stated Gaussian law of some functionals at one epsilon.  Functional
+    i is `functionals[i] = (name, label, key)`: `name` in the ensemble stats,
+    checked as `{label}_var[{key}{at}]`, `{label}_mean[{key}{at}]` and, with a
+    later j, `{label}_cov[{key}{key_j}{at}]`.  `mean` and `cov` are the target
+    mean vector and covariance matrix, NaN where not stated; `cov_rows` adds
+    a row `{name}_{key_j}` for each stated covariance."""
+
+    functionals: list
+    mean: np.ndarray
+    cov: np.ndarray
+    at: str = ""
+    cov_rows: bool = False
+
+
+def _grade_law(res, rep, k: int, law: Law):
+    """The rows and checks of a law at epsilon k, on the engine's moments: each
+    functional's variance row and, if sampled, variance and mean checks, then
+    each stated covariance, checked over 3 samples.  NaN makes no row or check."""
+    eps, st, sample_cov = repr(rep.spec.epsilon_list[k]), rep.stats[k], rep.covariance[k]
+    for (name, label, key), mean, var in zip(law.functionals, law.mean.tolist(), law.cov.diagonal().tolist()):
+        if math.isnan(var):
+            continue
+        res.rows.append((eps, name, "analytic_variance", var))
+        if name in st:
+            s = st[name]
+            _within(res, f"{label}_var[{key}{law.at}]", "var", s.variance, var, s.stderr_variance)
+            if not math.isnan(mean):
+                _within(res, f"{label}_mean[{key}{law.at}]", "mean", s.mean, mean, s.stderr_mean)
+    for (i, (a, label, key)), (j, (b, _, key_b)) in itertools.combinations(enumerate(law.functionals), 2):
+        target = law.cov[i, j]
+        if math.isnan(target):
+            continue
+        if law.cov_rows:
+            res.rows.append((eps, f"{a}_{key_b}", "analytic_covariance", float(target)))
+        if a in st and st[a].n > 3:
+            n, cov = st[a].n, sample_cov[a, b]
+            stderr = math.sqrt((st[a].variance * st[b].variance + cov * cov) / (n - 1))
+            _within(res, f"{label}_cov[{key}{key_b}{law.at}]", "cov", cov, target, stderr)
 
 
 def _slope_in(name: str, slope: float, lo, hi) -> Check:
@@ -422,36 +454,20 @@ def _norm_sq_slope(th: dict):
     return partial(_slope_in, "norm_sq_slope", lo=th["slope_lo"], hi=th["slope_hi"])
 
 
-def _grade_variance(res, eps, st, name, target, label, key, mean=False):
-    """Analytic-variance row of functional `name` and, if it was sampled, a
-    `{label}_var[{key}]` check, plus a zero-mean check when `mean` is set."""
-    res.rows.append((repr(eps), name, "analytic_variance", float(target)))
-    if name in st:
-        s = st[name]
-        _within(res, f"{label}_var[{key}]", "var", s.variance, target, s.stderr_variance)
-        if mean:
-            _within(res, f"{label}_mean[{key}]", "mean", s.mean, 0.0, s.stderr_mean)
-
-
-def _grade_probes(res, rep, k: int, variances: np.ndarray):
-    """Variance and mean checks at each probe against the law's `variances` there."""
+def _grade_corrector_law(res, rep, k: int, probes, variances, moment_cov):
+    """Grade the zero-mean law at epsilon k of the correctors at `probes`, of
+    limit `variances`, and the moments, of limit covariance `moment_cov`, with
+    no probe-probe or probe-moment covariance stated; then moment 0's normality."""
+    p, m = len(probes), len(moment_cov)
+    cov = np.full((p + m, p + m), np.nan)
+    cov[range(p), range(p)] = variances
+    cov[p:, p:] = moment_cov
+    functionals = [(_probe_name(x), "corr", repr(x)) for x in probes]
+    functionals += [(f"moment_{i}", "moment", str(i)) for i in range(m)]
     eps = rep.spec.epsilon_list[k]
-    for x, target in zip(res.config["probes"], variances.tolist()):
-        key = f"{x!r},{eps!r}"
-        _grade_variance(res, eps, rep.stats[k], _probe_name(x), target, "corr", key, mean=True)
-
-
-def _grade_moments(res, rep, k: int, cov):
-    """Moment variance, mean and covariance checks at epsilon k, then normality."""
-    eps = rep.spec.epsilon_list[k]
-    st = rep.stats[k]
-    for i in range(len(cov)):
-        key = f"{i},{eps!r}"
-        _grade_variance(res, eps, st, f"moment_{i}", cov[i, i], "moment", key, mean=True)
-    for i, j in itertools.combinations(range(len(cov)), 2):
-        name = f"moment_cov[{i}{j},{eps!r}]"
-        _grade_cov(res, rep, k, f"moment_{i}", f"moment_{j}", name, cov[i, j])
-    _grade_normality(res, st, "moment_0", f"moment_0[{eps!r}]")
+    _grade_law(res, rep, k, Law(functionals, np.zeros(p + m), cov, at=f",{eps!r}"))
+    if m:
+        _grade_normality(res, rep.stats[k], "moment_0", f"moment_0[{eps!r}]")
 
 
 def _ensemble_kind(kind: str, prepare, task, grade):
@@ -494,13 +510,12 @@ def _grade_field_stats(config, res, rep):
 def _grade_helmholtz_corrector(config, res, rep):
     from . import helmholtz
 
-    th = config["thresholds"]
+    th, probes = config["thresholds"], config["probes"]
     for k, st in enumerate(rep.states):
         prob, moment_functions = st["problem"], st["moment_functions"]
-        if config["probes"]:
-            _grade_probes(res, rep, k, helmholtz.corrector_law_1d(prob, config["probes"]))
-        if config["moments"]:
-            _grade_moments(res, rep, k, helmholtz.moment_covariance(prob, moment_functions))
+        variances = helmholtz.corrector_law_1d(prob, probes) if probes else ()
+        moment_cov = helmholtz.moment_covariance(prob, moment_functions) if config["moments"] else ()
+        _grade_corrector_law(res, rep, k, probes, variances, moment_cov)
     # E||u_eps - u0||^2 ~ eps^{d(1-2a)}; the corrector exponent is half that, with d = 1
     target, tol = 0.5 - config["alpha"], th["exponent_tol"]
 
@@ -518,18 +533,19 @@ def _grade_helmholtz_moments_2d(config, res, rep):
 
     res.tables["sigma2_separable"] = rep.states[0]["problem"].sigma2
     for k, st in enumerate(rep.states):
-        _grade_moments(res, rep, k, helmholtz.moment_covariance_2d(st["problem"], st["moment_functions"]))
+        moment_cov = helmholtz.moment_covariance_2d(st["problem"], st["moment_functions"])
+        _grade_corrector_law(res, rep, k, (), (), moment_cov)
     _grade_counts(res, rep, "truncation", "count_truncated", config["thresholds"]["trunc_frac_max"])
 
 
 def _grade_elliptic_corrector(config, res, rep):
     from . import elliptic
 
-    th = config["thresholds"]
-    if config["probes"]:
+    th, probes = config["thresholds"], config["probes"]
+    if probes:
         res.tables["rho_jk"] = elliptic.driver_correlation(rep.states[0]["problem"]).tolist()
         for k, st in enumerate(rep.states):
-            _grade_probes(res, rep, k, elliptic.limit_law(st["problem"], x_nodes=config["probes"]))
+            _grade_corrector_law(res, rep, k, probes, elliptic.limit_law(st["problem"], x_nodes=probes), ())
     _grade_fit(res, rep, "norm_sq", "norm_sq_fit", _norm_sq_slope(th))
     _grade_counts(res, rep, "truncation", "count_truncated", th["trunc_frac_max"])
 
@@ -537,29 +553,25 @@ def _grade_elliptic_corrector(config, res, rep):
 def _grade_spectral_corrector(config, res, rep):
     from . import spectral
 
-    th = config["thresholds"]
+    th, modes = config["thresholds"], config["modes"]
     prob = rep.states[-1]["problem"]
     mesh, a_star, q0, s2 = prob.mesh, prob.a_star, prob.q0, prob.sigma2
-    eps_last = rep.spec.epsilon_list[-1]
-    st = rep.stats[-1]
-    for n in config["modes"]:
-        target = spectral.inverse_corrector_covariance(mesh, s2, n, n)
-        _grade_variance(res, eps_last, st, f"inv_eig_{n}", target, "inv_eig", n)
-        target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, n)
-        _grade_variance(res, eps_last, st, f"eig_{n}", target, "eig", n)
-    if len(config["modes"]) >= 2:
-        n, m = config["modes"][0], config["modes"][1]
-        target = spectral.eigenvalue_corrector_covariance(mesh, a_star, q0, s2, n, m)
-        _grade_cov(res, rep, -1, f"eig_{n}", f"eig_{m}", f"eig_cov[{n}{m}]", target)
-        res.rows.append(
-            (repr(eps_last), f"eig_{n}_{m}", "analytic_covariance", float(target))
-        )
+    inv = partial(spectral.inverse_corrector_covariance, mesh, s2)
+    eig = partial(spectral.eigenvalue_corrector_covariance, mesh, a_star, q0, s2)
+    # at the last epsilon, with no mean stated: each mode's inverse and A-eigenvalue
+    # correctors, the first two modes' A-eigenvalue correctors covarying, then the Fourier corrector
+    functionals = [(f"{label}_{n}", label, n) for n in modes for label in ("inv_eig", "eig")]
+    cov = np.full((len(functionals),) * 2, np.nan)
+    np.fill_diagonal(cov, [var(n, n) for n in modes for var in (inv, eig)])
+    if len(modes) >= 2:
+        cov[1, 3] = cov[3, 1] = eig(*modes[:2])
+    _grade_law(res, rep, -1, Law(functionals, np.full(len(functionals), np.nan), cov, cov_rows=True))
     n, m = config["fourier_pair"]
-    target = spectral.fourier_corrector_variance(mesh, a_star, q0, s2, n, m)
-    _grade_variance(res, eps_last, st, f"fourier_{n}_{m}", target, "fourier", f"{n}{m}")
-    key = f"inv_eig_{config['modes'][0]}"
-    _grade_normality(res, st, key, key)
-    for n in config["modes"]:
+    fourier = np.array([[spectral.fourier_corrector_variance(mesh, a_star, q0, s2, n, m)]])
+    _grade_law(res, rep, -1, Law([(f"fourier_{n}_{m}", "fourier", f"{n}{m}")], np.array([np.nan]), fourier))
+    key = f"inv_eig_{modes[0]}"
+    _grade_normality(res, rep.stats[-1], key, key)
+    for n in modes:
         grade = partial(_slope_min, f"defect_slope[{n}]", lo=th["defect_slope_min"])
         _grade_fit(res, rep, f"defect_{n}", f"defect_{n}_fit", grade)
     _grade_counts(res, rep, "match_flags", "count_flagged", th["flag_frac_max"])

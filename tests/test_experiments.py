@@ -139,6 +139,10 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "periodic-compare", "random": {"n_real": 2**32 + 1}}, "random.n_real", "must be <= 4294967296"),
         # heat solves pairs 1..mode, so it has no pair count of its own
         ({"kind": "heat-corrector", "n_pairs": 8}, "n_pairs", "unknown field"),
+        # a law names each probe and mode once
+        ({"kind": "helmholtz-corrector", "probes": [0.5, 0.5]}, "probes", "probe points must not repeat"),
+        ({"kind": "elliptic-corrector", "probes": [0.25, 0.75, 0.25]}, "probes", "probe points must not repeat"),
+        ({"kind": "spectral-corrector", "modes": [1, 1]}, "modes", "mode indices must not repeat"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
@@ -555,25 +559,92 @@ def _correlated_pair(params, epsilon, seed):
 
 @pytest.mark.parametrize("n_real", [3, 4, 300])
 def test_grade_cov_forms_the_cross_moment_on_the_engine_moments(monkeypatch, n_real):
-    """The covariance check's value is the sample covariance and its standard
-    error sqrt((vx vy + cov^2) / (n - 1)), which `_within` scales by
+    """A law's covariance check: its value is the sample covariance and its
+    standard error sqrt((vx vy + cov^2) / (n - 1)), which `_within` scales by
     stderr_factor; under 4 samples it is skipped."""
     monkeypatch.setitem(ensemble.REGISTRY, "correlated-pair", _correlated_pair)
     rep = ensemble.run(ensemble.EnsembleSpec(5, n_real, (0.1,), "correlated-pair"))
     seen, within = [], experiments._within
     monkeypatch.setattr(experiments, "_within", lambda *args: seen.append(args) or within(*args))
     res = ExperimentResult("pair", {"thresholds": {"stderr_factor": 4.0}}, {}, {}, [], [])
-    experiments._grade_cov(res, rep, 0, "x", "y", "cov[xy]", 0.6)
+    # only the covariance is stated: no variance row or check, no mean check
+    cov = np.array([[math.nan, 0.6], [0.6, math.nan]])
+    law = experiments.Law([("x", "pair", "x"), ("y", "pair", "y")], np.full(2, math.nan), cov)
+    experiments._grade_law(res, rep, 0, law)
+    assert res.rows == []
     if n_real < 4:
         assert res.checks == [] and seen == []
         return
     [(_, name, label, cov, target, stderr)] = seen
-    assert (name, label, target) == ("cov[xy]", "cov", 0.6)
+    assert (name, label, target) == ("pair_cov[xy]", "cov", 0.6)
     rows = [_correlated_pair({}, 0.1, ensemble.derive_seed(5, 0, j)) for j in range(n_real)]
     x, y = np.asarray([row["x"] for row in rows]), np.asarray([row["y"] for row in rows])
     want = float(np.cov(x, y, ddof=1)[0, 1])
     assert cov == pytest.approx(want, rel=1e-12)
     vx, vy = rep.stats[0]["x"].variance, rep.stats[0]["y"].variance
     assert stderr == math.sqrt((vx * vy + cov * cov) / (n_real - 1))
-    assert [c.name for c in res.checks] == ["cov[xy]"]
+    assert [c.name for c in res.checks] == ["pair_cov[xy]"]
     assert res.checks[0].detail.endswith(f" tol={4.0 * stderr:.3g}")
+
+
+def test_grade_law_emits_nothing_for_a_nan_target(monkeypatch):
+    """A NaN variance makes no row and no variance or mean check for its
+    functional, a NaN mean no mean check, and a NaN covariance no check and
+    no row; what is stated is graded as in the fully stated law."""
+    monkeypatch.setitem(ensemble.REGISTRY, "correlated-pair", _correlated_pair)
+    rep = ensemble.run(ensemble.EnsembleSpec(5, 50, (0.1,), "correlated-pair"))
+    functionals, nan = [("x", "p", "x"), ("y", "p", "y")], math.nan
+
+    def grade(mean, cov):
+        res = ExperimentResult("pair", {"thresholds": {"stderr_factor": 4.0}}, {}, {}, [], [])
+        experiments._grade_law(res, rep, 0, experiments.Law(functionals, np.array(mean), np.array(cov), ",e", True))
+        return {c.name: c.detail for c in res.checks}, res.rows
+
+    checks, rows = grade([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
+    assert list(checks) == ["p_var[x,e]", "p_mean[x,e]", "p_var[y,e]", "p_mean[y,e]", "p_cov[xy,e]"]
+    assert rows == [("0.1", "x", "analytic_variance", 1.0), ("0.1", "y", "analytic_variance", 1.0),
+                    ("0.1", "x_y", "analytic_covariance", 0.6)]
+    # x: no mean; y: a mean but no variance; x and y: no covariance
+    assert grade([nan, 0.0], [[1.0, nan], [nan, nan]]) == ({"p_var[x,e]": checks["p_var[x,e]"]}, rows[:1])
+
+
+def test_law_checks_and_rows_keep_their_order_past_two_functionals():
+    """Three moments and three modes: every variance and mean check comes
+    before the covariances, eig_cov[12] and its row before the Fourier
+    corrector, and normality after the law of its epsilon."""
+    small = {"n_real": 4, "epsilon_list": [0.04, 0.02], "normality_checks": True}
+    res = run_experiment({"kind": "helmholtz-corrector", "moments": ["one", "sine", "parabola"], **small})
+    assert [c.name for c in res.checks] == [
+        "corr_var[0.25,0.04]", "corr_mean[0.25,0.04]", "corr_var[0.5,0.04]", "corr_mean[0.5,0.04]",
+        "corr_var[0.75,0.04]", "corr_mean[0.75,0.04]", "moment_var[0,0.04]", "moment_mean[0,0.04]",
+        "moment_var[1,0.04]", "moment_mean[1,0.04]", "moment_var[2,0.04]", "moment_mean[2,0.04]",
+        "moment_cov[01,0.04]", "moment_cov[02,0.04]", "moment_cov[12,0.04]",
+        "moment_0[0.04]_skew", "moment_0[0.04]_kurtosis", "moment_0[0.04]_ks",
+        "corr_var[0.25,0.02]", "corr_mean[0.25,0.02]", "corr_var[0.5,0.02]", "corr_mean[0.5,0.02]",
+        "corr_var[0.75,0.02]", "corr_mean[0.75,0.02]", "moment_var[0,0.02]", "moment_mean[0,0.02]",
+        "moment_var[1,0.02]", "moment_mean[1,0.02]", "moment_var[2,0.02]", "moment_mean[2,0.02]",
+        "moment_cov[01,0.02]", "moment_cov[02,0.02]", "moment_cov[12,0.02]",
+        "moment_0[0.02]_skew", "moment_0[0.02]_kurtosis", "moment_0[0.02]_ks",
+        "truncation[0.04]", "truncation[0.02]",
+    ]
+    assert [r[:3] for r in res.rows] == [
+        ("0.04", "corr_0.25", "analytic_variance"), ("0.04", "corr_0.5", "analytic_variance"),
+        ("0.04", "corr_0.75", "analytic_variance"), ("0.04", "moment_0", "analytic_variance"),
+        ("0.04", "moment_1", "analytic_variance"), ("0.04", "moment_2", "analytic_variance"),
+        ("0.02", "corr_0.25", "analytic_variance"), ("0.02", "corr_0.5", "analytic_variance"),
+        ("0.02", "corr_0.75", "analytic_variance"), ("0.02", "moment_0", "analytic_variance"),
+        ("0.02", "moment_1", "analytic_variance"), ("0.02", "moment_2", "analytic_variance"),
+    ]
+
+    res = run_experiment({"kind": "spectral-corrector", "modes": [1, 2, 3], **small})
+    assert [c.name for c in res.checks] == [
+        "inv_eig_var[1]", "eig_var[1]", "inv_eig_var[2]", "eig_var[2]", "inv_eig_var[3]", "eig_var[3]",
+        "eig_cov[12]", "fourier_var[12]", "inv_eig_1_skew", "inv_eig_1_kurtosis", "inv_eig_1_ks",
+        "match_flags[0.04]", "match_flags[0.02]",
+    ]
+    assert [r[:3] for r in res.rows] == [
+        ("0.02", "inv_eig_1", "analytic_variance"), ("0.02", "eig_1", "analytic_variance"),
+        ("0.02", "inv_eig_2", "analytic_variance"), ("0.02", "eig_2", "analytic_variance"),
+        ("0.02", "inv_eig_3", "analytic_variance"), ("0.02", "eig_3", "analytic_variance"),
+        ("0.02", "eig_1_2", "analytic_covariance"), ("0.02", "fourier_1_2", "analytic_variance"),
+    ]
