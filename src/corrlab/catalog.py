@@ -321,10 +321,10 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dime
 
     The mesh needs 3 nodes and at most MAX_NODES per realization, the field
     (or triple) beside `eps_key`, if any, must sample the unit interval
-    within the lattice limits, and the config's probes must be nodes.  An
-    eigen kind names in `pairs` the field that counts the eigenpairs it
-    solves: they must fit in the interior nodes, and each is a row of mesh
-    nodes towards MAX_NODES.
+    within the lattice limits, and the config's probes must be nodes, no two
+    the same.  An eigen kind names in `pairs` the field that counts the
+    eigenpairs it solves: they must fit in the interior nodes, and each is a
+    row of mesh nodes towards MAX_NODES.
     """
     rows = cfg[pairs] if pairs else 1
     scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
@@ -341,9 +341,11 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dime
         if spec:
             _check_lattice(eps_key, spec, 0.0, 1.0, eps, "on the unit interval")
         try:
-            node_indices(1.0 / cells, cfg.get("probes", ()))
+            nodes = node_indices(1.0 / cells, cfg.get("probes", ()))
         except ValueError as exc:
             raise ConfigError("probes", f"{exc} at epsilon {eps!r}") from None
+        if len(set(nodes)) < len(nodes):
+            raise ConfigError("probes", f"probe points share a mesh node at epsilon {eps!r}")
         if rows > cells - 1:  # never without pairs: cells >= 2
             raise ConfigError(pairs, f"exceeds the {cells - 1} interior nodes at epsilon {eps!r}")
         if (cells + 1) ** dimension * rows > MAX_NODES:

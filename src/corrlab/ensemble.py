@@ -8,11 +8,16 @@ then starts one process pool for the whole run.  Its forked workers inherit
 the states, so a work item is only (epsilon index, first realization,
 count): a chunk of ceil(n_real / (4 workers)) realizations, whose seeds the
 worker derives from the experiment seed and the (epsilon index, realization
-index) pair by a splitmix64-style hash.  A chunk returns one float64 array
-per functional (its columns) and its failures; the parent joins each
-epsilon's chunk arrays once its last chunk is in and aggregates them with
-exact (fsum) summation, so reports are byte-identical for any worker count.
-If a prepare raises, every realization at its epsilon fails with its message.
+index) pair by a splitmix64-style hash.  The worker forms a chunk's seeds,
+and the words numpy's SeedSequence would hash from each, with one set of
+array operations, and hands each task its seed as a `_Seed`: an int that
+follows numpy's ISeedSequence protocol, so `PCG64(seed)` takes those words
+and skips the hash, drawing bit for bit what it draws from the plain int.
+A chunk returns one float64 array per functional (its columns) and its
+failures; the parent joins each epsilon's chunk arrays once its last chunk
+is in and aggregates them with exact (fsum) summation, so reports are
+byte-identical for any worker count.  If a prepare raises, every realization
+at its epsilon fails with its message.
 
 Keys a task returns that start with "count_" are summed only (counters such
 as truncation flags); every other key gets the moment and normality statistics
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -65,6 +71,69 @@ def derive_seed(experiment_seed: int, eps_index: int, real_index: int) -> int:
     return _mix64((experiment_seed + _GAMMA * (k + 1)) & _M64)
 
 
+def derive_seeds(experiment_seed: int, eps_index: int, start: int, count: int) -> np.ndarray:
+    """derive_seed at realizations start..start+count-1 (start >= 0), as a
+    uint64 array: the same counter and finalizer in wraparound uint64."""
+    if start + count > MAX_REALIZATIONS or eps_index >= (1 << 31):
+        raise ValueError("index out of the collision-free range")
+    base = (experiment_seed & _M64) + _GAMMA * ((eps_index << 32) + start + 1)
+    z = np.uint64(base & _M64) + np.uint64(_GAMMA) * np.arange(count, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult^i mod 2^32 for i in 0..n-1, a column of uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(n)], np.uint32)[:, None]
+
+
+# numpy's SeedSequence (pool size 4, 32-bit words, shift 16): the hash
+# constants advance the same way for every seed, through the 4 pool fills and
+# 12 mixing steps and then the 8 output words, so each step is one array step
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHER_LANES = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+
+
+def _hashmix(values: np.ndarray, t: int, n: int) -> np.ndarray:
+    """SeedSequence's hashmix of `values` at steps t..t+n-1, one step per row."""
+    v = (values ^ _HASH_A[t:t + n]) * _HASH_A[t + 1:t + n + 1]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is SeedSequence(int(seeds[i])).generate_state(4, np.uint64).
+
+    The entropy is [lo32, hi32]; below 2^32 numpy has the one word lo32, but
+    pads the pool with hashes of 0, so its pool is that of [lo32, 0]."""
+    lanes = np.zeros((4, seeds.size), np.uint32)
+    lanes[0], lanes[1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = _hashmix(lanes, 0, 4)
+    for src, dst in enumerate(_OTHER_LANES):  # each source word mixes into the other three
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], 4 + 3 * src, 3)
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    out = (np.concatenate((pool, pool)) ^ _HASH_B[:8]) * _HASH_B[1:]
+    out ^= out >> _SHIFT
+    # little-endian u4 pairs read as u8, as numpy does on any host
+    return np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _Seed(int):
+    """A realization seed that carries its SeedSequence words.  `_run_chunk`
+    registers it as an ISeedSequence, which numpy's BitGenerators take in
+    place of a SeedSequence: PCG64 asks for (4, uint64) and gets the words
+    unhashed."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self.words
+        return np.random.SeedSequence(int(self)).generate_state(n_words, dtype)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     experiment_seed: int
@@ -74,6 +143,10 @@ class EnsembleSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:  # an int of any sign or size; derive_seeds reduces it mod 2^64
+            object.__setattr__(self, "experiment_seed", operator.index(self.experiment_seed))
+        except TypeError:
+            raise ValueError("experiment_seed must be an integer") from None
         if not 2 <= self.n_real <= MAX_REALIZATIONS:
             raise ValueError(f"n_real must lie in 2..{MAX_REALIZATIONS}")
         eps = tuple(float(e) for e in self.epsilon_list)
@@ -141,16 +214,23 @@ class EnsembleReport:
 
 def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: int):
     """Realizations start..start+count-1 at epsilon index k; never raises.
-    Returns (columns, failures): name -> float64 array of the values in
-    realization order, and (k, j, seed, message) per failed realization."""
+    Their seeds and SeedSequence words are formed once for the chunk, and
+    each task gets its seed as a `_Seed`.  Returns (columns, failures): name
+    -> float64 array of the values in realization order, and (k, j, seed,
+    message), seed a plain int, per failed realization."""
     state, eps, cols, failed = states[k], spec.epsilon_list[k], {}, []
-    for j in range(start, start + count):
-        seed = derive_seed(spec.experiment_seed, k, j)
-        if isinstance(state, Exception):  # its prepare failed, so does every realization
-            failed.append((k, j, seed, f"{type(state).__name__}: {state}"))
-            continue
+    seeds = derive_seeds(spec.experiment_seed, k, start, count)
+    if isinstance(state, Exception):  # its prepare failed, so does every realization
+        msg = f"{type(state).__name__}: {state}"
+        return {}, [(k, j, seed, msg) for j, seed in enumerate(seeds.tolist(), start)]
+    # registered here, not on import: importing numpy.random before the
+    # samplers do raised the peak RSS of a fanout pass by 0.8 MB
+    np.random.bit_generator.ISeedSequence.register(_Seed)
+    for j, (seed, words) in enumerate(zip(seeds.tolist(), _seed_words(seeds)), start):
+        task_seed = _Seed(seed)
+        task_seed.words = words
         try:
-            row = fn(state, eps, seed)
+            row = fn(state, eps, task_seed)
             vals = [float(v) for v in row.values()]  # all or none join the columns
         except Exception as exc:  # recorded, not propagated
             failed.append((k, j, seed, f"{type(exc).__name__}: {exc}"))

@@ -27,6 +27,7 @@ ORACLES = (  # (name, the route it checks)
     ("direct_solve_conservative", "direct conservative solve against the elliptic fixed point"),
     ("cross_correlation", "continuum cross-correlation against sigma_matrix and sampled triples"),
     ("cross_autocovariance_lattice", "lattice cross-covariances behind cross_correlation"),
+    ("derive_seed", "scalar splitmix64 against the chunk's numpy seeds"),
 )
 NAMES = [name for name, _ in ORACLES]
 

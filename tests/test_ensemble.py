@@ -15,7 +15,10 @@ from corrlab import ensemble
 from corrlab.ensemble import (
     EnsembleSpec,
     _chunk_size,
+    _seed_words,
+    _Seed,
     derive_seed,
+    derive_seeds,
     ks_critical,
     ks_statistic,
     loglog_slope,
@@ -92,6 +95,89 @@ def test_spec_validation():
     assert spec.epsilon_list == (0.2, 0.1)
     with pytest.raises(KeyError):
         run(EnsembleSpec(1, 5, (0.1,), "no-such-task"))
+
+
+# a seed at either end of each 32-bit half, which SeedSequence reads as one or two words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _task_seed(seed):
+    """The seed a chunk hands its task: seed as a _Seed carrying its words."""
+    task_seed = _Seed(seed)
+    task_seed.words = _seed_words(np.array([seed], np.uint64))[0]
+    return task_seed
+
+
+@pytest.mark.parametrize("seed", [-3, 7, 2**64, 2**70 + 12345, -(2**80) + 1])
+@pytest.mark.parametrize("k, start", [(0, 0), (5, 1000), (2**31 - 1, 2**32 - 40)])
+def test_derive_seeds_is_derive_seed_at_every_index(seed, k, start):
+    got = derive_seeds(seed, k, start, 40)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(seed, k, start + i) for i in range(40)]
+    # both raise past the last realization index 2^32 - 1 and epsilon index 2^31 - 1
+    with pytest.raises(ValueError):
+        derive_seeds(seed, k, 2**32 - 39, 40)
+    with pytest.raises(ValueError):
+        derive_seed(seed, k, 2**32)
+    for fn in (derive_seed, lambda *args: derive_seeds(*args, 1)):
+        with pytest.raises(ValueError):
+            fn(seed, 2**31, 0)
+
+
+def test_seed_words_are_numpys_seed_sequence_words():
+    seeds = [*derive_seeds(11, 0, 0, 1000).tolist(), *range(2, 50), *EDGE_SEEDS]
+    words = _seed_words(np.array(seeds, np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4) and words.flags.c_contiguous
+    for seed, row in zip(seeds, words):
+        assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+SEEN = []
+
+
+def _seed_echo(params, epsilon, seed):
+    SEEN.append(seed)
+    return {"v": 1.0}
+
+
+register_task("seed-echo", _seed_echo)
+
+
+def test_a_chunk_hands_each_task_a_seed_numpy_reads_as_its_int():
+    SEEN.clear()
+    spec = EnsembleSpec(3, 20, (0.1,), "seed-echo")
+    ensemble._run_chunk(ensemble.REGISTRY["seed-echo"], spec, [{}], 0, 4, 16)
+    assert SEEN == [derive_seed(3, 0, j) for j in range(4, 20)]
+    # the chunk registered _Seed, so a seed at either end of each half reads the same
+    for task_seed in [*SEEN, *map(_task_seed, EDGE_SEEDS)]:
+        assert type(task_seed) is _Seed and isinstance(task_seed, np.random.bit_generator.ISeedSequence)
+        raw = np.random.PCG64(task_seed).random_raw(16)
+        assert raw.tolist() == np.random.PCG64(int(task_seed)).random_raw(16).tolist()
+        # any other request gets SeedSequence's own answer
+        for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32), (5, np.uint64)):
+            want = np.random.SeedSequence(int(task_seed)).generate_state(n_words, dtype)
+            got = task_seed.generate_state(n_words, dtype)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_hold_plain_int_seeds(workers):
+    for spec in (EnsembleSpec(9, 50, (0.1,), "toy", {"fail_below": 2}),
+                 EnsembleSpec(6, 10, (0.5, 0.25), "toy-prepared", {"bad_epsilon": 0.25})):
+        failures = run(spec, workers=workers).failures
+        assert failures and {type(seed) for _, _, seed, _ in failures} == {int}
+
+
+def test_experiment_seed_is_an_integer_of_any_sign_or_size():
+    with pytest.raises(ValueError, match="experiment_seed"):
+        EnsembleSpec(1.5, 10, (0.1,), "toy")
+    with pytest.raises(ValueError, match="experiment_seed"):
+        EnsembleSpec("7", 10, (0.1,), "toy")
+    assert EnsembleSpec(np.int64(7), 10, (0.1,), "toy").experiment_seed == 7
+    # seeds equal mod 2^64 derive the same realization seeds
+    reports = [run(EnsembleSpec(seed, 30, (0.1, 0.05), "toy")) for seed in (-3, 2**64 - 3, 2**65 - 3)]
+    assert reports[0].stats == reports[1].stats == reports[2].stats
+    assert reports[0].status == "ok" and reports[0].stats[0] == _stats_of(_rederive(reports[0], 0))
 
 
 def test_run_serial_statistics():

@@ -143,6 +143,10 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "helmholtz-corrector", "probes": [0.5, 0.5]}, "probes", "probe points must not repeat"),
         ({"kind": "elliptic-corrector", "probes": [0.25, 0.75, 0.25]}, "probes", "probe points must not repeat"),
         ({"kind": "spectral-corrector", "modes": [1, 1]}, "modes", "mode indices must not repeat"),
+        # distinct probes within node_indices' tolerance of one node
+        ({"kind": "helmholtz-corrector", "probes": [0.5, 0.5 + 1e-12]}, "probes", "share a mesh node at epsilon"),
+        ({"kind": "elliptic-corrector", "probes": [0.75 - 1e-12, 0.25, 0.75]}, "probes",
+         "share a mesh node at epsilon"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):

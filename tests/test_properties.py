@@ -2,11 +2,12 @@
 field-stats runs, and the fixed points against their direct solves."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab import elliptic, helmholtz, randfield
-from corrlab.ensemble import derive_seed
+from corrlab.ensemble import derive_seed, derive_seeds
 from corrlab.greens import Mesh1D
 from corrlab.experiments import ConfigError, run_experiment, validate_config
 from corrlab.randfield import CorrelatedTripleSpec, MAProcessSpec, MarginalDist
@@ -45,6 +46,21 @@ def test_samples_stay_in_their_bounds_and_reproduce_bit_for_bit(w, m, amp, tripl
 def test_derive_seed_is_injective_on_index_pairs(seed, pairs):
     pairs |= {(e, r + 1) for e, r in pairs}  # neighbours collide first under a weak mixer
     assert len({derive_seed(seed, e, r) for e, r in pairs}) == len(pairs)
+
+
+@SETTINGS
+@given(seed=st.integers(-2**70, 2**70), eps=st.integers(0, 2**31 - 1),
+       start=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
+def test_derive_seeds_is_the_scalar_route_or_raises_with_it(seed, eps, start, count):
+    last = start + count - 1
+    if last >= 2**32:  # the chunk passes the last index, where derive_seed raises
+        with pytest.raises(ValueError):
+            derive_seeds(seed, eps, start, count)
+        with pytest.raises(ValueError):
+            derive_seed(seed, eps, last)
+    else:
+        want = [derive_seed(seed, eps, j) for j in range(start, last + 1)]
+        assert derive_seeds(seed, eps, start, count).tolist() == want
 
 
 EPS = st.floats(-20.0, 20.0).map(lambda t: 10.0**t)
