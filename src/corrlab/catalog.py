@@ -5,7 +5,9 @@ that are its own, and a check of the rules that span fields.  Every leaf
 of the defaults is validated, by the kind's rule for its path, else by the
 one rule for its field name, else by the type of its default value, and
 the mesh each epsilon implies is checked too, so a config that passes
-validation does not fail in its realizations for a config reason.
+validation does not fail in its realizations for a config reason.  Each
+epsilon list is walked once, by `_check_mesh`, which checks the mesh and
+then the kind's FD operator bounds at every epsilon.
 Threshold defaults equal the package acceptance values.
 
 Importing this module loads no numpy, so `corrlab list` prints the catalog
@@ -316,20 +318,35 @@ def _check_lattice(key: str, spec, lo: float, hi: float, eps: float, where: str)
         raise ConfigError(key, f"{exc} {where} at epsilon {eps!r}") from None
 
 
-def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1, pairs=None):
-    """Mesh preconditions at every epsilon, from the node count alone.
+def _check_sigma2(spec, dimension=1):
+    """The field's closed-form sigma^2, amplitude^2 Var(xi) (sum w)^(2 dimension),
+    is a finite double for Var(xi) <= 1, so no scipy forms the variance."""
+    try:
+        finite = spec.amplitude ** 2 * sum(spec.weights) ** (2 * dimension) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("field", f"closed-form sigma^2 overflows a double in dimension {dimension}")
+
+
+def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dimension=1, pairs=None, fd=()):
+    """Mesh preconditions at every epsilon: the one walk over an epsilon list.
 
     The mesh needs 3 nodes and at most MAX_NODES per realization, the field
     (or triple) beside `eps_key`, if any, must sample the unit interval
     within the lattice limits, and the config's probes must be nodes, no two
     the same.  An eigen kind names in `pairs` the field that counts the
     eigenpairs it solves: they must fit in the interior nodes, and each is a
-    row of mesh nodes towards MAX_NODES.
+    row of mesh nodes towards MAX_NODES.  Then each bound(cfg, eps, h) in
+    `fd` checks the FD operator at mesh width h, in order.  A top-level
+    field's closed-form sigma^2 is checked first, at the mesh's dimension.
     """
     rows = cfg[pairs] if pairs else 1
     scope = _get(cfg, eps_key.rpartition(".")[0]) if "." in eps_key else cfg
     name = "triple" if "triple" in scope else "field"
     spec = scope.get(name) and _from_json(name, scope[name])
+    if "field" in cfg:  # a top-level field's sigma^2, at the mesh's dimension
+        _check_sigma2(spec, dimension)
     npe = _get(cfg, npe_key)
     for eps in _get(cfg, eps_key):
         over = f"at {npe} nodes per epsilon needs over {MAX_NODES} mesh nodes per realization"
@@ -350,10 +367,12 @@ def _check_mesh(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps", dime
             raise ConfigError(pairs, f"exceeds the {cells - 1} interior nodes at epsilon {eps!r}")
         if (cells + 1) ** dimension * rows > MAX_NODES:
             raise ConfigError(eps_key, f"epsilon {eps!r} {over}")
+        for bound in fd:
+            bound(cfg, eps, 1.0 / cells)
 
 
-def _check_definite(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
-    """The perturbed FD operator is positive definite at every epsilon.
+def _weyl(cfg: dict, eps: float, h: float):
+    """The perturbed FD operator is positive definite at mesh width h.
 
     By Weyl's inequality its smallest eigenvalue is at least the unperturbed
     one, `fd_eigenvalue(h, a*, q0, 1)`, less the largest |potential|:
@@ -365,13 +384,12 @@ def _check_definite(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
     field = cfg.get("field")  # none in periodic-compare, whose cosine has amplitude 1
     q_max = _from_json("field", field).abs_bound if field else 1.0
     q_default = _from_json("field", _DEF_FIELD).abs_bound if field else 1.0
-    for eps in cfg[eps_key]:
-        lam = fd_eigenvalue(1.0 / aligned_cells(eps, cfg[npe_key]), cfg["a_star"], cfg["q0"], 1)
-        scale = eps ** -cfg.get("alpha", 0.0)
-        if not lam > scale * q_max:
-            key = "field" if lam > scale * q_default else "a_star"
-            raise ConfigError(key, f"lowest FD eigenvalue {lam:.6g} at epsilon {eps!r} does not exceed the "
-                                   f"potential bound {scale * q_max:.6g}, so the operator may be indefinite (Weyl)")
+    lam = fd_eigenvalue(h, cfg["a_star"], cfg["q0"], 1)
+    scale = eps ** -cfg.get("alpha", 0.0)
+    if not lam > scale * q_max:
+        key = "field" if lam > scale * q_default else "a_star"
+        raise ConfigError(key, f"lowest FD eigenvalue {lam:.6g} at epsilon {eps!r} does not exceed the "
+                               f"potential bound {scale * q_max:.6g}, so the operator may be indefinite (Weyl)")
 
 
 # the largest |T|_inf of an FD matrix T the eigen-solves take: LAPACK bisection
@@ -381,22 +399,17 @@ def _check_definite(cfg: dict, eps_key="epsilon_list", npe_key="nodes_per_eps"):
 _EIGEN_NORM_MAX = math.sqrt(sys.float_info.max)
 
 
-def _check_eigen(cfg: dict, pairs: str):
-    """The mesh and Weyl checks of the spectral and heat kinds, which solve
-    `cfg[pairs]` eigenpairs, then the norm their eigen-solves square:
-    |T|_inf = 4 a*/h^2 + q0 + max|q| at most _EIGEN_NORM_MAX at every
-    epsilon.  The fault is q0's if q0 = 0 would pass, else a_star's (Weyl has
-    kept max|q| below the lowest eigenvalue)."""
-    _check_mesh(cfg, pairs=pairs)
-    _check_definite(cfg)
+def _eigen_norm(cfg: dict, eps: float, h: float):
+    """The norm the spectral and heat kinds' eigen-solves square:
+    |T|_inf = 4 a*/h^2 + q0 + max|q| at most _EIGEN_NORM_MAX at mesh width h.
+    The fault is q0's if q0 = 0 would pass, else a_star's (Weyl has kept
+    max|q| below the lowest eigenvalue)."""
     q_max = _from_json("field", cfg["field"]).abs_bound
-    for eps in cfg["epsilon_list"]:
-        h = 1.0 / aligned_cells(eps, cfg["nodes_per_eps"])
-        rest = 4.0 * cfg["a_star"] / (h * h) + eps ** -cfg["alpha"] * q_max
-        if not rest + cfg["q0"] <= _EIGEN_NORM_MAX:
-            raise ConfigError("q0" if rest <= _EIGEN_NORM_MAX else "a_star",
-                              f"FD matrix norm {rest + cfg['q0']:.6g} at epsilon {eps!r} exceeds "
-                              f"{_EIGEN_NORM_MAX:.6g}, the largest whose square the eigen-solves can form")
+    rest = 4.0 * cfg["a_star"] / (h * h) + eps ** -cfg["alpha"] * q_max
+    if not rest + cfg["q0"] <= _EIGEN_NORM_MAX:
+        raise ConfigError("q0" if rest <= _EIGEN_NORM_MAX else "a_star",
+                          f"FD matrix norm {rest + cfg['q0']:.6g} at epsilon {eps!r} exceeds "
+                          f"{_EIGEN_NORM_MAX:.6g}, the largest whose square the eigen-solves can form")
 
 
 def _check_elliptic(cfg: dict):
@@ -421,7 +434,7 @@ def _check_spectral(cfg: dict):
     fp = cfg["fourier_pair"]
     if len(fp) != 2 or fp[0] == fp[1] or not all(map(is_mode, fp)):
         raise ConfigError("fourier_pair", _FOURIER_PAIR)
-    _check_eigen(cfg, "n_pairs")
+    _check_mesh(cfg, pairs="n_pairs", fd=(_weyl, _eigen_norm))
     # the Fourier corrector's limit variance divides by the gap of the pair's inverse eigenvalues
     a_star, q0 = cfg["a_star"], cfg["q0"]
     if inverse_eigenvalue(a_star, q0, fp[0]) == inverse_eigenvalue(a_star, q0, fp[1]):
@@ -444,6 +457,7 @@ def field_stats_reach(spec) -> int:
 def _check_field_stats(cfg: dict):
     """The points a realization samples fit the lattice at every epsilon."""
     spec, probe = _from_json("field", cfg["field"]), cfg["probe"]
+    _check_sigma2(spec)
     # the mesh kinds sample the unit interval: inside it, epsilon is at fault
     key = "probe" if abs(probe) > 1.0 else "epsilon_list"
     reach = field_stats_reach(spec)
@@ -492,22 +506,23 @@ def _check_scaling(cfg: dict):
 _PERIODIC_DIAGONAL_MAX = 2.0**51
 
 
+def _periodic_diagonal(cfg: dict, eps: float, h: float):
+    """The FD diagonal at mesh width h is below the cap: q0's fault if q0 = 0 would pass, else a_star's."""
+    rest = 2.0 * cfg["a_star"] / (h * h) + 1.0  # fd_matrix_banded forms (a* + a*)/h^2, the same double
+    if not rest + cfg["q0"] < _PERIODIC_DIAGONAL_MAX:
+        raise ConfigError("q0" if rest < _PERIODIC_DIAGONAL_MAX else "a_star",
+                          f"FD diagonal {rest + cfg['q0']!r} at epsilon {eps!r} is not below "
+                          f"{_PERIODIC_DIAGONAL_MAX!r}, past which the cosine may not move it")
+
+
 def _check_periodic(cfg: dict):
     if len(cfg["periodic_epsilon_list"]) < MIN_FIT_POINTS:
         raise ConfigError(
             "periodic_epsilon_list",
             f"need at least {MIN_FIT_POINTS} epsilon values for the slope fit",
         )
-    _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
+    _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic", fd=(_weyl, _periodic_diagonal))
     _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
-    _check_definite(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic")
-    for eps in cfg["periodic_epsilon_list"]:
-        h = 1.0 / aligned_cells(eps, cfg["nodes_per_eps_periodic"])
-        rest = 2.0 * cfg["a_star"] / (h * h) + 1.0  # fd_matrix_banded forms (a* + a*)/h^2, the same double
-        if not rest + cfg["q0"] < _PERIODIC_DIAGONAL_MAX:
-            raise ConfigError("q0" if rest < _PERIODIC_DIAGONAL_MAX else "a_star",
-                              f"FD diagonal {rest + cfg['q0']!r} at epsilon {eps!r} is not below "
-                              f"{_PERIODIC_DIAGONAL_MAX!r}, past which the cosine may not move it")
 
 
 # --- experiment kinds ---
@@ -630,6 +645,11 @@ HEAT_DEFAULTS = {
 # epsilon 0.0056-0.2, while at 7.5 d = 6 fails it
 S_MAX_MIN = 8.0
 
+# smallest scaling-study alpha: the grid cap then keeps every power of epsilon and
+# rho the variance integral forms a normal double, and the variance, about 4 alpha^4
+# at the default list, far above the 0 it reads below 1e-81, which no fit takes
+SCALING_ALPHA_MIN = 1e-40
+
 SCALING_DEFAULTS = {
     "dimensions": [1, 2, 3, 4, 5],
     "alpha": 1.0,
@@ -745,13 +765,13 @@ KINDS = {
             HEAT_DEFAULTS,
             {"alpha": _HELM_ALPHA},
             # heat solves pairs 1..mode: the graded pair and those below it
-            partial(_check_eigen, pairs="mode"),
+            partial(_check_mesh, pairs="mode", fd=(_weyl, _eigen_norm)),
         ),
         ExperimentKind(
             "scaling-study",
             "Deterministic variance-vs-epsilon exponents across dimensions 1..6.",
             SCALING_DEFAULTS,
-            {"alpha": _POSITIVE, "s_max": partial(_number, lo=S_MAX_MIN)},
+            {"alpha": partial(_number, lo=SCALING_ALPHA_MIN), "s_max": partial(_number, lo=S_MAX_MIN)},
             _check_scaling,
         ),
         ExperimentKind(

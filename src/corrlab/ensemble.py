@@ -63,18 +63,20 @@ def derive_seed(experiment_seed: int, eps_index: int, real_index: int) -> int:
 
     The counter k -> experiment_seed + GAMMA*(k+1) is injective mod 2^64 and
     the finalizer is a bijection, so seeds within one experiment are pairwise
-    distinct.
+    distinct.  Raises ValueError for an index outside 0..2^31 - 1 (epsilon)
+    or 0..2^32 - 1 (realization).
     """
-    if real_index >= MAX_REALIZATIONS or eps_index >= (1 << 31):
+    if min(eps_index, real_index) < 0 or real_index >= MAX_REALIZATIONS or eps_index >= (1 << 31):
         raise ValueError("index out of the collision-free range")
     k = (eps_index << 32) | real_index
     return _mix64((experiment_seed + _GAMMA * (k + 1)) & _M64)
 
 
 def derive_seeds(experiment_seed: int, eps_index: int, start: int, count: int) -> np.ndarray:
-    """derive_seed at realizations start..start+count-1 (start >= 0), as a
-    uint64 array: the same counter and finalizer in wraparound uint64."""
-    if start + count > MAX_REALIZATIONS or eps_index >= (1 << 31):
+    """derive_seed at realizations start..start+count-1, as a uint64 array:
+    the same counter and finalizer in wraparound uint64.  Raises ValueError
+    where derive_seed would, and for a negative count."""
+    if min(eps_index, start, count) < 0 or start + count > MAX_REALIZATIONS or eps_index >= (1 << 31):
         raise ValueError("index out of the collision-free range")
     base = (experiment_seed & _M64) + _GAMMA * ((eps_index << 32) + start + 1)
     z = np.uint64(base & _M64) + np.uint64(_GAMMA) * np.arange(count, dtype=np.uint64)

@@ -76,6 +76,10 @@ def test_derive_seed_distinct_and_stable():
     assert all(0 <= s < (1 << 64) for s in seeds)
     with pytest.raises(ValueError):
         derive_seed(1, 0, 1 << 32)
+    # a negative index once wrapped into the other field: (0, -1) and (5, -1) gave one seed
+    for k, j in ((0, -1), (5, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            derive_seed(1, k, j)
 
 
 def test_spec_validation():
@@ -122,6 +126,10 @@ def test_derive_seeds_is_derive_seed_at_every_index(seed, k, start):
     for fn in (derive_seed, lambda *args: derive_seeds(*args, 1)):
         with pytest.raises(ValueError):
             fn(seed, 2**31, 0)
+    # and below index 0, as does a negative count
+    for args in ((-1, 0, 1), (k, -1, 2), (k, start, -1)):
+        with pytest.raises(ValueError):
+            derive_seeds(seed, *args)
 
 
 def test_seed_words_are_numpys_seed_sequence_words():

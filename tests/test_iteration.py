@@ -121,6 +121,56 @@ def test_nonconvergence_raises(monkeypatch):
         neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-300, truncation_rho=0.99)
 
 
+@pytest.mark.parametrize("qval", [1e80, 1e160])
+def test_an_overflowing_norm_truncates(qval):
+    """At q = 1e80 the power estimate's |w|^2 overflows, which once read as
+    norm 0 and let the solve fail to converge; at 1e160 the bound's square
+    overflows too, which once raised OverflowError.  Both read inf and truncate."""
+    q = np.full(MESH.n_nodes, qval)
+    u0 = _apply(np.ones(MESH.n_nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert estimate_composed_norm(_apply, q, MESH.n_nodes) == math.inf
+        for green_norm in (None, 1.0 / math.pi**2):
+            res = neumann_solve(_apply, q, u0, MESH.quad_weights, green_norm=green_norm)
+            assert res.truncated and res.op_norm_estimate == math.inf and not res.certified
+            assert np.array_equal(res.u, u0)
+
+
+@pytest.mark.parametrize("wobble, stalls", [(1e-15, True), (1e-6, False)])
+def test_an_update_stalled_at_rounding_ends_the_solve(monkeypatch, wobble, stalls):
+    """An update that stops shrinking within ROUNDING_FLOOR of |u| ends the
+    solve below any tol; one that stalls far above it still raises."""
+    monkeypatch.setattr(iteration, "MAX_ITERATIONS", 50)
+    calls = []
+
+    def wobbly(v):  # G = 0.5 I, plus a term whose sign flips from step to step (two applies each)
+        calls.append(1)
+        return 0.5 * v + (-1) ** (len(calls) // 2) * wobble
+
+    q = np.full(MESH.n_nodes, 0.5)
+    u0 = np.ones(MESH.n_nodes)
+    if not stalls:
+        with pytest.raises(RuntimeError, match="did not converge in 50 iterations"):
+            neumann_solve(wobbly, q, u0, MESH.quad_weights, tol=1e-300, green_norm=0.5)
+        return
+    res = neumann_solve(wobbly, q, u0, MESH.quad_weights, tol=1e-300, green_norm=0.5)
+    assert res.iterations < 50 and 0.0 < res.residual <= iteration.ROUNDING_FLOOR
+    assert np.allclose(res.u, 0.8, rtol=0.0, atol=1e-14)  # u = 0.75 u0 + 0.0625 u
+
+
+def test_a_solution_past_1e154_converges_as_one_of_order_1():
+    """Squares of entries past 1e154 overflow: the weighted norm then scales
+    by the largest entry, and the solve stops at rounding, far above tol."""
+    q = np.full(MESH.n_nodes, 2.0)
+    f = np.sin(math.pi * MESH.nodes)
+    unit = neumann_solve(_apply, q, _apply(f), MESH.quad_weights, tol=1e-15)
+    with np.errstate(over="ignore"):
+        big = neumann_solve(_apply, q, _apply(1e200 * f), MESH.quad_weights)
+        assert iteration._weighted_norm(np.full(4, 1e200), np.full(4, 0.25)) == pytest.approx(1e200, rel=1e-15)
+    assert not big.truncated and math.isfinite(big.residual)
+    assert np.allclose(big.u / 1e200, unit.u, rtol=0.0, atol=1e-14)
+
+
 def test_sign_indefinite_potential():
     """Oscillating q converges and matches a dense direct solve."""
     q = 4.0 * np.sin(2 * math.pi * MESH.nodes)
