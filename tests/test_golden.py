@@ -11,10 +11,19 @@ these sizes; the FAIL lines are part of the recorded behaviour.
 
 writes the reports the test compares under OUT_DIR/<kind>-w<workers>/, for
 every kind or the ones named.
+
+    python tests/test_golden.py --diff OLD NEW
+
+prints what moved between two report trees (directories of <name>/report.*,
+such as tests/golden), one line per entry: checks keyed by name (verdict
+and detail), CSV rows by every column but the value, JSON entries by path
+and summary lines by check name.  It exits 1 if anything moved.  A failing
+golden test prints the same diff.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,11 +103,70 @@ def rendered_blas2(tmp_path_factory):
     return _render(tmp_path_factory.mktemp("golden-blas2"), "2")
 
 
+def _csv_entries(text: str) -> dict:
+    # a provenance line "# key=value" is keyed by its key, a row by every
+    # column but the value, as a check name may hold commas
+    return dict(line.partition("=")[::2] if line.startswith("#") else line.rpartition(",")[::2]
+                for line in text.splitlines())
+
+
+def _summary_entries(text: str) -> dict:
+    # "[PASS] name: detail" is keyed by the check name, other lines by their label
+    def entry(line):
+        head, _, rest = line.partition(": ")
+        word, _, name = head.partition("] ")
+        return (name, f"{word[1:]} {rest}") if word in ("[PASS", "[FAIL") else (head, rest)
+
+    return dict(entry(line) for line in text.splitlines() if line)
+
+
+def _json_entries(text: str) -> dict:
+    """path -> leaf, checks keyed by name; an empty dict or list is a leaf."""
+    data = json.loads(text)
+    out = {f"checks[{c['name']}]": f"{'PASS' if c['passed'] else 'FAIL'} {c['detail']}" for c in data.pop("checks")}
+
+    def walk(node, path):
+        if isinstance(node, dict) and node:
+            for key, child in node.items():
+                walk(child, f"{path}.{key}")
+        elif isinstance(node, list) and node:
+            for i, child in enumerate(node):
+                walk(child, f"{path}[{i}]")
+        else:
+            out[path] = json.dumps(node)
+
+    for key, child in data.items():
+        walk(child, key)
+    return out
+
+
+ENTRIES = {"report.csv": _csv_entries, "report.json": _json_entries, "summary.txt": _summary_entries}
+
+
+def _moved(a: dict, b: dict) -> list:
+    """`- key = old`, `+ key = new` or `~ key: old -> new` per entry that moved."""
+    lines = [f"- {k} = {v}" if k not in b else f"~ {k}: {v} -> {b[k]}" for k, v in a.items() if b.get(k) != v]
+    return lines + [f"+ {k} = {v}" for k, v in b.items() if k not in a]
+
+
+def _entries(path: Path) -> dict:
+    return ENTRIES[path.name](path.read_text()) if path.exists() else {}
+
+
+def diff_trees(old: Path, new: Path) -> list:
+    """What moved between two report trees, each line led by <name>/<file>;
+    a file only one tree holds shows as all its entries removed or added."""
+    subs = sorted({d.name for root in (old, new) for d in root.iterdir() if d.is_dir()})
+    return [f"{sub}/{name}: {line}" for sub in subs for name in REPORTS
+            for line in _moved(_entries(old / sub / name), _entries(new / sub / name))]
+
+
 def _assert_golden(rendered: Path, kind: str, workers: int):
     for name in REPORTS:
-        got = (rendered / f"{kind}-w{workers}" / name).read_bytes()
-        want = (GOLDEN / kind / name).read_bytes()
-        assert got == want, f"{kind}/{name} differs at workers={workers}"
+        got, want = rendered / f"{kind}-w{workers}" / name, GOLDEN / kind / name
+        # the message, what moved, is formed only on a mismatch
+        assert got.read_bytes() == want.read_bytes(), f"{kind}/{name} differs at workers={workers}:\n" + "\n".join(
+            _moved(_entries(want), _entries(got)) or ["(only the order or layout of entries)"])
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -113,5 +181,27 @@ def test_report_bytes_match_golden_at_two_blas_threads(kind, workers, rendered_b
     _assert_golden(rendered_blas2, kind, workers)
 
 
+def test_golden_diff_lists_only_what_moved(tmp_path):
+    assert diff_trees(GOLDEN, GOLDEN) == []
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    path = copy / "helmholtz-corrector" / "report.json"
+    report = json.loads(path.read_text())
+    check, verdict = report["checks"][0], ("FAIL", "PASS")
+    was = verdict[check["passed"]]
+    check["passed"] = not check["passed"]
+    del report["ensembles"]["main"]["status"]
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    now, detail = verdict[check["passed"]], check["detail"]
+    assert diff_trees(GOLDEN, copy) == [
+        f"helmholtz-corrector/report.json: ~ checks[{check['name']}]: {was} {detail} -> {now} {detail}",
+        'helmholtz-corrector/report.json: - ensembles.main.status = "ok"',
+    ]
+
+
 if __name__ == "__main__":
+    if sys.argv[1] == "--diff":
+        moved = diff_trees(Path(sys.argv[2]), Path(sys.argv[3]))
+        sys.stdout.write("".join(f"{line}\n" for line in moved))
+        sys.exit(1 if moved else 0)
     render_all(Path(sys.argv[1]), sys.argv[2:] or tuple(CONFIGS))
