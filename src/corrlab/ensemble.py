@@ -177,8 +177,11 @@ class FunctionalStats:
 
 @dataclass
 class EnsembleReport:
+    """What `run` measured: each epsilon's stats, counts and covariance, and the
+    failed realizations.  Its JSON block states only these and the task; the
+    experiment's report states the version, seed, n_real and epsilons once."""
+
     spec: EnsembleSpec
-    version: str
     # stats[eps_index][functional] -> FunctionalStats
     stats: list
     # counts[eps_index][counter] -> int, includes "count_failed"
@@ -189,7 +192,6 @@ class EnsembleReport:
     # covariance[eps_index][a, b] -> sample covariance of functionals a and b
     # in either order, its diagonal the variances; no counter enters it
     covariance: list
-    scaling_fits: dict = field(default_factory=dict)
     # prepared state per epsilon, or the exception its prepare raised, for
     # the runner's targets; no report serializes it
     states: list = field(default_factory=list)
@@ -200,18 +202,8 @@ class EnsembleReport:
              "counts": dict(sorted(counts.items()))}
             for eps, stats, counts in zip(self.spec.epsilon_list, self.stats, self.counts)
         ]
-        return {
-            "task": self.spec.task,
-            "experiment_seed": self.spec.experiment_seed,
-            "n_real": self.spec.n_real,
-            "epsilon_list": list(self.spec.epsilon_list),
-            "version": self.version,
-            "status": self.status,
-            "per_epsilon": blocks,
-            "failures": [list(f) for f in self.failures],
-            "scaling_fits": {k: dict(sorted(v.items())) for k, v in sorted(self.scaling_fits.items())},
-            "meta": {},
-        }
+        return {"task": self.spec.task, "status": self.status, "per_epsilon": blocks,
+                "failures": [list(f) for f in self.failures]}
 
 
 def _run_chunk(fn, spec: EnsembleSpec, states: list, k: int, start: int, count: int):
@@ -327,8 +319,9 @@ def _chunk_size(n_real: int, workers: int) -> int:
     return -(-n_real // (4 * workers))
 
 
-def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleReport:
-    """Execute the ensemble; byte-identical output for any `workers`."""
+def run(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
+    """Execute the ensemble; byte-identical output for any `workers`.  The
+    report holds what the run measured, and the caller's report its provenance."""
     if spec.task not in REGISTRY:
         raise KeyError(f"task {spec.task!r} is not registered")
     workers = max(1, workers)
@@ -359,8 +352,7 @@ def run(spec: EnsembleSpec, workers: int = 1, version: str = "0") -> EnsembleRep
             all_cov.append(cov)
             chunks_of = {}
     status = "ok" if len(failures) <= 0.01 * len(spec.epsilon_list) * spec.n_real else "error"
-    return EnsembleReport(spec, version, all_stats, all_counts, failures, status, all_cov,
-                          states=work[2])
+    return EnsembleReport(spec, all_stats, all_counts, failures, status, all_cov, states=work[2])
 
 
 # --- statistics toolkit ---

@@ -219,7 +219,7 @@ def _run_ensemble(config: dict, workers: int) -> ensemble.EnsembleReport:
     es = ensemble.EnsembleSpec(
         config["seed"], config["n_real"], config["epsilon_list"], config["kind"], params
     )
-    return ensemble.run(es, workers=workers, version=VERSION)
+    return ensemble.run(es, workers=workers)
 
 
 # --- result container ---
@@ -287,9 +287,6 @@ class ExperimentResult:
                         lines.append(f"{eps!r},{name},{stat_name},{value!r}")
                 for cname, cval in sorted(rep.counts[k].items()):
                     lines.append(f"{eps!r},{cname},count,{cval}")
-            for fit_name, fit in sorted(rep.scaling_fits.items()):
-                for stat_name, value in sorted(fit.items()):
-                    lines.append(f"fit,{fit_name},{stat_name},{value!r}")
         for label, name, stat_name, value in self.rows:
             val = repr(float(value)) if isinstance(value, float) else value
             lines.append(f"{label},{name},{stat_name},{val}")
@@ -435,7 +432,7 @@ def _grade_counts(res, rep, name: str, counter: str, frac_max: float):
 
 def _grade_fit(res, rep, functional: str, table: str, *grades, skipped: Check | None = None):
     """Log-log fit of the ensemble mean of one functional across epsilon, stored
-    in the report's scaling fits and as the result's `table`, then the check
+    once, as the result's `table` (report.json's `tables`), then the check
     grade(slope) of each grade.  Too few epsilons or a mean that is not
     positive leave no fit, and only `skipped`, if given, is checked."""
     eps = rep.spec.epsilon_list
@@ -444,7 +441,6 @@ def _grade_fit(res, rep, functional: str, table: str, *grades, skipped: Check | 
         res.checks.extend([skipped] if skipped else [])
         return
     fit = ensemble.loglog_slope(list(zip(eps, means)))
-    rep.scaling_fits[f"{functional}_mean"] = fit.to_dict()
     res.tables[table] = fit.to_dict()
     res.checks.extend(grade(fit.slope) for grade in grades)
 
