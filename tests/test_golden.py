@@ -199,6 +199,25 @@ def test_golden_diff_lists_only_what_moved(tmp_path):
     ]
 
 
+def test_goldens_state_each_fit_once():
+    """A slope fit lives in report.json's tables alone: report.csv has no fit
+    row, and an ensemble block holds only what its run measured."""
+    fitted = set()
+    for kind in CONFIGS:
+        csv = (GOLDEN / kind / "report.csv").read_text()
+        assert not [line for line in csv.splitlines() if line.startswith("fit,")], kind
+        report = json.loads((GOLDEN / kind / "report.json").read_text())
+        for block in report["ensembles"].values():
+            assert set(block) == {"task", "status", "per_epsilon", "failures"}, kind
+        elsewhere = csv + json.dumps(report["ensembles"])
+        for name, fit in report["tables"].items():
+            if name.endswith("_fit"):
+                fitted.add(kind)
+                assert repr(fit["slope"]) not in elsewhere, (kind, name)
+    assert fitted == {"elliptic-corrector", "heat-corrector", "helmholtz-corrector", "periodic-compare",
+                      "spectral-corrector"}
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "--diff":
         moved = diff_trees(Path(sys.argv[2]), Path(sys.argv[3]))
