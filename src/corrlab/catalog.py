@@ -412,6 +412,29 @@ def _eigen_norm(cfg: dict, eps: float, h: float):
                           f"{_EIGEN_NORM_MAX:.6g}, the largest whose square the eigen-solves can form")
 
 
+def _check_u0_scale(cfg: dict):
+    """The Helmholtz ensemble's u0 = G f has a finite scale, and so do the
+    squares its law and its norm form.  For a profile |f| <= 1 and q0 >= 0 the
+    discrete maximum principle bounds |u0| by U = 1/(8 a*), the peak of
+    x(1 - x)/(2 a*), on which the FD second difference is exact, and the
+    Green kernel by 2U.  The law forms G^2 u0^2 and the moment covariance
+    (G M u0)^2, each at most (2U)^2 U^2, which must be a finite double; then
+    so is the norm's u^2.  a_star's fault, whatever the field."""
+    u0_max = 1.0 / (8.0 * cfg["a_star"])
+    try:
+        finite = (2.0 * u0_max) ** 2 * u0_max ** 2 < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("a_star", f"admits |u0| up to 1/(8 a*) = {u0_max:.6g}, whose squares in the "
+                                    "limit law and the norm may overflow a double")
+
+
+def _check_helmholtz(cfg: dict):
+    _check_mesh(cfg)
+    _check_u0_scale(cfg)
+
+
 def _check_elliptic(cfg: dict):
     spec = _from_json("triple", cfg["triple"])
     if spec.component_bound(CH_B) >= 1.0:
@@ -523,6 +546,7 @@ def _check_periodic(cfg: dict):
         )
     _check_mesh(cfg, "periodic_epsilon_list", "nodes_per_eps_periodic", fd=(_weyl, _periodic_diagonal))
     _check_mesh(cfg, "random.epsilon_list", "random.nodes_per_eps")
+    _check_u0_scale(cfg)  # the random block runs helmholtz-corrector's ensemble
 
 
 # --- experiment kinds ---
@@ -736,7 +760,7 @@ KINDS = {
             "1D Helmholtz corrector ensemble: scaling, pointwise law, moments.",
             HELM_DEFAULTS,
             {"alpha": _HELM_ALPHA, "moments": partial(_profile_list, options=_PROFILES)},
-            _check_mesh,
+            _check_helmholtz,
         ),
         ExperimentKind(
             "helmholtz-moments-2d",

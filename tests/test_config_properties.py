@@ -146,6 +146,9 @@ HELM_1D = {"kind": "helmholtz-corrector", "n_real": 2, "epsilon_list": [0.02]}
 # and a solution past 1e154 once squared its update to inf at every step
 @example(configs=[{"kind": "helmholtz-corrector", "n_real": 2, "seed": 2, "epsilon_list": [0.1, 0.05, 0.025],
                    "a_star": 3e-200, "field": {"weights": [0.5, 0.5], "amplitude": 1.4805e-199}}])
+# and a u0 past 1e154, at a_star 1e-300, once squared to inf in the law and the norm: nan slopes
+@example(configs=[{"kind": "helmholtz-corrector", "n_real": 2, "epsilon_list": [0.25, 0.125, 0.0625],
+                   "a_star": 1e-300, "field": {"weights": [0.5, 0.5], "amplitude": 1e-300}}])
 # scaling-study's variance underflows to 0 below alpha 1e-81
 @example(configs=[{"kind": "scaling-study", "dimensions": [1], "alpha": 1e-100}])
 def test_a_physical_config_is_a_config_error_or_a_run_with_no_failed_realization(configs):

@@ -147,6 +147,10 @@ def test_validate_config_type_and_range_errors():
         ({"kind": "helmholtz-corrector", "probes": [0.5, 0.5 + 1e-12]}, "probes", "share a mesh node at epsilon"),
         ({"kind": "elliptic-corrector", "probes": [0.75 - 1e-12, 0.25, 0.75]}, "probes",
          "share a mesh node at epsilon"),
+        # once nan slopes and overflow warnings: u0 grows as 1/a*, and u0^2 overflowed the law and the norm
+        ({"kind": "helmholtz-corrector", "n_real": 2, "epsilon_list": [0.25, 0.125, 0.0625], "a_star": 1e-300,
+          "field": {"amplitude": 1e-300}}, "a_star", "admits |u0| up to 1/(8 a*) = 1.25e+299"),
+        ({"kind": "periodic-compare", "q0": 2.0, "a_star": 1e-300}, "a_star", "|u0| up to"),
     ],
 )
 def test_validation_rejects_configs_that_would_fail_at_run_time(raw, field, message):
@@ -271,6 +275,18 @@ def test_eigen_norm_admission_is_the_root_of_the_largest_double(kind):
         with pytest.raises(ConfigError) as err:
             validate_config({"kind": kind, field: 1.0001 * value})
         assert err.value.field == field
+
+
+@pytest.mark.parametrize("raw", [{"kind": "helmholtz-corrector"}, {"kind": "periodic-compare", "q0": 2.0}])
+def test_u0_scale_admission_is_the_fourth_root_of_the_largest_double(raw):
+    """With U = 1/(8 a*) bounding |u0| and 2U the Green kernel, (2U)^2 U^2 must
+    be a finite double: a_star admits just above 1/(8 (max/4)^(1/4)), not just
+    below.  periodic-compare's q0 keeps its Weyl bound clear of a tiny a_star."""
+    a_min = 1.0 / (8.0 * (sys.float_info.max / 4.0) ** 0.25)
+    validate_config({**raw, "a_star": 1.0001 * a_min})
+    with pytest.raises(ConfigError) as err:
+        validate_config({**raw, "a_star": 0.9999 * a_min})
+    assert err.value.field == "a_star"
 
 
 def test_fourier_admission_is_the_gap_of_the_inverse_eigenvalues():
